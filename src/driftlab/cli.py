@@ -38,7 +38,6 @@ from .learner import (
     LossProfile,
     TrainConfig,
     TrainObjective,
-    _atomic_write_text,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -66,6 +65,7 @@ from .schedule import (
 from .toybox import (
     PRESET_NAMES,
     ToyDataset,
+    atomic_write_text,
     draw,
     get_preset,
     read_samples,
@@ -121,8 +121,8 @@ def _resolve_out(merged: dict, command: str) -> str:
 
 
 def _echo_config(out: str, merged: dict) -> None:
-    _atomic_write_text(os.path.join(out, "config.echo.json"),
-                       json.dumps(merged, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(os.path.join(out, "config.echo.json"),
+                      json.dumps(merged, sort_keys=True, indent=2) + "\n")
 
 
 def _resolve_dataset(spec_text: str) -> ToyDataset:
@@ -194,8 +194,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     save_checkpoint(result.model, os.path.join(out, "checkpoint.json"))
     result.profile.save(os.path.join(out, "profile.txt"))
     curve_lines = [f"{int(step)} {float(loss)!r}" for step, loss in result.curve]
-    _atomic_write_text(os.path.join(out, "curve.txt"),
-                       "\n".join(curve_lines) + "\n")
+    atomic_write_text(os.path.join(out, "curve.txt"),
+                      "\n".join(curve_lines) + "\n")
     print(f"wrote {out}/checkpoint.json, profile.txt, curve.txt "
           f"(final loss {float(result.curve[-1, 1])!r})")
     return 0
@@ -248,7 +248,11 @@ def _build_field(merged: dict):
 
 def _build_sampler_spec(merged: dict, model, schedule) -> SamplerSpec:
     kind = SamplerKind(merged["sampler"])
-    t_start, t_end, last_step_to = default_window(schedule, model.prediction, kind)
+    # The exact velocity is the exact score converted pointwise, so it needs
+    # the score's window, clear of the conversion's singularity at alpha = 0.
+    prediction = (Prediction.SCORE if isinstance(model, AnalyticMixtureField)
+                  else model.prediction)
+    t_start, t_end, last_step_to = default_window(schedule, prediction, kind)
     if merged.get("t_start") is not None:
         t_start = float(merged["t_start"])
     if merged.get("t_end") is not None:
@@ -319,6 +323,27 @@ _EVAL_DEFAULTS = {
 }
 
 
+def _score(report: MetricReport, wanted, samples: np.ndarray, reference: np.ndarray,
+           gmm, permutations: int, seed: int) -> None:
+    """Add the wanted metrics of samples against a reference to a report."""
+    if "energy" in wanted:
+        if permutations > 0:
+            stat, p_value = energy_distance_permutation_test(
+                samples, reference, n_permutations=permutations, seed=seed)
+            report.set("energy_distance", stat)
+            report.set("energy_p_value", p_value)
+        else:
+            report.set("energy_distance", energy_distance(samples, reference))
+    if "ks" in wanted:
+        report.set("ks", ks_per_axis(samples, reference))
+    if "occupancy" in wanted:
+        if gmm is None:
+            raise ConfigError(
+                "occupancy requires a preset reference (needs component means)"
+            )
+        report.set("occupancy", mode_occupancy(samples, gmm))
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     merged = _merge(_EVAL_DEFAULTS, _load_config_file(args.config), args)
     out = _resolve_out(merged, "eval")
@@ -350,27 +375,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report.set("seed", int(merged["seed"]))
     if "nfe" in meta:
         report.set("nfe", int(meta["nfe"]))
-    if "energy" in wanted:
-        permutations = int(merged["permutations"])
-        if permutations > 0:
-            stat, p_value = energy_distance_permutation_test(
-                samples, reference, n_permutations=permutations,
-                seed=int(merged["seed"]))
-            report.set("energy_distance", stat)
-            report.set("energy_p_value", p_value)
-        else:
-            report.set("energy_distance", energy_distance(samples, reference))
-    if "ks" in wanted:
-        report.set("ks", ks_per_axis(samples, reference))
-    if "occupancy" in wanted:
-        if gmm is None:
-            raise ConfigError(
-                "occupancy requires a preset reference (needs component means)"
-            )
-        report.set("occupancy", mode_occupancy(samples, gmm))
+    _score(report, wanted, samples, reference, gmm, int(merged["permutations"]),
+           int(merged["seed"]))
     _echo_config(out, merged)
-    _atomic_write_text(os.path.join(out, "report.txt"), report.to_text())
-    _atomic_write_text(os.path.join(out, "report.json"), report.to_json())
+    atomic_write_text(os.path.join(out, "report.txt"), report.to_text())
+    atomic_write_text(os.path.join(out, "report.json"), report.to_json())
     sys.stdout.write(report.to_text())
     return 0
 
@@ -411,63 +420,54 @@ def _cell_key(schedule: str, sampler: str, w: str, steps: int, zeta) -> str:
     return "_".join(parts)
 
 
-def _run_cell(merged: dict, schedule_name: str, sampler_name: str,
-              w_text: str | None, steps: int, zeta) -> dict:
-    dataset_name = merged["dataset"]
-    gmm = get_preset(dataset_name)
-    kwargs = {}
-    if merged.get("beta_min") is not None:
-        kwargs["beta_min"] = float(merged["beta_min"])
-    if merged.get("beta_max") is not None:
-        kwargs["beta_max"] = float(merged["beta_max"])
-    schedule = make_schedule(schedule_name, **kwargs)
-    prediction = Prediction(merged["prediction"])
-    model = AnalyticMixtureField(gmm, schedule, prediction=prediction,
-                                 conditional=True)
-    kind = SamplerKind(sampler_name)
-    t_start, t_end, last_step_to = default_window(schedule, prediction, kind)
-    if merged.get("t_start") is not None:
-        t_start = float(merged["t_start"])
-    if merged.get("t_end") is not None:
-        t_end = float(merged["t_end"])
-    if merged.get("last_step_to") is not None:
-        last_step_to = float(merged["last_step_to"])
-    diffusion = None
-    if kind is SamplerKind.EULER_MARUYAMA_SDE:
-        diffusion = parse_coefficient(w_text, schedule)
-    key = _cell_key(schedule_name, sampler_name, w_text or "-", steps, zeta)
-    cell_seed = _cell_seed(int(merged["seed"]), key)
-    spec = SamplerSpec(
-        kind=kind, t_start=t_start, t_end=t_end, steps=steps,
-        diffusion=diffusion,
-        last_step_to=last_step_to if kind is SamplerKind.EULER_MARUYAMA_SDE else None,
-        guidance_zeta=None if zeta is None else float(zeta),
-        seed=cell_seed,
-    )
-    label = 0 if zeta is not None else None
-    if spec.kind is SamplerKind.HEUN_ODE:
-        result = heun_sample(model, spec, int(merged["n"]), y=label)
-    else:
-        result = euler_maruyama_sample(model, spec, int(merged["n"]), y=label)
-    reference, _ = draw(gmm, int(merged["n"]), seed=cell_seed + 1,
-                        with_labels=False)
+def _run_cell(config: dict, key: str, schedule_name: str, sampler_name: str,
+              w_text: str | None, steps: int, zeta) -> MetricReport:
+    """Sample one cell with the exact field of the dataset and score it.
+
+    Reads only the sweep-level ``config`` (see :func:`_cell_config`) and the
+    cell's own axes, so the config stored with a cell identifies its result.
+    """
+    cell_seed = _cell_seed(config["seed"], key)
+    cell = dict(config, analytic=config["dataset"], schedule=schedule_name,
+                sampler=sampler_name, w=w_text, steps=steps, zeta=zeta,
+                seed=cell_seed)
+    model, schedule = _build_field(cell)
+    spec = _build_sampler_spec(cell, model, schedule)
+    result = _run_sampler(model, spec, config["n"], 0 if zeta is not None else None)
+    reference, _ = draw(model.gmm, config["n"], seed=cell_seed + 1, with_labels=False)
     report = MetricReport()
     report.set("cell", key)
     report.set("status", "ok")
     report.set("seed", cell_seed)
     report.set("nfe", result.nfe)
-    permutations = int(merged.get("permutations") or 0)
-    if permutations > 0:
-        stat, p_value = energy_distance_permutation_test(
-            result.samples, reference, n_permutations=permutations,
-            seed=cell_seed)
-        report.set("energy_distance", stat)
-        report.set("energy_p_value", p_value)
-    else:
-        report.set("energy_distance", energy_distance(result.samples, reference))
-    report.set("ks", ks_per_axis(result.samples, reference))
-    report.set("occupancy", mode_occupancy(result.samples, gmm))
-    return {"key": key, "report": report}
+    _score(report, ("energy", "ks", "occupancy"), result.samples, reference,
+           model.gmm, config["permutations"], cell_seed)
+    return report
+
+
+def _cell_config(merged: dict) -> dict:
+    """The sweep-level settings every cell result depends on.
+
+    Stored in each cell file; a rerun reuses a cell only when they match.
+    """
+    config = {name: merged[name] for name in (
+        "dataset", "prediction", "t_start", "t_end", "last_step_to",
+        "beta_min", "beta_max")}
+    config.update(n=int(merged["n"]), seed=int(merged["seed"]),
+                  permutations=int(merged.get("permutations") or 0))
+    return config
+
+
+def _reusable_cell(path: str, config: dict) -> dict | None:
+    """A stored cell computed under ``config``, or None."""
+    try:
+        with open(path, "r") as handle:
+            payload = json.load(handle)
+    except (FileNotFoundError, ValueError):
+        return None
+    if isinstance(payload, dict) and payload.get("config") == config:
+        return payload
+    return None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -476,42 +476,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cells_dir = os.path.join(out, "cells")
     os.makedirs(cells_dir, exist_ok=True)
     _echo_config(out, merged)
-    schedules = list(merged["schedules"])
-    samplers = list(merged["samplers"])
-    coefficients = list(merged["coefficients"])
     zetas = list(merged["zetas"]) or [None]
-    steps_axis = [int(s) for s in merged["steps"]]
-    plan = []
-    for schedule_name in schedules:
-        for sampler_name in samplers:
-            w_axis = coefficients if sampler_name == "em" else [None]
-            for w_text in w_axis:
-                for steps in steps_axis:
-                    for zeta in zetas:
-                        plan.append((schedule_name, sampler_name, w_text,
-                                     steps, zeta))
+    plan = [(schedule_name, sampler_name, w_text, int(steps), zeta)
+            for schedule_name in merged["schedules"]
+            for sampler_name in merged["samplers"]
+            for w_text in (merged["coefficients"] if sampler_name == "em" else [None])
+            for steps in merged["steps"]
+            for zeta in zetas]
+    config = _cell_config(merged)
     summary_rows = []
     n_skipped = 0
     for schedule_name, sampler_name, w_text, steps, zeta in plan:
         key = _cell_key(schedule_name, sampler_name, w_text or "-", steps, zeta)
         cell_path = os.path.join(cells_dir, f"{key}.json")
-        if os.path.exists(cell_path):
-            with open(cell_path, "r") as handle:
-                payload = json.load(handle)
+        payload = _reusable_cell(cell_path, config)
+        if payload is not None:
             n_skipped += 1
         else:
             try:
-                cell = _run_cell(merged, schedule_name, sampler_name,
-                                 w_text, steps, zeta)
-                payload = json.loads(cell["report"].to_json())
+                report = _run_cell(config, key, schedule_name, sampler_name,
+                                   w_text, steps, zeta)
+                payload = json.loads(report.to_json())
             except DriftlabError as exc:
                 payload = {
                     "cell": key,
                     "status": "error",
                     "error": f"{type(exc).__name__}: {exc}",
                 }
-            _atomic_write_text(cell_path,
-                               json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            payload["config"] = config
+            atomic_write_text(cell_path,
+                              json.dumps(payload, sort_keys=True, indent=2) + "\n")
         summary_rows.append(payload)
     lines = []
     for payload in sorted(summary_rows, key=lambda p: p["cell"]):
@@ -524,7 +518,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             fields.append(f"error={payload['error']}")
         lines.append(" ".join(fields))
-    _atomic_write_text(os.path.join(out, "summary.txt"), "\n".join(lines) + "\n")
+    atomic_write_text(os.path.join(out, "summary.txt"), "\n".join(lines) + "\n")
     print(f"sweep complete: {len(plan)} cells ({n_skipped} reused), "
           f"summary at {out}/summary.txt")
     return 0
@@ -579,10 +573,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Parser / entry point
 # ---------------------------------------------------------------------------
-
-
-def _float_or_none(text: str) -> float:
-    return float(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,8 +35,7 @@ import enum
 import json
 import math
 import os
-import tempfile
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +49,7 @@ from .field import (
     velocity_from_score,
 )
 from .schedule import InterpolantSchedule, schedule_from_config
-from .toybox import ToyDataset
-from .field import GaussianMixture
+from .toybox import as_dataset, atomic_write_text
 
 __all__ = [
     "TIME_FEATURE_COUNT",
@@ -483,14 +481,6 @@ class TrainResult:
     profile: "LossProfile"
 
 
-def _coerce_dataset(data) -> ToyDataset:
-    if isinstance(data, ToyDataset):
-        return data
-    if isinstance(data, GaussianMixture):
-        return ToyDataset(gmm=data)
-    raise ConfigError("data must be a GaussianMixture or ToyDataset")
-
-
 def train(config: TrainConfig, data) -> TrainResult:
     """Run the training loop and estimate the held-out loss profile.
 
@@ -500,7 +490,7 @@ def train(config: TrainConfig, data) -> TrainResult:
     Raises :class:`NonFiniteError` (with step and time-bin diagnostics) if the
     loss stops being finite.
     """
-    dataset = _coerce_dataset(data)
+    dataset = as_dataset(data)
     t_lo, t_hi = config.window()
     num_classes = None
     if config.conditional:
@@ -616,7 +606,7 @@ class LossProfile:
         for i, value in enumerate(self.values):
             lines.append(f"{float(self.edges[i])!r} {float(self.edges[i + 1])!r} "
                          f"{float(value)!r}")
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "LossProfile":
@@ -624,7 +614,7 @@ class LossProfile:
             raise ConfigError(f"loss profile not found: {path}")
         edges = []
         values = []
-        with open(path, "r") as handle:
+        with open(path, "r", errors="replace") as handle:
             header = handle.readline()
             if not header.startswith("# loss-profile"):
                 raise ConfigError(f"{path}: not a loss-profile file")
@@ -632,11 +622,15 @@ class LossProfile:
                 line = line.strip()
                 if not line:
                     continue
-                lo, hi, value = line.split()
+                try:
+                    lo, hi, value = (float(v) for v in line.split())
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}: profile line needs three numbers: {line!r}") from None
                 if not edges:
-                    edges.append(float(lo))
-                edges.append(float(hi))
-                values.append(float(value))
+                    edges.append(lo)
+                edges.append(hi)
+                values.append(value)
         if not values:
             raise ConfigError(f"{path}: empty loss profile")
         return cls(np.asarray(edges), np.asarray(values))
@@ -656,7 +650,7 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
     dropped to the null token at ``label_dropout``, matching how they were
     trained.
     """
-    dataset = _coerce_dataset(data)
+    dataset = as_dataset(data)
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(2,)))
     schedule = model.schedule
@@ -703,20 +697,6 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
 CHECKPOINT_FORMAT = "driftlab-checkpoint"
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def save_checkpoint(model: MLPField, path: str) -> None:
     """Serialize a model to a versioned JSON checkpoint.
 
@@ -737,7 +717,7 @@ def save_checkpoint(model: MLPField, path: str) -> None:
         "architecture": model.to_config(),
         "parameters": [float(v) for v in model.parameters],
     }
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def load_checkpoint(path: str) -> MLPField:

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, SingularityError
 from .field import FieldModel, GaussianMixture, Prediction, interpolate
 from .schedule import DiffusionCoefficient, InterpolantSchedule
-from .toybox import ToyDataset
+from .toybox import as_dataset
 
 __all__ = [
     "energy_distance",
@@ -193,12 +193,7 @@ def path_length(field: FieldModel, data, n_mc: int = 10_000,
     """
     if field.prediction is not Prediction.VELOCITY:
         raise ConfigError("path_length requires a velocity-prediction field")
-    if isinstance(data, GaussianMixture):
-        dataset = ToyDataset(gmm=data)
-    elif isinstance(data, ToyDataset):
-        dataset = data
-    else:
-        raise ConfigError("data must be a GaussianMixture or ToyDataset")
+    dataset = as_dataset(data)
     if int(n_mc) <= 0:
         raise ConfigError("n_mc must be positive")
     grid = DEFAULT_PATH_GRID if t_grid is None else np.asarray(t_grid, dtype=np.float64)

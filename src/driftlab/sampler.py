@@ -120,6 +120,8 @@ class SamplerSpec:
                 raise ConfigError("the deterministic sampler takes no diffusion coefficient")
             if self.last_step_to is not None:
                 raise ConfigError("the deterministic sampler takes no last_step_to")
+        elif self.diffusion is None:
+            raise ConfigError("the stochastic sampler requires a diffusion coefficient")
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -242,6 +244,42 @@ def _check_finite(x: np.ndarray, step: int) -> None:
         raise NonFiniteError("sampler state became non-finite", step=step)
 
 
+def _integrate(model: FieldModel, spec: SamplerSpec, grid: np.ndarray, n_samples: int,
+               y, chunk_size: int | None, step, final_step=None,
+               noise_rows: int = 1) -> SamplerResult:
+    """The loop both integrators share.
+
+    Runs ``x <- step(field, x, i, noise)`` for every grid step, then
+    ``final_step(field, x)`` when given, chunk by chunk.  ``noise`` holds
+    each trajectory's ``noise_rows`` standard-normal rows; row 0 is the
+    initial state.  NFE is the run's model-call count per chunk, which is
+    the same for every chunk.
+    """
+    n_samples = int(n_samples)
+    if n_samples <= 0:
+        raise DomainError(f"n_samples must be positive, got {n_samples}")
+    dim = _model_dimension(model)
+    field = _CountingField(model, spec, y)
+    chunk = int(chunk_size) if chunk_size else DEFAULT_CHUNK
+    outputs = []
+    for lo in range(0, n_samples, chunk):
+        noise = _chunk_noise(spec.seed, lo, min(lo + chunk, n_samples), noise_rows, dim)
+        x = noise[:, 0, :]
+        for i in range(spec.steps):
+            x = step(field, x, i, noise)
+            _check_finite(x, i)
+        if final_step is not None:
+            x = final_step(field, x)
+            _check_finite(x, spec.steps)
+        outputs.append(x)
+    return SamplerResult(np.concatenate(outputs, axis=0), field.calls // len(outputs), grid)
+
+
+def _require_kind(spec: SamplerSpec, kind: SamplerKind, entry: str) -> None:
+    if spec.kind is not kind:
+        raise ConfigError(f"{entry} requires a {kind.value!r} spec")
+
+
 def heun_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
                 y=None, chunk_size: int | None = None) -> SamplerResult:
     """Integrate the probability-flow ODE with the explicit trapezoidal
@@ -253,31 +291,17 @@ def heun_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
     Score models are converted to velocity pointwise, so the window must keep
     ``alpha(t) > 0``.
     """
-    if spec.kind is not SamplerKind.HEUN_ODE:
-        raise ConfigError(f"heun_sample requires a {SamplerKind.HEUN_ODE.value!r} spec")
-    n_samples = int(n_samples)
-    if n_samples <= 0:
-        raise DomainError(f"n_samples must be positive, got {n_samples}")
-    dim = _model_dimension(model)
+    _require_kind(spec, SamplerKind.HEUN_ODE, "heun_sample")
     grid = time_grid(spec)
     dt = (spec.t_end - spec.t_start) / spec.steps
-    chunk = int(chunk_size) if chunk_size else DEFAULT_CHUNK
-    outputs = []
-    nfe_per_chunk = []
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        field = _CountingField(model, spec, y)
-        x = _chunk_noise(spec.seed, lo, hi, 1, dim)[:, 0, :]
-        for i in range(spec.steps):
-            slope_here = field.velocity(x, float(grid[i]))
-            predicted = x + dt * slope_here
-            slope_next = field.velocity(predicted, float(grid[i + 1]))
-            x = x + 0.5 * dt * (slope_here + slope_next)
-            _check_finite(x, i)
-        outputs.append(x)
-        nfe_per_chunk.append(field.calls)
-    assert len(set(nfe_per_chunk)) == 1
-    return SamplerResult(np.concatenate(outputs, axis=0), nfe_per_chunk[0], grid)
+
+    def step(field: _CountingField, x: np.ndarray, i: int, noise) -> np.ndarray:
+        slope_here = field.velocity(x, float(grid[i]))
+        predicted = x + dt * slope_here
+        slope_next = field.velocity(predicted, float(grid[i + 1]))
+        return x + 0.5 * dt * (slope_here + slope_next)
+
+    return _integrate(model, spec, grid, n_samples, y, chunk_size, step)
 
 
 def euler_maruyama_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
@@ -291,52 +315,30 @@ def euler_maruyama_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
     deterministic drift step — no noise — moves the state from ``t_end`` to
     ``last_step_to`` when configured.
     """
-    if spec.kind is not SamplerKind.EULER_MARUYAMA_SDE:
-        raise ConfigError(
-            f"euler_maruyama_sample requires a {SamplerKind.EULER_MARUYAMA_SDE.value!r} spec"
-        )
-    if spec.diffusion is None:
-        raise ConfigError("the stochastic sampler requires a diffusion coefficient")
-    n_samples = int(n_samples)
-    if n_samples <= 0:
-        raise DomainError(f"n_samples must be positive, got {n_samples}")
-    dim = _model_dimension(model)
+    _require_kind(spec, SamplerKind.EULER_MARUYAMA_SDE, "euler_maruyama_sample")
     grid = time_grid(spec)
     dt = (spec.t_end - spec.t_start) / spec.steps
-    root_abs_dt = math.sqrt(abs(dt))
-    # Evaluate w on the step grid once; singularities surface here, before
-    # any trajectory work is done.
-    w_values = np.asarray(spec.diffusion(grid[:-1]), dtype=np.float64)
-    if np.any(w_values < 0.0) or not np.all(np.isfinite(w_values)):
+    final = spec.last_step_to is not None and spec.last_step_to != spec.t_end
+    # Evaluate w on the grid once (t_end only when the final step needs it);
+    # singularities surface here, before any trajectory work is done.
+    w_values = np.asarray(spec.diffusion(grid if final else grid[:-1]), dtype=np.float64)
+    stepped = w_values[:spec.steps]
+    if np.any(stepped < 0.0) or not np.all(np.isfinite(stepped)):
         raise DomainError("diffusion coefficient must be finite and >= 0 on the grid")
-    sqrt_w = np.sqrt(w_values)
-    final_dt = None
-    if spec.last_step_to is not None and spec.last_step_to != spec.t_end:
-        final_dt = spec.last_step_to - spec.t_end
-    chunk = int(chunk_size) if chunk_size else DEFAULT_CHUNK
-    outputs = []
-    nfe_per_chunk = []
-    for lo in range(0, n_samples, chunk):
-        hi = min(lo + chunk, n_samples)
-        field = _CountingField(model, spec, y)
-        noise = _chunk_noise(spec.seed, lo, hi, spec.steps + 1, dim)
-        x = noise[:, 0, :]
-        for i in range(spec.steps):
-            t_here = float(grid[i])
-            w_here = float(w_values[i])
-            if w_here == 0.0:
-                drift = field.velocity(x, t_here)
-            else:
-                velocity, score = field.velocity_and_score(x, t_here)
-                drift = velocity - 0.5 * w_here * score
-            x = x + dt * drift + (sqrt_w[i] * root_abs_dt) * noise[:, i + 1, :]
-            _check_finite(x, i)
-        if final_dt is not None:
-            velocity, score = field.velocity_and_score(x, float(grid[-1]))
-            last_w = float(spec.diffusion(float(grid[-1])))
-            x = x + final_dt * (velocity - 0.5 * last_w * score)
-            _check_finite(x, spec.steps)
-        outputs.append(x)
-        nfe_per_chunk.append(field.calls)
-    assert len(set(nfe_per_chunk)) == 1
-    return SamplerResult(np.concatenate(outputs, axis=0), nfe_per_chunk[0], grid)
+    noise_scale = np.sqrt(stepped) * math.sqrt(abs(dt))
+
+    def drift(field: _CountingField, x: np.ndarray, i: int) -> np.ndarray:
+        w = float(w_values[i])
+        if w == 0.0:
+            return field.velocity(x, float(grid[i]))
+        velocity, score = field.velocity_and_score(x, float(grid[i]))
+        return velocity - 0.5 * w * score
+
+    def step(field: _CountingField, x: np.ndarray, i: int, noise: np.ndarray) -> np.ndarray:
+        return x + dt * drift(field, x, i) + noise_scale[i] * noise[:, i + 1, :]
+
+    def final_step(field: _CountingField, x: np.ndarray) -> np.ndarray:
+        return x + (spec.last_step_to - spec.t_end) * drift(field, x, spec.steps)
+
+    return _integrate(model, spec, grid, n_samples, y, chunk_size, step,
+                      final_step if final else None, noise_rows=spec.steps + 1)

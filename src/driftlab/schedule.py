@@ -259,14 +259,11 @@ class SBDMVPSchedule(InterpolantSchedule):
 
     def beta(self, t: float | np.ndarray) -> float | np.ndarray:
         """Instantaneous rate beta(t) = beta_min + t*(beta_max - beta_min)."""
-        arr = _prepare_time(t)
-        return _match_shape(self.beta_min + arr * (self.beta_max - self.beta_min), t)
+        return _match_shape(self._beta(_prepare_time(t)), t)
 
     def beta_integral(self, t: float | np.ndarray) -> float | np.ndarray:
         """Closed-form B(t) = beta_min*t + (beta_max - beta_min)*t^2/2."""
-        arr = _prepare_time(t)
-        value = self.beta_min * arr + 0.5 * (self.beta_max - self.beta_min) * arr * arr
-        return _match_shape(value, t)
+        return _match_shape(self._B(_prepare_time(t)), t)
 
     def _beta(self, t: np.ndarray) -> np.ndarray:
         return self.beta_min + t * (self.beta_max - self.beta_min)

@@ -111,6 +111,32 @@ def get_preset(name: str) -> GaussianMixture:
     return builder()
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    """Write a text file atomically: a temp file in the same directory, then
+    a rename, so readers never see a partial file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _ancestral(gmm: GaussianMixture, rng: np.random.Generator, n: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Component labels by weight, then one Gaussian draw per label."""
+    labels = rng.choice(gmm.n_components, size=n, p=gmm.weights)
+    z = rng.standard_normal((n, gmm.dimension))
+    samples = gmm.means[labels] + np.einsum(
+        "nde,ne->nd", gmm.cholesky_factors[labels], z)
+    return samples, labels
+
+
 def draw(gmm: GaussianMixture, n: int, seed: int,
          with_labels: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Exact ancestral draws from a mixture.
@@ -122,10 +148,7 @@ def draw(gmm: GaussianMixture, n: int, seed: int,
     if n <= 0:
         raise DomainError(f"sample count must be positive, got {n}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    labels = rng.choice(gmm.n_components, size=n, p=gmm.weights)
-    z = rng.standard_normal((n, gmm.dimension))
-    samples = gmm.means[labels] + np.einsum(
-        "nde,ne->nd", gmm.cholesky_factors[labels], z)
+    samples, labels = _ancestral(gmm, rng, n)
     return samples, (labels if with_labels else None)
 
 
@@ -173,14 +196,19 @@ class ToyDataset:
     def resample(self, rng: np.random.Generator, count: int
                  ) -> tuple[np.ndarray, np.ndarray | None]:
         if self.gmm is not None:
-            labels = rng.choice(self.gmm.n_components, size=count, p=self.gmm.weights)
-            z = rng.standard_normal((count, self.gmm.dimension))
-            x = self.gmm.means[labels] + np.einsum(
-                "nde,ne->nd", self.gmm.cholesky_factors[labels], z)
-            return x, labels
+            return _ancestral(self.gmm, rng, count)
         idx = rng.integers(0, self.samples.shape[0], size=count)
         lab = self.labels[idx] if self.labels is not None else None
         return self.samples[idx], lab
+
+
+def as_dataset(data) -> ToyDataset:
+    """A :class:`ToyDataset` from a dataset or a mixture."""
+    if isinstance(data, ToyDataset):
+        return data
+    if isinstance(data, GaussianMixture):
+        return ToyDataset(gmm=data)
+    raise ConfigError("data must be a GaussianMixture or ToyDataset")
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +243,7 @@ def write_samples(path: str, samples: np.ndarray, seed: int,
     else:
         for row, lab in zip(arr, labels):
             lines.append(" ".join(repr(float(v)) for v in row) + f" {int(lab)}")
-    body = "\n".join(lines) + "\n"
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-samples-")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_samples(path: str) -> tuple[np.ndarray, np.ndarray | None, dict]:
@@ -236,7 +253,8 @@ def read_samples(path: str) -> tuple[np.ndarray, np.ndarray | None, dict]:
     """
     if not os.path.exists(path):
         raise ConfigError(f"sample file not found: {path}")
-    with open(path, "r") as handle:
+    # Undecodable bytes become U+FFFD, which the parsers below reject.
+    with open(path, "r", errors="replace") as handle:
         first = handle.readline().strip()
         if not first.startswith("#"):
             raise ConfigError(f"{path}: missing '# d=... n=... seed=...' header")
@@ -245,10 +263,16 @@ def read_samples(path: str) -> tuple[np.ndarray, np.ndarray | None, dict]:
             if "=" not in token:
                 raise ConfigError(f"{path}: malformed header token {token!r}")
             key, value = token.split("=", 1)
-            meta[key] = int(value)
+            try:
+                meta[key] = int(value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}: header value {token!r} is not an integer") from None
         for key in ("d", "n", "seed"):
             if key not in meta:
                 raise ConfigError(f"{path}: header lacks {key}=...")
+        if meta["d"] < 1:
+            raise ConfigError(f"{path}: header says d={meta['d']}, need d >= 1")
         has_labels = meta.get("labels", 0) == 1
         rows = []
         labels = []
@@ -257,14 +281,17 @@ def read_samples(path: str) -> tuple[np.ndarray, np.ndarray | None, dict]:
             if not line:
                 continue
             fields = line.split()
-            if has_labels:
-                labels.append(int(fields[-1]))
-                fields = fields[:-1]
+            label = fields.pop() if has_labels else None
             if len(fields) != meta["d"]:
                 raise ConfigError(
                     f"{path}: row has {len(fields)} values, header says d={meta['d']}"
                 )
-            rows.append([float(v) for v in fields])
+            try:
+                rows.append([float(v) for v in fields])
+                if label is not None:
+                    labels.append(int(label))
+            except ValueError:
+                raise ConfigError(f"{path}: row is not numeric: {line!r}") from None
     samples = np.asarray(rows, dtype=np.float64).reshape(len(rows), meta["d"])
     if samples.shape[0] != meta["n"]:
         raise ConfigError(

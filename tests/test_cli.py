@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from driftlab import load_checkpoint, read_samples
+from driftlab import default_window, load_checkpoint, read_samples
 from driftlab.cli import main
 
 
@@ -173,6 +173,48 @@ def test_profile_backed_coefficient_runs_end_to_end(tmp_path):
     assert meta["nfe"] == 11
 
 
+@pytest.mark.parametrize("sampler", ["heun", "em"])
+@pytest.mark.parametrize("schedule", ["linear", "gvp"])
+def test_analytic_velocity_field_gets_the_score_window(tmp_path, schedule, sampler):
+    # The exact velocity is the converted exact score, singular where
+    # alpha(t) = 0, so its default window must be the score's.
+    runs = {}
+    for prediction in ("velocity", "score"):
+        out = tmp_path / prediction
+        assert main(["sample", "--analytic", "two-gauss-1d", "--prediction", prediction,
+                     "--schedule", schedule, "--sampler", sampler,
+                     "--steps", "10", "--n", "8", "--out", str(out)]) == 0
+        echo = json.loads((out / "config.echo.json").read_text())
+        runs[prediction] = (read_bytes(out / "samples.txt"),
+                            (echo["t_start"], echo["t_end"], echo["last_step_to"]))
+    assert runs["velocity"][1] == runs["score"][1] == default_window(schedule, "score", sampler)
+    if sampler == "heun":  # both integrate the same converted score
+        assert runs["velocity"][0] == runs["score"][0]
+
+
+MALFORMED_FILES = {
+    "header-value": ("samples", b"# d=x n=1 seed=0\n0.5\n"),
+    "row": ("samples", b"# d=1 n=1 seed=0\nabc\n"),
+    "row-bytes": ("samples", b"# d=1 n=1 seed=0\n\xff\xfe\n"),
+    "profile-line": ("profile", b"# loss-profile bins=2 t_lo=0.0 t_hi=1.0\n"
+                                b"0.0 0.5 1.0\n0.5 1.0\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_input_files_exit_with_usage_code(tmp_path, capsys, case):
+    kind, content = MALFORMED_FILES[case]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    if kind == "samples":
+        argv = ["eval", "--samples", str(path), "--reference", "two-gauss-1d"]
+    else:
+        argv = ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                "--w", "kl-eta:0.5", "--profile", str(path), "--steps", "5", "--n", "4"]
+    assert main(argv) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------
@@ -309,6 +351,28 @@ def test_sweep_guided_cells_carry_the_guidance_tag(tmp_path, capsys):
     payload = json.loads((out / "cells" / cells[0]).read_text())
     assert payload["status"] == "ok"
     assert payload["nfe"] == 24  # guidance doubles 2-per-step
+
+
+def test_sweep_recomputes_cells_stored_under_another_config(tmp_path, capsys):
+    base = {"schedules": ["linear"], "samplers": ["heun"], "steps": [6]}
+    first = tmp_path / "first.json"
+    first.write_text(json.dumps({**base, "dataset": "two-gauss-1d", "n": 32}))
+    second = tmp_path / "second.json"
+    second.write_text(json.dumps({**base, "dataset": "grid-9", "n": 64}))
+    out = tmp_path / "sw"
+    cell = out / "cells" / "linear_heun_-_n6.json"
+    assert main(["sweep", "--config", str(first), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(second), "--out", str(out)]) == 0
+    assert "1 cells (0 reused)" in capsys.readouterr().out.splitlines()[-1]
+    payload = json.loads(cell.read_text())
+    assert len(payload["occupancy"]) == 9  # grid-9, not the stale 1-D cell
+    assert payload["config"]["dataset"] == "grid-9"
+    assert payload["config"]["n"] == 64
+    fresh = read_bytes(cell)
+    cell.write_text("{not json")  # a damaged cell is computed again too
+    assert main(["sweep", "--config", str(second), "--out", str(out)]) == 0
+    assert "(0 reused)" in capsys.readouterr().out
+    assert read_bytes(cell) == fresh
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,7 @@ def test_results_do_not_depend_on_chunking(score_model, linear):
     c = euler_maruyama_sample(score_model, em_spec, 30)
     d = euler_maruyama_sample(score_model, em_spec, 30, chunk_size=11)
     assert np.array_equal(c.samples, d.samples)
+    assert c.nfe == d.nfe
 
 
 def test_batch_extension_is_prefix_stable(score_model, linear):
