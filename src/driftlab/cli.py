@@ -85,14 +85,23 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON config: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return payload
+
+
+def _typed(kind, merged: dict, key: str):
+    """``kind(merged[key])``; a value that ``kind`` refuses (a config-file
+    value of the wrong type) is a :class:`ConfigError` naming the key."""
+    try:
+        return kind(merged[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid value for {key!r}: {merged[key]!r} ({exc})") from None
 
 
 def _merge(defaults: dict, config: dict, args: argparse.Namespace) -> dict:
@@ -139,10 +148,9 @@ def _resolve_dataset(spec_text: str) -> ToyDataset:
 
 def _build_schedule(merged: dict):
     kwargs = {}
-    if merged.get("beta_min") is not None:
-        kwargs["beta_min"] = float(merged["beta_min"])
-    if merged.get("beta_max") is not None:
-        kwargs["beta_max"] = float(merged["beta_max"])
+    for key in ("beta_min", "beta_max"):
+        if merged.get(key) is not None:
+            kwargs[key] = _typed(float, merged, key)
     return make_schedule(merged["schedule"], **kwargs)
 
 
@@ -176,18 +184,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset = _resolve_dataset(merged["dataset"])
     schedule = _build_schedule(merged)
     config = TrainConfig(
-        objective=TrainObjective(merged["objective"]),
+        objective=_typed(TrainObjective, merged, "objective"),
         schedule=schedule,
-        steps=int(merged["steps"]),
-        batch=int(merged["batch"]),
-        learning_rate=float(merged["lr"]),
-        label_dropout=float(merged["label_dropout"]),
-        t_lo=merged["t_lo"],
-        t_hi=merged["t_hi"],
-        seed=int(merged["seed"]),
+        steps=_typed(int, merged, "steps"),
+        batch=_typed(int, merged, "batch"),
+        learning_rate=_typed(float, merged, "lr"),
+        label_dropout=_typed(float, merged, "label_dropout"),
+        t_lo=None if merged["t_lo"] is None else _typed(float, merged, "t_lo"),
+        t_hi=None if merged["t_hi"] is None else _typed(float, merged, "t_hi"),
+        seed=_typed(int, merged, "seed"),
         conditional=bool(merged["conditional"]),
-        profile_bins=int(merged["profile_bins"]),
-        profile_draws=int(merged["profile_draws"]),
+        profile_bins=_typed(int, merged, "profile_bins"),
+        profile_draws=_typed(int, merged, "profile_draws"),
     )
     result = train(config, dataset)
     _echo_config(out, merged)
@@ -240,25 +248,25 @@ def _build_field(merged: dict):
     gmm = get_preset(analytic)
     model = AnalyticMixtureField(
         gmm, schedule,
-        prediction=Prediction(merged["prediction"]),
+        prediction=_typed(Prediction, merged, "prediction"),
         conditional=True,
     )
     return model, schedule
 
 
 def _build_sampler_spec(merged: dict, model, schedule) -> SamplerSpec:
-    kind = SamplerKind(merged["sampler"])
+    kind = _typed(SamplerKind, merged, "sampler")
     # The exact velocity is the exact score converted pointwise, so it needs
     # the score's window, clear of the conversion's singularity at alpha = 0.
     prediction = (Prediction.SCORE if isinstance(model, AnalyticMixtureField)
                   else model.prediction)
     t_start, t_end, last_step_to = default_window(schedule, prediction, kind)
     if merged.get("t_start") is not None:
-        t_start = float(merged["t_start"])
+        t_start = _typed(float, merged, "t_start")
     if merged.get("t_end") is not None:
-        t_end = float(merged["t_end"])
+        t_end = _typed(float, merged, "t_end")
     if merged.get("last_step_to") is not None:
-        last_step_to = float(merged["last_step_to"])
+        last_step_to = _typed(float, merged, "last_step_to")
     diffusion = None
     if kind is SamplerKind.EULER_MARUYAMA_SDE:
         profile = None
@@ -269,16 +277,16 @@ def _build_sampler_spec(merged: dict, model, schedule) -> SamplerSpec:
     elif merged.get("w") is not None:
         raise ConfigError("--w applies only to the em sampler "
                           "(the probability-flow sampler is noiseless)")
-    zeta = merged.get("zeta")
     return SamplerSpec(
         kind=kind,
         t_start=t_start,
         t_end=t_end,
-        steps=int(merged["steps"]),
+        steps=_typed(int, merged, "steps"),
         diffusion=diffusion,
         last_step_to=last_step_to if kind is SamplerKind.EULER_MARUYAMA_SDE else None,
-        guidance_zeta=None if zeta is None else float(zeta),
-        seed=int(merged["seed"]),
+        guidance_zeta=(None if merged.get("zeta") is None
+                       else _typed(float, merged, "zeta")),
+        seed=_typed(int, merged, "seed"),
     )
 
 
@@ -296,14 +304,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     out = _resolve_out(merged, "sample")
     model, schedule = _build_field(merged)
     spec = _build_sampler_spec(merged, model, schedule)
-    result = _run_sampler(model, spec, int(merged["n"]), merged.get("label"))
+    label = None if merged.get("label") is None else _typed(int, merged, "label")
+    result = _run_sampler(model, spec, _typed(int, merged, "n"), label)
     # Echo the resolved window so the run is reproducible from outputs alone.
     merged["t_start"] = spec.t_start
     merged["t_end"] = spec.t_end
     merged["last_step_to"] = spec.last_step_to
     _echo_config(out, merged)
     path = os.path.join(out, "samples.txt")
-    write_samples(path, result.samples, seed=int(merged["seed"]), nfe=result.nfe)
+    write_samples(path, result.samples, seed=spec.seed, nfe=result.nfe)
     print(f"wrote {path} (n={result.samples.shape[0]}, nfe={result.nfe})")
     return 0
 
@@ -351,14 +360,16 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError("--samples is required")
     if not merged.get("reference"):
         raise ConfigError("--reference is required (preset name or samples file)")
+    seed = _typed(int, merged, "seed")
+    permutations = _typed(int, merged, "permutations")
     samples, _, meta = read_samples(merged["samples"])
     reference_spec = merged["reference"]
     gmm = None
     if reference_spec in PRESET_NAMES:
         gmm = get_preset(reference_spec)
-        n_ref = merged.get("n_reference") or samples.shape[0]
-        reference, _ = draw(gmm, int(n_ref), seed=int(merged["seed"]),
-                            with_labels=False)
+        n_ref = (_typed(int, merged, "n_reference") if merged.get("n_reference")
+                 else samples.shape[0])
+        reference, _ = draw(gmm, n_ref, seed=seed, with_labels=False)
     elif os.path.exists(reference_spec):
         reference, _, _ = read_samples(reference_spec)
     else:
@@ -372,11 +383,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     report = MetricReport()
     report.set("n_samples", samples.shape[0])
     report.set("n_reference", reference.shape[0])
-    report.set("seed", int(merged["seed"]))
+    report.set("seed", seed)
     if "nfe" in meta:
         report.set("nfe", int(meta["nfe"]))
-    _score(report, wanted, samples, reference, gmm, int(merged["permutations"]),
-           int(merged["seed"]))
+    _score(report, wanted, samples, reference, gmm, permutations, seed)
     _echo_config(out, merged)
     atomic_write_text(os.path.join(out, "report.txt"), report.to_text())
     atomic_write_text(os.path.join(out, "report.json"), report.to_json())
@@ -453,8 +463,12 @@ def _cell_config(merged: dict) -> dict:
     config = {name: merged[name] for name in (
         "dataset", "prediction", "t_start", "t_end", "last_step_to",
         "beta_min", "beta_max")}
-    config.update(n=int(merged["n"]), seed=int(merged["seed"]),
-                  permutations=int(merged.get("permutations") or 0))
+    for name in ("t_start", "t_end", "last_step_to", "beta_min", "beta_max"):
+        if config[name] is not None:
+            _typed(float, config, name)
+    config.update(n=_typed(int, merged, "n"), seed=_typed(int, merged, "seed"),
+                  permutations=_typed(lambda value: int(value or 0), merged,
+                                      "permutations"))
     return config
 
 
@@ -473,17 +487,20 @@ def _reusable_cell(path: str, config: dict) -> dict | None:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     merged = _merge(_SWEEP_DEFAULTS, _load_config_file(args.config), args)
     out = _resolve_out(merged, "sweep")
+    schedules, samplers, coefficients, zetas = (
+        _typed(list, merged, name)
+        for name in ("schedules", "samplers", "coefficients", "zetas"))
+    steps_axis = _typed(lambda values: [int(steps) for steps in values], merged, "steps")
+    plan = [(schedule_name, sampler_name, w_text, steps, zeta)
+            for schedule_name in schedules
+            for sampler_name in samplers
+            for w_text in (coefficients if sampler_name == "em" else [None])
+            for steps in steps_axis
+            for zeta in zetas or [None]]
+    config = _cell_config(merged)
     cells_dir = os.path.join(out, "cells")
     os.makedirs(cells_dir, exist_ok=True)
     _echo_config(out, merged)
-    zetas = list(merged["zetas"]) or [None]
-    plan = [(schedule_name, sampler_name, w_text, int(steps), zeta)
-            for schedule_name in merged["schedules"]
-            for sampler_name in merged["samplers"]
-            for w_text in (merged["coefficients"] if sampler_name == "em" else [None])
-            for steps in merged["steps"]
-            for zeta in zetas]
-    config = _cell_config(merged)
     summary_rows = []
     n_skipped = 0
     for schedule_name, sampler_name, w_text, steps, zeta in plan:
@@ -546,8 +563,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     coefficient = None
     if merged.get("w") is not None:
         coefficient = parse_coefficient(merged["w"], schedule)
-    grid = np.linspace(float(merged["t_start"]), float(merged["t_end"]),
-                       int(merged["points"]))
+    grid = np.linspace(_typed(float, merged, "t_start"), _typed(float, merged, "t_end"),
+                       _typed(int, merged, "points"))
     columns = ["t", "alpha", "sigma", "alpha_dot", "sigma_dot", "lambda", "w_kl"]
     if coefficient is not None:
         columns.append("w")

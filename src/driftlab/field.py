@@ -168,7 +168,8 @@ class GaussianMixture:
     covariances:
         ``None`` for identity; a (K,) vector of per-component isotropic
         variances; a (K, d) array of diagonal variances; or a (K, d, d) array
-        of full SPD matrices.
+        of full SPD matrices.  When every covariance is diagonal, in any of
+        these forms, the time-t fields divide instead of solving.
     """
 
     def __init__(self, weights, means, covariances=None) -> None:
@@ -201,10 +202,15 @@ class GaussianMixture:
             chol = np.linalg.cholesky(c)
         except np.linalg.LinAlgError as exc:
             raise DomainError("covariances must be symmetric positive definite") from exc
+        variances = np.diagonal(c, axis1=1, axis2=2).copy()
         self.weights = w
         self.means = m
         self.covariances = c
         self._chol = chol
+        # (K, d) variances when every covariance is diagonal, else None; the
+        # time-t covariances are then diagonal too (see _mixture_parts).
+        self._variances = (variances if np.array_equal(c, variances[:, :, None] * np.eye(d))
+                           else None)
         self._log_weights = np.log(w, out=np.full_like(w, -np.inf), where=w > 0)
 
     @property
@@ -231,13 +237,22 @@ def _time_scalars(schedule: InterpolantSchedule, t) -> tuple[np.ndarray, np.ndar
 
 
 def _mixture_parts(gmm: GaussianMixture, schedule: InterpolantSchedule,
-                   x: np.ndarray, t) -> dict:
+                   x: np.ndarray, t, component: int | None = None) -> dict:
     """Shared per-component quantities of the time-t mixture at points x.
 
     Returns arrays with a trailing component axis K: the residuals
-    ``x - alpha*mu_k``, the solved values ``C_k^{-1}(x - alpha*mu_k)``, the
-    per-component log densities, the log marginal density, and the
-    responsibilities, computed with log-sum-exp stabilization.
+    ``x - alpha*mu_k``, the solved values ``C_k^{-1}(x - alpha*mu_k)`` with
+    ``C_k = alpha^2 Sigma_k + sigma^2 I``, the per-component log densities,
+    the log marginal density, and the responsibilities, computed with
+    log-sum-exp stabilization.  ``component`` restricts the mixture to that
+    one component with weight 1 (the class-conditional marginal), so K = 1.
+
+    When every ``Sigma_k`` is diagonal (every preset), ``C_k`` is diagonal as
+    well: the solve is a divide by its (K, d) variances, or (n, K, d) for a
+    per-row t, and the log-determinant a sum of their logs.  Full covariances
+    go through ``np.linalg.solve`` and ``slogdet`` per point.  Both paths
+    treat each row on its own, with elementwise arithmetic and no product
+    over the row axis, so a row's value does not depend on its batch.
     """
     xx, was_vector = _as_batch(x)
     n, d = xx.shape
@@ -246,21 +261,26 @@ def _mixture_parts(gmm: GaussianMixture, schedule: InterpolantSchedule,
     a, s = _time_scalars(schedule, t)
     if a.ndim == 1 and a.shape[0] != n:
         raise DomainError(f"per-sample t has length {a.shape[0]}, expected {n}")
-    # Covariance of the time-t mixture component: alpha^2 Sigma_k + sigma^2 I.
-    a2 = (a * a)[..., None, None, None]
-    s2 = (s * s)[..., None, None, None]
-    eye = np.eye(d)
-    cov = a2 * gmm.covariances + s2 * eye  # (K,d,d) or (n,K,d,d)
-    diff = xx[:, None, :] - a[..., None, None] * gmm.means  # (n,K,d)
-    if cov.ndim == 3:
-        solved = np.linalg.solve(cov[None], diff[..., None])[..., 0]
-        _, logdet = np.linalg.slogdet(cov)  # (K,)
+    picked = slice(None) if component is None else slice(component, component + 1)
+    log_weights = gmm._log_weights if component is None else np.zeros(1)
+    diff = xx[:, None, :] - a[..., None, None] * gmm.means[picked]  # (n,K,d)
+    if gmm._variances is not None:
+        var = (a * a)[..., None, None] * gmm._variances[picked] + (s * s)[..., None, None]
+        solved = diff / var  # var is (K,d) or (n,K,d)
+        logdet = np.sum(np.log(var), axis=-1)  # (K,) or (n,K)
     else:
-        solved = np.linalg.solve(cov, diff[..., None])[..., 0]
-        _, logdet = np.linalg.slogdet(cov)  # (n,K)
+        # Covariance of the time-t mixture component: alpha^2 Sigma_k + sigma^2 I.
+        a2 = (a * a)[..., None, None, None]
+        s2 = (s * s)[..., None, None, None]
+        cov = a2 * gmm.covariances[picked] + s2 * np.eye(d)  # (K,d,d) or (n,K,d,d)
+        if cov.ndim == 3:
+            solved = np.linalg.solve(cov[None], diff[..., None])[..., 0]
+        else:
+            solved = np.linalg.solve(cov, diff[..., None])[..., 0]
+        _, logdet = np.linalg.slogdet(cov)  # (K,) or (n,K)
     quad = np.einsum("nkd,nkd->nk", diff, solved)
     log_comp = -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)  # (n,K)
-    weighted = gmm._log_weights + log_comp
+    weighted = log_weights + log_comp
     peak = np.max(weighted, axis=1, keepdims=True)
     log_density = peak[:, 0] + np.log(np.sum(np.exp(weighted - peak), axis=1))
     resp = np.exp(weighted - log_density[:, None])
@@ -292,7 +312,11 @@ def gmm_marginal_score(gmm: GaussianMixture, schedule: InterpolantSchedule,
     ``alpha^2 Sigma_k + sigma^2 I`` stay positive definite on the whole
     interval.
     """
-    parts = _mixture_parts(gmm, schedule, x, t)
+    return _score(_mixture_parts(gmm, schedule, x, t))
+
+
+def _score(parts: dict) -> np.ndarray:
+    """The score ``-sum_k p_t(k|x) C_k^{-1}(x - alpha*mu_k)`` from mixture parts."""
     score = -np.einsum("nk,nkd->nd", parts["responsibilities"], parts["solved"])
     return score[0] if parts["was_vector"] else score
 
@@ -352,9 +376,7 @@ def gmm_conditional_score(gmm: GaussianMixture, schedule: InterpolantSchedule,
                           x: np.ndarray, t, component: int) -> np.ndarray:
     """Exact score of a single component's time-t marginal (class = component)."""
     k = _check_component(gmm, component)
-    single = GaussianMixture(np.array([1.0]), gmm.means[k:k + 1],
-                             gmm.covariances[k:k + 1])
-    return gmm_marginal_score(single, schedule, x, t)
+    return _score(_mixture_parts(gmm, schedule, x, t, component=k))
 
 
 def gmm_conditional_velocity(gmm: GaussianMixture, schedule: InterpolantSchedule,

@@ -724,25 +724,30 @@ def load_checkpoint(path: str) -> MLPField:
     """Rebuild a model from :func:`save_checkpoint` output, bit-exactly."""
     if not os.path.exists(path):
         raise ConfigError(f"checkpoint not found: {path}")
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: not a valid checkpoint: {exc}") from exc
-    if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != 1:
+    if (not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT
+            or payload.get("version") != 1):
         raise ConfigError(f"{path}: unrecognized checkpoint format/version")
-    arch = payload["architecture"]
-    time_cfg = arch.get("time_features", {})
-    model = MLPField(
-        dimension=arch["dimension"],
-        schedule=schedule_from_config(arch["schedule"]),
-        prediction=Prediction(arch["prediction"]),
-        widths=tuple(arch["widths"]),
-        num_classes=arch.get("num_classes"),
-        time_feature_count=time_cfg.get("count", TIME_FEATURE_COUNT),
-        time_freq_min=time_cfg.get("freq_min", TIME_FREQ_MIN),
-        time_freq_max=time_cfg.get("freq_max", TIME_FREQ_MAX),
-        class_embed_dim=arch.get("class_embed_dim", CLASS_EMBED_DIM),
-        parameters=np.asarray(payload["parameters"], dtype=np.float64),
-    )
-    return model
+    try:
+        arch = payload["architecture"]
+        time_cfg = arch.get("time_features", {})
+        return MLPField(
+            dimension=arch["dimension"],
+            schedule=schedule_from_config(arch["schedule"]),
+            prediction=Prediction(arch["prediction"]),
+            widths=tuple(arch["widths"]),
+            num_classes=arch.get("num_classes"),
+            time_feature_count=time_cfg.get("count", TIME_FEATURE_COUNT),
+            time_freq_min=time_cfg.get("freq_min", TIME_FREQ_MIN),
+            time_freq_max=time_cfg.get("freq_max", TIME_FREQ_MAX),
+            class_embed_dim=arch.get("class_embed_dim", CLASS_EMBED_DIM),
+            parameters=np.asarray(payload["parameters"], dtype=np.float64),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"{path}: malformed checkpoint: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed checkpoint: {exc}") from None

@@ -6,7 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from driftlab import default_window, load_checkpoint, read_samples
+from driftlab import (
+    MLPField,
+    default_window,
+    load_checkpoint,
+    make_schedule,
+    read_samples,
+    save_checkpoint,
+)
 from driftlab.cli import main
 
 
@@ -213,6 +220,54 @@ def test_malformed_input_files_exit_with_usage_code(tmp_path, capsys, case):
                 "--w", "kl-eta:0.5", "--profile", str(path), "--steps", "5", "--n", "4"]
     assert main(argv) == 2
     assert str(path) in capsys.readouterr().err
+
+
+BROKEN_CHECKPOINTS = {
+    "no-architecture": lambda payload: payload.pop("architecture"),
+    "no-parameters": lambda payload: payload.pop("parameters"),
+    "no-widths": lambda payload: payload["architecture"].pop("widths"),
+    "widths-not-a-list": lambda payload: payload["architecture"].update(widths=4),
+    "unknown-prediction": lambda payload: payload["architecture"].update(prediction="noise"),
+    "architecture-not-an-object": lambda payload: payload.update(architecture="mlp"),
+    "non-numeric-parameters": lambda payload: payload.update(parameters=["a"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CHECKPOINTS))
+def test_checkpoint_with_missing_or_ill_typed_keys_exits_with_usage_code(
+        tmp_path, capsys, case):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(MLPField(1, make_schedule("linear"), widths=(4,)), str(path))
+    payload = json.loads(path.read_text())
+    BROKEN_CHECKPOINTS[case](payload)
+    path.write_text(json.dumps(payload))
+    assert main(["sample", "--checkpoint", str(path), "--steps", "4", "--n", "2"]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+BAD_CONFIGS = {
+    "sample-n-not-a-number": ("sample", b'{"n": "abc"}', "'n'"),
+    "sample-zeta-not-a-number": ("sample", b'{"zeta": "strong", "label": 0}', "'zeta'"),
+    "sample-unknown-sampler": ("sample", b'{"sampler": "rk4"}', "'sampler'"),
+    "sample-not-utf8": ("sample", b'{"n": 5\xff}', None),
+    "sweep-n-not-a-number": ("sweep", b'{"n": "abc"}', "'n'"),
+    "sweep-steps-not-numbers": ("sweep", b'{"steps": ["many"]}', "'steps'"),
+    "sweep-not-utf8": ("sweep", b'\xfe{"n": 5}', None),
+    "train-lr-not-a-number": ("train", b'{"lr": "fast"}', "'lr'"),
+    "info-points-not-a-number": ("info", b'{"points": [3]}', "'points'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_config_values_of_the_wrong_type_exit_with_usage_code(tmp_path, capsys, case):
+    command, content, named = BAD_CONFIGS[case]
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    argv = [command, "--config", str(path)]
+    if command == "sample":
+        argv += ["--analytic", "two-gauss-1d", "--steps", "4"]
+    assert main(argv) == 2
+    assert (named or str(path)) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from driftlab import (
+    PRESET_NAMES,
     AnalyticMixtureField,
     Conditioning,
     DomainError,
@@ -168,6 +169,122 @@ def test_single_gaussian_closed_form_score(linear):
     expected = -x / (a * a * variances + s * s)
     assert np.allclose(gmm_marginal_score(gmm, linear, x, t), expected,
                        atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Diagonal and full covariances against a per-point reference; row independence
+# ---------------------------------------------------------------------------
+
+
+def _correlated_2d():
+    return GaussianMixture([0.3, 0.5, 0.2], [[0.0, 1.0], [2.0, -1.0], [-1.5, -0.5]],
+                           [[[1.0, 0.6], [0.6, 0.8]],
+                            [[0.5, -0.2], [-0.2, 0.3]],
+                            [[0.2, 0.15], [0.15, 0.4]]])
+
+
+def _mixture_4d(correlated):
+    """Three 4-D components with full or diagonal covariances.  In 4-D a BLAS
+    product over the row axis can round a lone row (a matrix-vector kernel)
+    differently from the same row in a batch (a matrix-matrix kernel)."""
+    draw = np.random.default_rng(4)
+    factors = draw.normal(size=(3, 4, 4))
+    covariances = factors @ factors.transpose(0, 2, 1) + 0.2 * np.eye(4)
+    if not correlated:
+        covariances = np.diagonal(covariances, axis1=1, axis2=2)
+    return GaussianMixture([0.3, 0.5, 0.2], draw.normal(scale=2.0, size=(3, 4)), covariances)
+
+
+MIXTURES = {
+    **{name: (lambda name=name: get_preset(name)) for name in PRESET_NAMES},
+    "correlated-2d": _correlated_2d,
+    "correlated-4d": lambda: _mixture_4d(correlated=True),
+    "diagonal-4d": lambda: _mixture_4d(correlated=False),
+}
+
+
+def _reference_parts(gmm, schedule, x, t):
+    """Log density and score of the time-t mixture, one point and one
+    component at a time: ``C = alpha^2 Sigma_k + sigma^2 I`` is solved with
+    ``np.linalg.solve`` and its log-determinant taken by ``slogdet``."""
+    n, d = x.shape
+    ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
+    log_density = np.empty(n)
+    score = np.empty((n, d))
+    for i in range(n):
+        a, s = float(schedule.alpha(ts[i])), float(schedule.sigma(ts[i]))
+        logs, solved = [], []
+        for w, mu, cov in zip(gmm.weights, gmm.means, gmm.covariances):
+            c = a * a * cov + s * s * np.eye(d)
+            r = x[i] - a * mu
+            z = np.linalg.solve(c, r)
+            _, logdet = np.linalg.slogdet(c)
+            logs.append(math.log(w) - 0.5 * (d * math.log(2.0 * math.pi) + logdet + r @ z))
+            solved.append(z)
+        logs = np.array(logs)
+        peak = logs.max()
+        log_density[i] = peak + math.log(np.sum(np.exp(logs - peak)))
+        resp = np.exp(logs - log_density[i])
+        score[i] = -resp @ np.array(solved)
+    return log_density, score
+
+
+def test_full_covariance_log_density_matches_scipy(all_schedules, rng):
+    stats = pytest.importorskip("scipy.stats")
+    special = pytest.importorskip("scipy.special")
+    gmm = _correlated_2d()
+    x = rng.normal(scale=2.0, size=(40, 2))
+    for schedule in all_schedules:
+        for t in (0.0, 0.35, 1.0):
+            a, s = schedule.alpha(t), schedule.sigma(t)
+            expected = special.logsumexp(
+                [math.log(w) + stats.multivariate_normal(
+                    a * mu, a * a * c + s * s * np.eye(2)).logpdf(x)
+                 for w, mu, c in zip(gmm.weights, gmm.means, gmm.covariances)], axis=0)
+            assert np.max(relative_error(mixture_log_density(gmm, schedule, x, t),
+                                         expected)) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURES))
+def test_exact_field_matches_per_point_reference(name, all_schedules, rng):
+    # Presets and diagonal-4d take the closed-form diagonal path, the
+    # correlated mixtures the per-point solve.
+    gmm = MIXTURES[name]()
+    x = rng.normal(scale=3.0, size=(40, gmm.dimension))
+    for schedule in all_schedules:
+        for t in (0.0, 0.35, 1.0, rng.uniform(0.0, 1.0, size=40)):
+            ref_log, ref_score = _reference_parts(gmm, schedule, x, t)
+            assert np.max(relative_error(mixture_log_density(gmm, schedule, x, t),
+                                         ref_log)) < 1e-12
+            assert np.max(relative_error(gmm_marginal_score(gmm, schedule, x, t),
+                                         ref_score)) < 1e-12
+        for k in range(gmm.n_components):
+            single = GaussianMixture([1.0], gmm.means[k:k + 1], gmm.covariances[k:k + 1])
+            _, expected = _reference_parts(single, schedule, x, t)
+            got = gmm_conditional_score(gmm, schedule, x, t, k)
+            assert np.max(relative_error(got, expected)) < 1e-12
+
+
+@pytest.mark.parametrize("per_row_t", [False, True], ids=["scalar-t", "per-row-t"])
+@pytest.mark.parametrize("name", ["grid-9", "two-gauss-1d", "correlated-2d",
+                                  "correlated-4d", "diagonal-4d"])
+def test_exact_field_rows_do_not_depend_on_their_batch(name, per_row_t, gvp, rng):
+    # The contract behind chunk-invariant sampling: each row of the exact
+    # field is computed on its own, bit for bit, whatever batch it is in.
+    gmm = MIXTURES[name]()
+    n = 97
+    x = rng.normal(scale=3.0, size=(n, gmm.dimension))
+    t = rng.uniform(0.0, 1.0, size=n) if per_row_t else 0.35
+
+    def rows(lo, hi):
+        return x[lo:hi], (t[lo:hi] if per_row_t else t)
+
+    whole = gmm_marginal_score(gmm, gvp, x, t)
+    for i in range(n):
+        assert np.array_equal(gmm_marginal_score(gmm, gvp, *rows(i, i + 1)), whole[i:i + 1])
+    cuts = [0, 1, 8, 31, 57, n]
+    pieces = [gmm_marginal_score(gmm, gvp, *rows(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(pieces), whole)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import driftlab
 from driftlab import (
     AnalyticMixtureField,
     ConfigError,
@@ -250,6 +254,46 @@ def test_training_reduces_the_loss_and_is_deterministic(linear):
     assert np.array_equal(result.curve, again.curve)
     assert np.array_equal(result.profile.values, again.profile.values)
     assert result.profile.window == config.window()
+
+
+_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from driftlab import (GaussianMixture, TrainConfig, get_preset, gmm_marginal_score,
+                      make_schedule, train)
+schedule = make_schedule("linear")
+grid9 = get_preset("grid-9")
+config = TrainConfig(objective="velocity", schedule=schedule, steps=20, batch=2048,
+                     widths=(128, 128), seed=5, profile_bins=2, profile_draws=500)
+model = train(config, grid9).model
+rng = np.random.default_rng(0)
+x = rng.normal(scale=3.0, size=(4096, 2))
+t = rng.uniform(0.0, 1.0, size=4096)
+full = GaussianMixture([0.4, 0.6], [[0.0, 1.0], [2.0, -1.0]],
+                       [[[1.0, 0.6], [0.6, 0.8]], [[0.5, -0.2], [-0.2, 0.3]]])
+np.savez(sys.argv[1], parameters=model.parameters, mlp=model.evaluate(x, t),
+         grid9=gmm_marginal_score(grid9, schedule, x, t),
+         full=gmm_marginal_score(full, schedule, x, 0.4))
+"""
+
+
+def test_training_and_exact_field_do_not_depend_on_blas_threads(tmp_path):
+    # Each run is a fresh interpreter, because OpenBLAS reads its thread
+    # count when numpy is first imported.
+    source = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+    results = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [source, os.environ.get("PYTHONPATH")])))
+        path = tmp_path / f"threads-{threads}.npz"
+        subprocess.run([sys.executable, "-c", _THREADS_SCRIPT, str(path)],
+                       env=env, check=True, timeout=300)
+        with np.load(path) as arrays:
+            results[threads] = {name: arrays[name] for name in arrays.files}
+    assert set(results["1"]) == {"parameters", "mlp", "grid9", "full"}
+    for name, value in results["1"].items():
+        assert value.tobytes() == results["2"][name].tobytes(), name
 
 
 def test_conditional_training_runs_and_embeds_classes(linear):
