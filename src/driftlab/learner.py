@@ -610,7 +610,7 @@ class LossProfile:
 
     @classmethod
     def load(cls, path: str) -> "LossProfile":
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             raise ConfigError(f"loss profile not found: {path}")
         edges = []
         values = []
@@ -722,7 +722,7 @@ def save_checkpoint(model: MLPField, path: str) -> None:
 
 def load_checkpoint(path: str) -> MLPField:
     """Rebuild a model from :func:`save_checkpoint` output, bit-exactly."""
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"checkpoint not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
         try:

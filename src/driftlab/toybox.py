@@ -251,7 +251,7 @@ def read_samples(path: str) -> tuple[np.ndarray, np.ndarray | None, dict]:
 
     Returns ``(samples (n, d), labels (n,) or None, header metadata dict)``.
     """
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"sample file not found: {path}")
     # Undecodable bytes become U+FFFD, which the parsers below reject.
     with open(path, "r", errors="replace") as handle:

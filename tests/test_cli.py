@@ -5,14 +5,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from driftlab import (
+    LossProfile,
     MLPField,
     default_window,
     load_checkpoint,
     make_schedule,
     read_samples,
     save_checkpoint,
+    write_samples,
 )
 from driftlab.cli import main
 
@@ -255,6 +258,10 @@ BAD_CONFIGS = {
     "sweep-not-utf8": ("sweep", b'\xfe{"n": 5}', None),
     "train-lr-not-a-number": ("train", b'{"lr": "fast"}', "'lr'"),
     "info-points-not-a-number": ("info", b'{"points": [3]}', "'points'"),
+    "train-conditional-not-a-bool": ("train", b'{"conditional": "no"}', "'conditional'"),
+    "sweep-schedules-not-a-list": ("sweep", b'{"schedules": "linear"}', "'schedules'"),
+    "sweep-unknown-sampler": ("sweep", b'{"samplers": ["rk4"]}', "'samplers'"),
+    "sample-n-null": ("sample", b'{"n": null}', "'n'"),
 }
 
 
@@ -268,6 +275,115 @@ def test_config_values_of_the_wrong_type_exit_with_usage_code(tmp_path, capsys, 
         argv += ["--analytic", "two-gauss-1d", "--steps", "4"]
     assert main(argv) == 2
     assert (named or str(path)) in capsys.readouterr().err
+    assert not (tmp_path / f"{command}-out").exists()
+
+
+TINY_SAMPLES = "# d=1 n=2 seed=0\n0.5\n-0.5\n"
+
+NOT_A_FILE = {
+    "config": ["sample", "--config", "{dir}", "--analytic", "two-gauss-1d",
+               "--steps", "4", "--n", "2"],
+    "checkpoint": ["sample", "--checkpoint", "{dir}", "--steps", "4", "--n", "2"],
+    "samples": ["eval", "--samples", "{dir}", "--reference", "two-gauss-1d"],
+    "reference": ["eval", "--samples", "{file}", "--reference", "{dir}"],
+    "dataset": ["train", "--dataset", "{dir}", *TRAIN_FAST],
+    "profile": ["sample", "--analytic", "two-gauss-1d", "--sampler", "em", "--w", "kl-eta:0.5",
+                "--profile", "{dir}", "--steps", "4", "--n", "2"],
+    "out": ["sample", "--analytic", "two-gauss-1d", "--steps", "4", "--n", "2",
+            "--out", "{file}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_FILE))
+def test_paths_that_are_not_files_exit_with_usage_code(tmp_path, capsys, case):
+    # A directory where a file is read, or a file where the output directory goes.
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    samples = tmp_path / "samples.txt"
+    samples.write_text(TINY_SAMPLES)
+    argv = [arg.format(dir=directory, file=samples) for arg in NOT_A_FILE[case]]
+    assert main(argv) == 2
+    assert str(directory if case != "out" else samples) in capsys.readouterr().err
+
+
+NEGATIVE_COUNTS = {
+    "info-points": (["info", "--points", "-1"], None, "'points'"),
+    "eval-permutations": (["eval", "--samples", "{file}", "--reference", "two-gauss-1d",
+                           "--permutations", "-3"], None, "'permutations'"),
+    "sweep-permutations": (["sweep", "--config", "{config}"],
+                           {"permutations": -2, "samplers": ["heun"], "steps": [4], "n": 8},
+                           "'permutations'"),
+    "sample-seed": (["sample", "--analytic", "two-gauss-1d", "--steps", "4", "--n", "2",
+                     "--seed", "-1"], None, "'seed'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_COUNTS))
+def test_negative_counts_exit_with_usage_code(tmp_path, capsys, case):
+    template, config, named = NEGATIVE_COUNTS[case]
+    samples = tmp_path / "samples.txt"
+    samples.write_text(TINY_SAMPLES)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    argv = [arg.format(file=samples, config=config_path) for arg in template]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / f"{argv[0]}-out").exists()
+
+
+@pytest.fixture(scope="module")
+def intact_artifacts(tmp_path_factory):
+    """One small valid artifact per input kind, and the command that reads it."""
+    root = tmp_path_factory.mktemp("artifacts")
+    small = ["--n", "4", "--steps", "3"]  # flags, so no damage can enlarge the run
+    config = root / "config.json"
+    config.write_text(json.dumps({"analytic": "two-gauss-1d", "sampler": "em", "w": "sigma",
+                                  "schedule": "gvp", "prediction": "score", "seed": 7, "label": 1,
+                                  "zeta": 1.5}))
+    samples = root / "samples.txt"
+    write_samples(str(samples), np.linspace(-2.0, 2.0, 16)[:, None], seed=3, nfe=8)
+    checkpoint = root / "checkpoint.json"
+    save_checkpoint(MLPField(1, make_schedule("linear"), widths=(4,)), str(checkpoint))
+    profile = root / "profile.txt"
+    LossProfile(np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5])).save(str(profile))
+    artifacts = {
+        "config": (config, ["sample", "--config", "{path}", *small]),
+        "samples": (samples, ["eval", "--samples", "{path}", "--reference", "two-gauss-1d"]),
+        "checkpoint": (checkpoint, ["sample", "--checkpoint", "{path}", *small]),
+        "profile": (profile, ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                              "--w", "kl-eta:0.5", "--profile", "{path}", *small]),
+    }
+    for kind, (path, template) in artifacts.items():
+        argv = [arg.format(path=path) for arg in template]
+        assert main([*argv, "--out", str(root / f"{kind}-out")]) == 0
+    return artifacts
+
+
+@pytest.mark.parametrize("kind", ["config", "samples", "checkpoint", "profile"])
+# Every example rewrites the same damaged file and output directory, so the
+# function-scoped fixtures may be shared between examples.
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_artifacts_exit_with_a_documented_code(tmp_path, capsys, intact_artifacts,
+                                                       kind, data):
+    source, template = intact_artifacts[kind]
+    intact = source.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = intact[:data.draw(st.integers(0, len(intact) - 1), label="length")]
+    else:
+        damaged = bytearray(intact)
+        # Half the new bytes come from the artifact itself, so more damaged
+        # files still parse and reach the checks past the parser.
+        new_byte = st.one_of(st.integers(0, 255), st.sampled_from(sorted(set(intact))))
+        edits = st.tuples(st.integers(0, len(intact) - 1), new_byte)
+        for position, byte in data.draw(st.lists(edits, min_size=1, max_size=2), label="edits"):
+            damaged[position] = byte
+    path = tmp_path / f"damaged-{source.name}"
+    path.write_bytes(bytes(damaged))
+    argv = [arg.format(path=path) for arg in template]
+    assert main([*argv, "--out", str(tmp_path / "out")]) in (0, 2, 3)
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
