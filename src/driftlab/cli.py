@@ -478,6 +478,8 @@ def _run_cell(config: dict, key: str, schedule_name: str, sampler_name: str,
     cell = dict(config, checkpoint=None, analytic=config["dataset"], profile=None,
                 schedule=schedule_name, sampler=sampler_name, w=w_text, steps=steps,
                 zeta=zeta, seed=cell_seed)
+    if schedule_name != "sbdm-vp":  # the sweep's betas shape only the VP schedule
+        cell.update(beta_min=None, beta_max=None)
     model, schedule = _build_field(cell)
     spec = _build_sampler_spec(cell, model, schedule)
     result = _run_sampler(model, spec, config["n"], 0 if zeta is not None else None)

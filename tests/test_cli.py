@@ -546,6 +546,33 @@ def test_sweep_recomputes_cells_stored_under_another_config(tmp_path, capsys):
     assert read_bytes(cell) == fresh
 
 
+def test_sweep_betas_reach_only_the_vp_schedule(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "schedules": ["linear", "gvp", "sbdm-vp"],
+        "samplers": ["heun"],
+        "steps": [6],
+        "n": 32,
+        "beta_max": 12,
+    }))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    payloads = [json.loads((out / "cells" / name).read_text())
+                for name in sorted(os.listdir(out / "cells"))]
+    assert [p["cell"] for p in payloads] == [
+        "gvp_heun_-_n6", "linear_heun_-_n6", "sbdm-vp_heun_-_n6"]
+    assert [p["status"] for p in payloads] == ["ok", "ok", "ok"]
+    assert all(p["config"]["beta_max"] == 12 for p in payloads)
+    default_vp = tmp_path / "default-vp.json"
+    default_vp.write_text(json.dumps({"schedules": ["sbdm-vp"], "samplers": ["heun"],
+                                      "steps": [6], "n": 32}))
+    assert main(["sweep", "--config", str(default_vp), "--out", str(tmp_path / "vp")]) == 0
+    default_cell = json.loads(
+        (tmp_path / "vp" / "cells" / "sbdm-vp_heun_-_n6.json").read_text())
+    assert default_cell["energy_distance"] != payloads[2]["energy_distance"]
+
+
 # ---------------------------------------------------------------------------
 # info
 # ---------------------------------------------------------------------------

@@ -296,6 +296,39 @@ def test_training_and_exact_field_do_not_depend_on_blas_threads(tmp_path):
         assert value.tobytes() == results["2"][name].tobytes(), name
 
 
+_PERMUTATION_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from driftlab import energy_distance_permutation_test
+from driftlab.metrics import _split_statistics
+rng = np.random.default_rng(2)
+a = rng.standard_normal((500, 2))
+b = rng.standard_normal((700, 2)) + 0.05
+observed, p_value = energy_distance_permutation_test(a, b, n_permutations=150, seed=9)
+orders = [rng.permutation(1200) for _ in range(150)]
+np.savez(sys.argv[1], test=np.array([observed, p_value]),
+         splits=_split_statistics(np.concatenate([a, b]), 500, orders))
+"""
+
+
+def test_permutation_test_does_not_depend_on_blas_threads(tmp_path):
+    # The 2-D test scores its splits with a matrix product, run by BLAS.
+    source = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+    results = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [source, os.environ.get("PYTHONPATH")])))
+        path = tmp_path / f"threads-{threads}.npz"
+        subprocess.run([sys.executable, "-c", _PERMUTATION_THREADS_SCRIPT, str(path)],
+                       env=env, check=True, timeout=300)
+        with np.load(path) as arrays:
+            results[threads] = {name: arrays[name] for name in arrays.files}
+    assert set(results["1"]) == {"test", "splits"}
+    for name, value in results["1"].items():
+        assert value.tobytes() == results["2"][name].tobytes(), name
+
+
 def test_conditional_training_runs_and_embeds_classes(linear):
     config = TrainConfig(objective="velocity", schedule=linear, steps=40,
                          batch=64, seed=1, conditional=True,

@@ -32,6 +32,7 @@ from driftlab import (
     mode_occupancy,
     path_length,
 )
+from driftlab import metrics
 from driftlab.metrics import DEFAULT_PATH_GRID
 
 from helpers import ks_statistic_uniform
@@ -111,6 +112,99 @@ def test_permutation_test_pvalues_are_uniform_under_the_null(rng):
         p_values.append(p)
     # Kolmogorov-Smirnov against U(0,1) at the 1% level for 200 draws.
     assert ks_statistic_uniform(np.array(p_values)) < 1.628 / math.sqrt(200)
+
+
+def test_permutation_test_pvalues_are_uniform_under_the_null_in_2d(rng):
+    p_values = []
+    for _ in range(200):
+        a = rng.standard_normal((60, 2))
+        b = rng.standard_normal((60, 2))
+        _, p = energy_distance_permutation_test(
+            a, b, n_permutations=99, seed=int(rng.integers(2**31)))
+        p_values.append(p)
+    # Kolmogorov-Smirnov against U(0,1) at the 1% level for 200 draws.
+    assert ks_statistic_uniform(np.array(p_values)) < 1.628 / math.sqrt(200)
+
+
+def _mean_pooled_distance(pooled):
+    diff = pooled[:, None, :] - pooled[None, :, :]
+    return float(np.mean(np.sqrt(np.sum(diff * diff, axis=2))))
+
+
+def _direct_permutation_statistics(a, b, n_permutations, seed):
+    """Reference: each split drawn as the test draws it, scored on its own."""
+    pooled = np.concatenate([a, b], axis=0)
+    n = a.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    stats = []
+    for _ in range(n_permutations):
+        order = rng.permutation(pooled.shape[0])
+        stats.append(energy_distance(pooled[order[:n]], pooled[order[n:]]))
+    return np.array(stats)
+
+
+@pytest.mark.parametrize("d, n, m, budgets", [
+    (2, 48, 48, None),
+    (3, 41, 67, None),
+    (2, 53, 38, (700, 400)),  # 3 rows per distance block, 4 splits per block
+    (3, 45, 30, (1000, 500)),  # 4 rows per distance block, 6 splits per block
+])
+def test_one_pass_permutation_statistics_match_a_direct_loop(
+        monkeypatch, rng, d, n, m, budgets):
+    if budgets is not None:
+        monkeypatch.setattr(metrics, "_DISTANCE_BUDGET", budgets[0])
+        monkeypatch.setattr(metrics, "_SPLIT_BUDGET", budgets[1])
+    recorded = []
+    one_pass = metrics._split_statistics
+
+    def recording(*args):
+        recorded.append(one_pass(*args))
+        return recorded[-1]
+
+    monkeypatch.setattr(metrics, "_split_statistics", recording)
+    permutations = 60
+    p_values = set()
+    for seed in range(6):
+        a = rng.standard_normal((n, d))
+        b = rng.standard_normal((m, d)) + 0.1 * seed
+        recorded.clear()
+        observed, p = energy_distance_permutation_test(
+            a, b, n_permutations=permutations, seed=seed)
+        direct = _direct_permutation_statistics(a, b, permutations, seed)
+        stats = np.concatenate(recorded)
+        scale = _mean_pooled_distance(np.concatenate([a, b], axis=0))
+        # Absolute bar: under the null the statistic itself is near 0.
+        assert np.max(np.abs(stats - direct)) <= 1e-12 * scale
+        assert p == (1 + np.count_nonzero(direct >= observed)) / (permutations + 1)
+        p_values.add(p)
+        if budgets is not None:
+            width = budgets[1] // (n + m)
+            assert len(recorded) == -(-permutations // width) > 1
+            assert budgets[0] // ((n + m) * d) < n + m  # several row blocks
+    assert len(p_values) > 2
+
+
+def test_one_pass_permutation_statistics_keep_their_precision_beside_a_far_point(rng):
+    # The far point sets the grid the pooled distances are sliced on, and
+    # the distances between the two tight clusters all round the same way.
+    n = 150
+    pooled = np.zeros((2 * n, 2))
+    pooled[1::2, 0] = 0.1
+    pooled[0, 0] = 1e9
+    orders = [rng.permutation(2 * n) for _ in range(40)]
+    stats = metrics._split_statistics(pooled, n, orders)
+    direct = np.array([energy_distance(pooled[order[:n]], pooled[order[n:]])
+                       for order in orders])
+    assert np.max(np.abs(stats - direct)) <= 1e-12 * _mean_pooled_distance(pooled)
+
+
+def test_permutation_test_on_identical_points_gives_p_one():
+    a = np.tile([1.5, -2.0], (20, 1))
+    b = np.tile([1.5, -2.0], (30, 1))
+    stat, p = energy_distance_permutation_test(a, b, n_permutations=50, seed=4)
+    assert stat == 0.0
+    assert p == 1.0
+    assert np.all(_direct_permutation_statistics(a, b, 50, 4) == 0.0)
 
 
 def test_permutation_test_detects_a_clear_shift(rng):
