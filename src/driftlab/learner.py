@@ -90,9 +90,22 @@ def time_features(t: float | np.ndarray, count: int = TIME_FEATURE_COUNT,
     """Sinusoidal features ``[sin(f_j t), cos(f_j t)]`` on a geometric
     frequency ladder; shape (n, 2*count)."""
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    freqs = np.geomspace(freq_min, freq_max, count)
-    angles = arr[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+    return _fill_time_features(np.empty((arr.shape[0], 2 * count)), arr,
+                               np.geomspace(freq_min, freq_max, count))
+
+
+def _fill_time_features(out: np.ndarray, t: np.ndarray,
+                        freqs: np.ndarray) -> np.ndarray:
+    """Write ``[sin(f_j t_i), cos(f_j t_i)]`` into row i of ``out`` for the
+    1-D ``t`` and the frequency ladder ``freqs``; a single t is computed once
+    and fills every row.  Returns ``out``."""
+    angles = np.multiply.outer(t, freqs)
+    rows, count = out[:t.shape[0]], freqs.shape[0]
+    np.sin(angles, out=rows[:, :count])
+    np.cos(angles, out=rows[:, count:])
+    if t.shape[0] == 1:
+        out[1:] = rows
+    return out
 
 
 class MLPField(FieldModel):
@@ -129,6 +142,8 @@ class MLPField(FieldModel):
         self.time_freq_min = float(time_freq_min)
         self.time_freq_max = float(time_freq_max)
         self.class_embed_dim = int(class_embed_dim)
+        self._freqs = np.geomspace(self.time_freq_min, self.time_freq_max,
+                                   self.time_feature_count)
         self.conditioning = Conditioning(int(num_classes)) if num_classes else None
         input_dim = dimension + 2 * self.time_feature_count
         if self.conditioning is not None:
@@ -217,24 +232,26 @@ class MLPField(FieldModel):
             )
         n = xx.shape[0]
         t_arr = np.asarray(t, dtype=np.float64)
-        if t_arr.ndim == 0:
-            t_arr = np.full(n, float(t_arr))
-        elif t_arr.shape != (n,):
+        if t_arr.ndim != 0 and t_arr.shape != (n,):
             raise DomainError(f"t must be scalar or shape ({n},)")
-        feats = time_features(t_arr, self.time_feature_count,
-                              self.time_freq_min, self.time_freq_max)
-        pieces = [xx, feats]
         labels = self._labels_for(n, y)
+        # One input buffer [x | time features | embedding].
+        d, width = self.dimension, 2 * self.time_feature_count
+        h = np.empty((n, self._layer_dims[0]))
+        h[:, :d] = xx
+        _fill_time_features(h[:, d:d + width], t_arr.reshape(-1), self._freqs)
         if labels is not None:
-            pieces.append(self._embedding()[labels])
-        h = np.concatenate(pieces, axis=1)
+            h[:, d + width:] = self._embedding()[labels]
         activations = [h]
         layers = self._weights()
         for w, b in layers[:-1]:
-            h = np.tanh(h @ w + b)
+            h = np.matmul(h, w)
+            h += b
+            np.tanh(h, out=h)
             activations.append(h)
         w_last, b_last = layers[-1]
-        out = h @ w_last + b_last
+        out = np.matmul(h, w_last)
+        out += b_last
         if want_cache:
             return out, {"activations": activations, "labels": labels,
                          "was_vector": was_vector}
@@ -251,8 +268,9 @@ class MLPField(FieldModel):
     def backward(self, cache: dict, grad_output: np.ndarray) -> np.ndarray:
         """Reverse-mode accumulation of ``d(sum(output * grad_output))/d params``.
 
-        Gradient reduction uses fixed summation order (single-threaded matrix
-        products), so repeated runs produce bit-identical gradients.
+        Matrix products go to BLAS: the gradient is bit-reproducible at a
+        fixed BLAS thread count, and pinned across 1 and 2 threads only at
+        the tested shapes.
         """
         grad = np.zeros_like(self.parameters)
         activations = cache["activations"]
@@ -263,22 +281,18 @@ class MLPField(FieldModel):
         for layer in range(len(layers) - 1, -1, -1):
             w, _ = layers[layer]
             h_in = activations[layer]
-            gw = h_in.T @ g
-            gb = g.sum(axis=0)
-            grad[self._offsets[2 * layer]:self._offsets[2 * layer + 1]] = gw.ravel()
-            grad[self._offsets[2 * layer + 1]:self._offsets[2 * layer + 2]] = gb
+            lo, mid, hi = self._offsets[2 * layer:2 * layer + 3]
+            np.matmul(h_in.T, g, out=grad[lo:mid].reshape(w.shape))
+            np.sum(g, axis=0, out=grad[mid:hi])
             if layer > 0:
-                g = (g @ w.T) * (1.0 - h_in * h_in)  # tanh'(pre) via activation
-            else:
-                g = g @ w.T
+                slope = np.square(h_in)  # tanh'(pre) = 1 - tanh(pre)^2
+                g = np.matmul(g, w.T)
+                g *= np.subtract(1.0, slope, out=slope)
+            elif self.conditioning is not None:  # only the embedding needs it
+                g = np.matmul(g, w.T)
         if self.conditioning is not None:
-            embed_index = 2 * (len(self._layer_dims) - 1)
-            rows = self.conditioning.num_classes + 1
-            g_table = np.zeros((rows, self.class_embed_dim))
-            embed_slice = g[:, -self.class_embed_dim:]
-            np.add.at(g_table, cache["labels"], embed_slice)
-            grad[self._offsets[embed_index]:self._offsets[embed_index + 1]] = \
-                g_table.ravel()
+            g_table = grad[self._offsets[-2]:].reshape(-1, self.class_embed_dim)
+            np.add.at(g_table, cache["labels"], g[:, -self.class_embed_dim:])
         return grad
 
     def to_config(self) -> dict:
@@ -509,6 +523,7 @@ def train(config: TrainConfig, data) -> TrainResult:
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
     moment1 = np.zeros_like(model.parameters)
     moment2 = np.zeros_like(model.parameters)
+    scratch = np.empty_like(model.parameters)
     curve = np.empty((config.steps, 2))
     for step in range(config.steps):
         x_star, labels = dataset.resample(rng, config.batch)
@@ -527,12 +542,19 @@ def train(config: TrainConfig, data) -> TrainResult:
                 step=step,
                 t_bin=_blame_bin(model, config, (x_star, eps, t, y), t_lo, t_hi),
             )
-        # Adam with bias correction, constant learning rate.
-        moment1 = config.beta1 * moment1 + (1.0 - config.beta1) * grad
-        moment2 = config.beta2 * moment2 + (1.0 - config.beta2) * grad * grad
-        hat1 = moment1 / (1.0 - config.beta1 ** (step + 1))
-        hat2 = moment2 / (1.0 - config.beta2 ** (step + 1))
-        model.parameters -= config.learning_rate * hat1 / (np.sqrt(hat2) + config.adam_eps)
+        # Adam with bias correction, constant learning rate; in place, rounded as
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, p -= lr*(m/c1)/(sqrt(v/c2)+eps).
+        moment1 *= config.beta1
+        moment1 += np.multiply(1.0 - config.beta1, grad, out=scratch)
+        moment2 *= config.beta2
+        np.multiply(1.0 - config.beta2, grad, out=scratch)
+        moment2 += np.multiply(scratch, grad, out=scratch)
+        np.sqrt(np.divide(moment2, 1.0 - config.beta2 ** (step + 1), out=scratch),
+                out=scratch)
+        scratch += config.adam_eps
+        np.divide(moment1, 1.0 - config.beta1 ** (step + 1), out=grad)
+        grad *= config.learning_rate
+        model.parameters -= np.divide(grad, scratch, out=grad)
         curve[step] = (step, loss)
     profile_rng = np.random.default_rng(
         np.random.SeedSequence(config.seed, spawn_key=(2,)))

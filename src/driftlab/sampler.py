@@ -17,8 +17,10 @@ when configured.  Any ``w(t) >= 0`` leaves the sampled marginals invariant;
 
 Both integrators start every trajectory from an independent standard-normal
 draw at ``t_start`` and consume a dedicated random stream per trajectory
-index, so results are bit-identical regardless of chunking or worker count
-and stable under extension of the batch.
+index, so with the exact field results are bit-identical regardless of
+chunking and stable under extension of the batch.  A learned model's BLAS
+products may round differently at another number of rows, so its samples
+agree across chunkings to rounding only.
 
 Function-evaluation (NFE) accounting per trajectory: Heun spends exactly
 ``2N`` model evaluations (no fused final correction), Euler-Maruyama spends

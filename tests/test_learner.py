@@ -37,6 +37,7 @@ from driftlab import (
     train,
     velocity_from_score,
 )
+from driftlab.toybox import as_dataset
 
 from helpers import relative_error
 
@@ -101,6 +102,148 @@ def test_vector_input_round_trip(linear):
 
 
 # ---------------------------------------------------------------------------
+# Bitwise manual reference: the network and Adam written out with allocating
+# expressions, against the package's in-place arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _reference_layers(model):
+    """(W, b) per layer and the embedding table, sliced from the documented
+    flat layout."""
+    dims = [model.dimension + 2 * model.time_feature_count
+            + (model.class_embed_dim if model.conditioning is not None else 0),
+            *model.widths, model.dimension]
+    layers, start = [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        w = model.parameters[start:start + fan_in * fan_out].reshape(fan_in, fan_out)
+        start += fan_in * fan_out
+        layers.append((w, model.parameters[start:start + fan_out]))
+        start += fan_out
+    table = None
+    if model.conditioning is not None:
+        table = model.parameters[start:].reshape(-1, model.class_embed_dim)
+    return layers, table
+
+
+def _reference_forward(model, x, t, y=None):
+    x = np.asarray(x, dtype=np.float64)
+    was_vector = x.ndim == 1
+    if was_vector:
+        x = x[None, :]
+    n = x.shape[0]
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim == 0:
+        t = np.full(n, float(t))
+    freqs = np.geomspace(model.time_freq_min, model.time_freq_max,
+                         model.time_feature_count)
+    angles = t[:, None] * freqs[None, :]
+    pieces = [x, np.concatenate([np.sin(angles), np.cos(angles)], axis=1)]
+    layers, table = _reference_layers(model)
+    labels = None
+    if table is not None:
+        labels = np.full(n, model.conditioning.null_id) if y is None \
+            else np.broadcast_to(np.asarray(y, dtype=np.int64), (n,))
+        pieces.append(table[labels])
+    h = np.concatenate(pieces, axis=1)
+    activations = [h]
+    for w, b in layers[:-1]:
+        h = np.tanh(h @ w + b)
+        activations.append(h)
+    out = h @ layers[-1][0] + layers[-1][1]
+    return (out[0] if was_vector else out), activations, labels
+
+
+def _reference_backward(model, activations, labels, g):
+    layers, table = _reference_layers(model)
+    grads = []
+    for layer in range(len(layers) - 1, -1, -1):
+        w, _ = layers[layer]
+        h_in = activations[layer]
+        grads[:0] = [(h_in.T @ g).ravel(), g.sum(axis=0)]
+        if layer > 0:
+            g = (g @ w.T) * (1.0 - h_in * h_in)
+        else:
+            g = g @ w.T
+    if table is not None:
+        g_table = np.zeros(table.shape)
+        np.add.at(g_table, labels, g[:, -model.class_embed_dim:])
+        grads.append(g_table.ravel())
+    return np.concatenate(grads)
+
+
+def _reference_train(config, data):
+    dataset = as_dataset(data)
+    t_lo, t_hi = config.window()
+    model = MLPField(dataset.dimension, config.schedule, widths=config.widths,
+                     num_classes=dataset.num_classes if config.conditional else None,
+                     seed=config.seed)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    moment1 = np.zeros_like(model.parameters)
+    moment2 = np.zeros_like(model.parameters)
+    curve = []
+    for step in range(config.steps):
+        x_star, labels = dataset.resample(rng, config.batch)
+        eps = rng.standard_normal(x_star.shape)
+        t = rng.uniform(t_lo, t_hi, size=config.batch)
+        y = None
+        if config.conditional:
+            y = labels.astype(np.int64).copy()
+            y[rng.random(config.batch) < config.label_dropout] = \
+                model.conditioning.null_id
+        x_t = interpolate(config.schedule, x_star, eps, t)
+        target = interpolant_derivative(config.schedule, x_star, eps, t)
+        out, activations, used = _reference_forward(model, x_t, t, y)
+        residual = out - target
+        n = config.batch
+        curve.append((step, float(np.sum(residual * residual) / n)))
+        grad = _reference_backward(model, activations, used, (2.0 / n) * residual)
+        moment1 = config.beta1 * moment1 + (1.0 - config.beta1) * grad
+        moment2 = config.beta2 * moment2 + (1.0 - config.beta2) * grad * grad
+        hat1 = moment1 / (1.0 - config.beta1 ** (step + 1))
+        hat2 = moment2 / (1.0 - config.beta2 ** (step + 1))
+        model.parameters -= config.learning_rate * hat1 / (np.sqrt(hat2) + config.adam_eps)
+    return model.parameters, np.array(curve)
+
+
+def _bitwise_equal(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("num_classes", [None, 3])
+def test_mlp_matches_manual_reference(linear, rng, num_classes):
+    model = MLPField(2, linear, num_classes=num_classes, seed=4)
+    x = rng.standard_normal((37, 2))
+    t = rng.uniform(0.0, 1.0, size=37)
+    label_cases = [None] if num_classes is None else [
+        None, 1, model.conditioning.null_id, rng.integers(0, 4, size=37)]
+    for y in label_cases:
+        for time in (0.37, t):
+            assert _bitwise_equal(model.evaluate(x, time, y),
+                                  _reference_forward(model, x, time, y)[0])
+        y_one = y if np.ndim(y) == 0 else None
+        assert _bitwise_equal(model.evaluate(x[5], 0.81, y_one),
+                              _reference_forward(model, x[5], 0.81, y_one)[0])
+        out, cache = model.forward_with_cache(x, t, y)
+        expected, activations, labels = _reference_forward(model, x, t, y)
+        assert _bitwise_equal(out, expected)
+        g = rng.standard_normal(out.shape)
+        assert _bitwise_equal(model.backward(cache, g),
+                              _reference_backward(model, activations, labels, g))
+
+
+@pytest.mark.parametrize("conditional", [False, True])
+def test_training_matches_manual_reference(linear, conditional):
+    config = TrainConfig(objective="velocity", schedule=linear, steps=3, seed=6,
+                         conditional=conditional, label_dropout=0.3,
+                         profile_bins=1, profile_draws=10)
+    data = get_preset("grid-9")
+    result = train(config, data)
+    parameters, curve = _reference_train(config, data)
+    assert _bitwise_equal(result.model.parameters, parameters)
+    assert _bitwise_equal(result.curve, curve)
+
+
+# ---------------------------------------------------------------------------
 # Objectives: finite-difference oracle and exact baselines
 # ---------------------------------------------------------------------------
 
@@ -119,29 +262,35 @@ def _fd_batch(rng, n=5, d=2, null_id=3):
     (loss_score_weighted, Prediction.SCORE),
 ])
 def test_gradient_matches_finite_differences(linear, rng, loss_fn, prediction):
-    model = MLPField(2, linear, prediction=prediction, widths=(8, 8),
-                     num_classes=3, seed=11)
-    batch = _fd_batch(rng)
-    _, grad = loss_fn(model, batch)
-    assert grad.shape == model.parameters.shape
+    # A conditional model, and an unconditional one (no embedding, so
+    # backward skips the input gradient of the first layer).
+    for num_classes in (3, None):
+        model = MLPField(2, linear, prediction=prediction, widths=(8, 8),
+                         num_classes=num_classes, seed=11)
+        x_star, eps, t, y = _fd_batch(rng)
+        batch = (x_star, eps, t, y if num_classes else None)
+        _, grad = loss_fn(model, batch)
+        assert grad.shape == model.parameters.shape
 
-    def loss_at(params):
-        clone = MLPField(2, linear, prediction=prediction, widths=(8, 8),
-                         num_classes=3, parameters=params)
-        return loss_fn(clone, batch)[0]
+        def loss_at(params):
+            clone = MLPField(2, linear, prediction=prediction, widths=(8, 8),
+                             num_classes=num_classes, parameters=params)
+            return loss_fn(clone, batch)[0]
 
-    coords = list(rng.choice(model.n_parameters, size=25, replace=False))
-    coords += [model.n_parameters - 1, model.n_parameters - 10,
-               model.n_parameters - 25]  # embedding-table entries
-    h = 1e-4
-    for k in coords:
-        up = model.parameters.copy()
-        up[k] += h
-        down = model.parameters.copy()
-        down[k] -= h
-        fd = (loss_at(up) - loss_at(down)) / (2 * h)
-        assert abs(fd - grad[k]) <= 1e-4 * max(abs(fd), abs(grad[k])) + 1e-7, \
-            f"coordinate {k}: fd={fd!r} analytic={grad[k]!r}"
+        coords = list(rng.choice(model.n_parameters, size=25, replace=False))
+        # Embedding-table entries, or the output layer without embedding.
+        coords += [model.n_parameters - 1, model.n_parameters - 10,
+                   model.n_parameters - 25]
+        h = 1e-4
+        for k in coords:
+            up = model.parameters.copy()
+            up[k] += h
+            down = model.parameters.copy()
+            down[k] -= h
+            fd = (loss_at(up) - loss_at(down)) / (2 * h)
+            assert abs(fd - grad[k]) <= 1e-4 * max(abs(fd), abs(grad[k])) + 1e-7, \
+                f"num_classes={num_classes} coordinate {k}: fd={fd!r} " \
+                f"analytic={grad[k]!r}"
 
 
 def test_weighted_score_objective_equals_velocity_of_converted_field(linear, rng):

@@ -10,6 +10,7 @@ from driftlab import (
     ConfigError,
     DomainError,
     GaussianMixture,
+    MLPField,
     NonFiniteError,
     Prediction,
     SamplerSpec,
@@ -31,7 +32,7 @@ from driftlab.schedule import (
     ZeroCoefficient,
 )
 
-from helpers import log_slope
+from helpers import log_slope, relative_error
 
 
 @pytest.fixture
@@ -240,6 +241,25 @@ def test_results_do_not_depend_on_chunking(score_model, linear):
     d = euler_maruyama_sample(score_model, em_spec, 30, chunk_size=11)
     assert np.array_equal(c.samples, d.samples)
     assert c.nfe == d.nfe
+
+
+def test_learned_model_samples_agree_across_chunk_sizes(linear):
+    # Only the exact field is bitwise chunk-invariant: the MLP's matrix
+    # products go to BLAS, whose rounding may depend on the number of rows,
+    # so learned-model samples agree across chunkings to rounding only.
+    model = MLPField(1, linear, seed=3)
+    heun_spec = SamplerSpec(kind="heun", t_start=1.0, t_end=0.0, steps=10, seed=2)
+    t_start, t_end, last = default_window("linear", "velocity", "em")
+    em_spec = SamplerSpec(kind="em", t_start=t_start, t_end=t_end, steps=10,
+                          diffusion=SigmaCoefficient(linear), last_step_to=last,
+                          seed=2)
+    for sample, spec in ((heun_sample, heun_spec), (euler_maruyama_sample, em_spec)):
+        whole = sample(model, spec, 64)
+        for chunk_size in (1, 7, 16, 33):
+            part = sample(model, spec, 64, chunk_size=chunk_size)
+            assert part.nfe == whole.nfe
+            assert np.max(relative_error(part.samples, whole.samples)) <= 1e-12, \
+                (spec.kind, chunk_size)
 
 
 def test_batch_extension_is_prefix_stable(score_model, linear):
