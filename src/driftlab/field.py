@@ -115,19 +115,19 @@ def score_from_velocity(schedule: InterpolantSchedule, v_value: np.ndarray,
     """
     vv, was_vector = _as_batch(v_value)
     xx, _ = _as_batch(x)
-    sig = np.asarray(schedule.sigma(t), dtype=np.float64)
+    coef = schedule.coefficients(t)
+    sig = coef.sigma
     if np.any(sig == 0.0):
         raise SingularityError(
             "score_from_velocity is singular where sigma(t) = 0; clip the window"
         )
-    denom = np.asarray(schedule.conversion_denominator(t), dtype=np.float64)
+    denom = coef.conversion_denominator
     if np.any(denom == 0.0):
         raise SingularityError(
             "score_from_velocity: conversion denominator vanished"
         )
-    a = schedule.alpha(t)
-    a_dot = schedule.alpha_dot(t)
-    out = (_per_sample(a) * vv - _per_sample(a_dot) * xx) / _per_sample(sig * denom)
+    out = (_per_sample(coef.alpha) * vv - _per_sample(coef.alpha_dot) * xx) \
+        / _per_sample(sig * denom)
     return out[0] if was_vector else out
 
 
@@ -141,8 +141,9 @@ def velocity_from_score(schedule: InterpolantSchedule, s_value: np.ndarray,
     """
     sv, was_vector = _as_batch(s_value)
     xx, _ = _as_batch(x)
-    lam_sig = schedule.lambda_weight(t) * schedule.sigma(t)
-    ratio = schedule.alpha_dot(t) / schedule.alpha(t)
+    coef = schedule.coefficients(t)
+    lam_sig = coef.lambda_weight * coef.sigma
+    ratio = coef.alpha_dot / coef.alpha
     out = _per_sample(ratio) * xx - _per_sample(lam_sig) * sv
     return out[0] if was_vector else out
 
@@ -230,70 +231,177 @@ class GaussianMixture:
         return (f"GaussianMixture(K={self.n_components}, d={self.dimension})")
 
 
-def _time_scalars(schedule: InterpolantSchedule, t) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(schedule.alpha(t), dtype=np.float64)
-    s = np.asarray(schedule.sigma(t), dtype=np.float64)
-    return a, s
+#: The kernel takes as many components at a time as keep a block near this
+#: many values: small enough to stay in cache and in memory the allocator
+#: reuses, large enough that small batches make few numpy calls.
+_BLOCK_VALUES = 8192
+
+
+def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order ``np.sum`` adds a contiguous run.
+
+    numpy sums a contiguous run of n values pairwise: fewer than 8 in turn;
+    up to 128 in eight interleaved partial sums, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the rest in
+    turn; longer runs as two halves split at a multiple of 8.  The reduction
+    starts from +0.  Here each value is a whole row, so a (K, n) array sums
+    over K as its (n, K) transpose sums along a row.
+    """
+    n = rows.shape[0]
+    if n < 8:
+        total = rows[0] + 0.0
+        for row in rows[1:]:
+            total += row
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+    part = rows[:8]
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        part = part + rows[i:i + 8]
+    pairs = part[0::2] + part[1::2]
+    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    for row in rows[stop:]:
+        total += row
+    return total + 0.0
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_j a[j] * b[j]`` over axis 0 in the order of numpy's einsum dot.
+
+    ``einsum`` reduces a contiguous axis with a kernel that keeps two float64
+    lanes (numpy's x86-64 baseline build): one partial sum of the even terms
+    and one of the odd.  While 8 or more terms remain it adds four lane pairs
+    per step, the last pair first; then one pair at a time.  It returns
+    ``0 + (even + odd)``.  For one or two terms this is the plain sum.
+    """
+    terms = a * b
+    count = terms.shape[0]
+    starts = []
+    i = 0
+    while count - i >= 8:
+        starts += [i + 6, i + 4, i + 2, i]
+        i += 8
+    starts += range(i, count, 2)
+    even = odd = None
+    for j in starts:
+        even = terms[j] if even is None else terms[j] + even
+        if j + 1 < count:
+            odd = terms[j + 1] if odd is None else terms[j + 1] + odd
+    return (even if odd is None else even + odd) + 0.0
+
+
+def _component_sum(resp: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``sum_k resp[k] * values[k]`` for (K, n) weights and (K, d, n) values,
+    in the order of ``einsum("nk,nkd->nd")``: a dot over K when d = 1, else
+    an accumulation from 0, one component after another."""
+    if values.shape[1] == 1:
+        return _dot(resp, values[:, 0])[None]
+    total = np.zeros(values.shape[1:])
+    step = max(1, _BLOCK_VALUES // total.size)
+    for lo in range(0, len(values), step):
+        for term in resp[lo:lo + step, None] * values[lo:lo + step]:
+            total += term
+    return total
 
 
 def _mixture_parts(gmm: GaussianMixture, schedule: InterpolantSchedule,
                    x: np.ndarray, t, component: int | None = None) -> dict:
     """Shared per-component quantities of the time-t mixture at points x.
 
-    Returns arrays with a trailing component axis K: the residuals
-    ``x - alpha*mu_k``, the solved values ``C_k^{-1}(x - alpha*mu_k)`` with
-    ``C_k = alpha^2 Sigma_k + sigma^2 I``, the per-component log densities,
-    the log marginal density, and the responsibilities, computed with
-    log-sum-exp stabilization.  ``component`` restricts the mixture to that
-    one component with weight 1 (the class-conditional marginal), so K = 1.
+    The row axis is last and contiguous: per component k the residuals and
+    solved values are (d, n) blocks and the log densities (n,) rows.  This
+    returns the solved values ``C_k^{-1}(x - alpha*mu_k)`` with
+    ``C_k = alpha^2 Sigma_k + sigma^2 I`` as a (K, d, n) array, the
+    responsibilities as (K, n), and the log marginal density as (n,),
+    computed with log-sum-exp stabilization.  ``component`` restricts the
+    mixture to that one component with weight 1 (the class-conditional
+    marginal), so K = 1.
 
-    When every ``Sigma_k`` is diagonal (every preset), ``C_k`` is diagonal as
-    well: the solve is a divide by its (K, d) variances, or (n, K, d) for a
-    per-row t, and the log-determinant a sum of their logs.  Full covariances
-    go through ``np.linalg.solve`` and ``slogdet`` per point.  Both paths
-    treat each row on its own, with elementwise arithmetic and no product
-    over the row axis, so a row's value does not depend on its batch.
+    Every sum keeps the order of the earlier (n, K, d) expressions, so the
+    bits are theirs: the quadratic form reduces over d as ``einsum`` did
+    (:func:`_dot`), and the sums of logs and of exponentials as ``np.sum``
+    along a row did (:func:`_pairwise_sum`).  Each row is computed on its
+    own, with no product over the row axis, so a row's value does not depend
+    on its batch.
     """
     xx, was_vector = _as_batch(x)
     n, d = xx.shape
     if d != gmm.dimension:
         raise DomainError(f"points have dimension {d}, mixture has {gmm.dimension}")
-    a, s = _time_scalars(schedule, t)
+    coef = schedule.coefficients(t)
+    a, s = coef.alpha, coef.sigma
     if a.ndim == 1 and a.shape[0] != n:
         raise DomainError(f"per-sample t has length {a.shape[0]}, expected {n}")
     picked = slice(None) if component is None else slice(component, component + 1)
     log_weights = gmm._log_weights if component is None else np.zeros(1)
-    diff = xx[:, None, :] - a[..., None, None] * gmm.means[picked]  # (n,K,d)
-    if gmm._variances is not None:
-        var = (a * a)[..., None, None] * gmm._variances[picked] + (s * s)[..., None, None]
-        solved = diff / var  # var is (K,d) or (n,K,d)
-        logdet = np.sum(np.log(var), axis=-1)  # (K,) or (n,K)
-    else:
-        # Covariance of the time-t mixture component: alpha^2 Sigma_k + sigma^2 I.
-        a2 = (a * a)[..., None, None, None]
-        s2 = (s * s)[..., None, None, None]
-        cov = a2 * gmm.covariances[picked] + s2 * np.eye(d)  # (K,d,d) or (n,K,d,d)
-        if cov.ndim == 3:
-            solved = np.linalg.solve(cov[None], diff[..., None])[..., 0]
-        else:
-            solved = np.linalg.solve(cov, diff[..., None])[..., 0]
-        _, logdet = np.linalg.slogdet(cov)  # (K,) or (n,K)
-    quad = np.einsum("nkd,nkd->nk", diff, solved)
-    log_comp = -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)  # (n,K)
-    weighted = log_weights + log_comp
-    peak = np.max(weighted, axis=1, keepdims=True)
-    log_density = peak[:, 0] + np.log(np.sum(np.exp(weighted - peak), axis=1))
-    resp = np.exp(weighted - log_density[:, None])
+    means = gmm.means[picked]
+    variances = None if gmm._variances is None else gmm._variances[picked]
+    covariances = gmm.covariances[picked]
+    K = means.shape[0]
+    xt = np.ascontiguousarray(xx.T)
+    solved = np.empty((K, d, n))
+    weighted = np.empty((K, n))
+    step = max(1, _BLOCK_VALUES // (d * n))
+    for lo in range(0, K, step):
+        ks = slice(lo, lo + step)
+        log_comp = _component_block(xt, a, s, means[ks], covariances[ks],
+                                    None if variances is None else variances[ks],
+                                    out=solved[ks])
+        weighted[ks] = log_weights[ks, None] + log_comp
+    peak = np.max(weighted, axis=0)
+    log_density = peak + np.log(_pairwise_sum(np.exp(weighted - peak)))
     return {
         "was_vector": was_vector,
         "alpha": a,
         "sigma": s,
-        "diff": diff,
         "solved": solved,
-        "log_comp": log_comp,
         "log_density": log_density,
-        "responsibilities": resp,
+        "responsibilities": np.exp(weighted - log_density),
     }
+
+
+def _component_block(xt: np.ndarray, a, s, means: np.ndarray, covariances: np.ndarray,
+                     variances: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """Log densities (G, n) of G time-t components at the (d, n) points
+    ``xt``, for a scalar or per-row (n,) alpha and sigma; the solved values
+    go to ``out`` (G, d, n).
+
+    With diagonal ``variances`` (every preset) ``C_k`` is diagonal as well:
+    the solve is a divide by its d variances (a (d, n) block for a per-row
+    t), and the log-determinant a sum of their logs.  Full covariances go
+    through ``np.linalg.solve`` and ``slogdet`` per point.
+    """
+    d = xt.shape[0]
+    per_row = np.ndim(a) == 1
+    diff = xt - means[:, :, None] * a  # (G, d, n)
+    a2, s2 = a * a, s * s
+    if variances is not None:
+        if per_row:
+            var = variances[:, :, None] * a2 + s2  # (G, d, n)
+            logdet = _pairwise_sum(np.log(var).swapaxes(0, 1))  # (G, n)
+        else:
+            var = a2 * variances + s2  # (G, d)
+            logdet = np.sum(np.log(var), axis=-1)[:, None]
+            var = var[:, :, None]
+        np.divide(diff, var, out=out)
+    else:
+        # Covariance of the time-t mixture component: alpha^2 Sigma_k + sigma^2 I.
+        if per_row:
+            a2, s2 = a2[:, None, None], s2[:, None, None]
+        cov = a2 * covariances[:, None] + s2 * np.eye(d)  # (G, 1, d, d) or (G, n, d, d)
+        _, logdet = np.linalg.slogdet(cov)
+        solved = np.linalg.solve(cov, diff.transpose(0, 2, 1)[..., None])[..., 0]
+        out[...] = solved.transpose(0, 2, 1)
+    quad = _dot(diff.swapaxes(0, 1), out.swapaxes(0, 1))  # (G, n)
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+
+
+def _rows(values: np.ndarray, was_vector: bool) -> np.ndarray:
+    """A kernel result with the row axis last, back in the (n, ...) layout."""
+    out = np.ascontiguousarray(values.T)
+    return out[0] if was_vector else out
 
 
 def mixture_log_density(gmm: GaussianMixture, schedule: InterpolantSchedule,
@@ -317,8 +425,8 @@ def gmm_marginal_score(gmm: GaussianMixture, schedule: InterpolantSchedule,
 
 def _score(parts: dict) -> np.ndarray:
     """The score ``-sum_k p_t(k|x) C_k^{-1}(x - alpha*mu_k)`` from mixture parts."""
-    score = -np.einsum("nk,nkd->nd", parts["responsibilities"], parts["solved"])
-    return score[0] if parts["was_vector"] else score
+    score = -_component_sum(parts["responsibilities"], parts["solved"])
+    return _rows(score, parts["was_vector"])
 
 
 def gmm_posterior_means(gmm: GaussianMixture, schedule: InterpolantSchedule,
@@ -330,17 +438,18 @@ def gmm_posterior_means(gmm: GaussianMixture, schedule: InterpolantSchedule,
     as ``alpha_dot*E[x_star|x] + sigma_dot*E[eps|x]``.
     """
     parts = _mixture_parts(gmm, schedule, x, t)
-    a = parts["alpha"][..., None, None]
-    sig = parts["sigma"][..., None, None]
+    solved = parts["solved"]
     # Per-component posterior means, then responsibility-weighted combination.
-    post_x = gmm.means + a * np.einsum("kde,nke->nkd", gmm.covariances, parts["solved"])
-    post_e = sig * parts["solved"]
+    post_x = np.empty_like(solved)
+    for i in range(gmm.dimension):
+        cov_row = gmm.covariances[:, i, :].T[:, :, None]  # (d, K, 1)
+        post_x[:, i] = (gmm.means[:, i, None]
+                        + parts["alpha"] * _dot(cov_row, solved.swapaxes(0, 1)))
+    post_e = parts["sigma"] * solved
     resp = parts["responsibilities"]
-    e_x = np.einsum("nk,nkd->nd", resp, post_x)
-    e_e = np.einsum("nk,nkd->nd", resp, post_e)
-    if parts["was_vector"]:
-        return e_x[0], e_e[0]
-    return e_x, e_e
+    was_vector = parts["was_vector"]
+    return (_rows(_component_sum(resp, post_x), was_vector),
+            _rows(_component_sum(resp, post_e), was_vector))
 
 
 def gmm_marginal_velocity(gmm: GaussianMixture, schedule: InterpolantSchedule,
@@ -359,8 +468,7 @@ def gmm_class_posterior(gmm: GaussianMixture, schedule: InterpolantSchedule,
                         x: np.ndarray, t) -> np.ndarray:
     """Component responsibilities ``p_t(k | x)`` of the time-t mixture, (n, K)."""
     parts = _mixture_parts(gmm, schedule, x, t)
-    resp = parts["responsibilities"]
-    return resp[0] if parts["was_vector"] else resp
+    return _rows(parts["responsibilities"], parts["was_vector"])
 
 
 def _check_component(gmm: GaussianMixture, component: int) -> int:

@@ -17,10 +17,13 @@ when configured.  Any ``w(t) >= 0`` leaves the sampled marginals invariant;
 
 Both integrators start every trajectory from an independent standard-normal
 draw at ``t_start`` and consume a dedicated random stream per trajectory
-index, so with the exact field results are bit-identical regardless of
-chunking and stable under extension of the batch.  A learned model's BLAS
-products may round differently at another number of rows, so its samples
-agree across chunkings to rounding only.
+index, ``default_rng(SeedSequence(seed, spawn_key=(index,)))``, so with the
+exact field results are bit-identical regardless of chunking and stable under
+extension of the batch.  A learned model's BLAS products may round
+differently at another number of rows, so its samples agree across chunkings
+to rounding only.  The streams of a chunk are seeded in one vectorized pass
+that reproduces SeedSequence and PCG64 seeding bit for bit, and one reused
+generator draws each trajectory's rows.  Seeds must be nonnegative.
 
 Function-evaluation (NFE) accounting per trajectory: Heun spends exactly
 ``2N`` model evaluations (no fused final correction), Euler-Maruyama spends
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -124,7 +128,10 @@ class SamplerSpec:
                 raise ConfigError("the deterministic sampler takes no last_step_to")
         elif self.diffusion is None:
             raise ConfigError("the stochastic sampler requires a diffusion coefficient")
-        object.__setattr__(self, "seed", int(self.seed))
+        seed = int(self.seed)
+        if seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -209,25 +216,120 @@ class _CountingField:
         return value, score_from_velocity(self.schedule, value, x, t)
 
 
-def _trajectory_stream(seed: int, index: int) -> np.random.Generator:
-    """Dedicated random stream for one trajectory index.
+# Constants of numpy's SeedSequence (numpy.random.bit_generator) and of the
+# PCG64 seeding step (pcg64.h), which _stream_states reproduces.
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    Built from the run seed with the trajectory index as spawn key, so
-    streams never overlap, do not depend on chunking, and are stable under
-    extending the batch.
+
+def _words(value: int) -> list[int]:
+    """The uint32 words of a nonnegative int, least significant first."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    value = value ^ np.uint32(const)
+    const = const * _MULT_A & _MASK32
+    value = value * np.uint32(const)
+    return value ^ (value >> np.uint32(16)), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _mix_entropy(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence's pool from its entropy words, each word an array over
+    streams: hash the first pool-size words in, mix every pool word into
+    every other, then mix each remaining word into every pool word."""
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    return pool
+
+
+def _pcg64_states(pool: list[np.ndarray], count: int) -> Iterator[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` seeded from ``generate_state(4, uint64)`` of
+    each of ``count`` pools, one stream at a time."""
+    const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # Pairs of uint32 words are little-endian uint64 words; pcg64_set_seed
+    # takes the seed from words 0:1 and the sequence from words 2:3.
+    val = [np.broadcast_to(words[2 * j] | (words[2 * j + 1] << np.uint64(32)), (count,))
+           for j in range(4)]
+    for high, low, seq_high, seq_low in zip(*(map(int, v) for v in val)):
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+        state = (((inc + (high << 64 | low)) & _MASK128) * _PCG_MULT + inc) & _MASK128
+        yield state, inc
+
+
+def _stream_states(seed: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence(seed,
+    spawn_key=(i,)))`` for every trajectory index ``i`` in lo..hi-1.
+
+    Streams are built from the run seed with the trajectory index as spawn
+    key, so they never overlap, do not depend on chunking, and are stable
+    under extending the batch.  Rather than one SeedSequence per index, this
+    runs SeedSequence's entropy mixing and ``generate_state(4, uint64)`` in
+    uint32 arithmetic over all indices at once (the seed words are shared;
+    an index below 2**32 is one spawn word, a larger one two), then PCG64's
+    seeding step on Python ints.
     """
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(int(index),)))
+    seed_words = _words(int(seed))
+    # With a spawn key, SeedSequence pads the run entropy to the pool size.
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    entropy = [np.array([word], dtype=np.uint32) for word in seed_words]
+    while lo < hi:
+        n_words = len(_words(lo))
+        stop = min(hi, 1 << (32 * n_words))
+        index = np.arange(lo, stop, dtype=np.uint64)
+        spawn = [((index >> np.uint64(32 * j)) & np.uint64(_MASK32)).astype(np.uint32)
+                 for j in range(n_words)]
+        yield from _pcg64_states(_mix_entropy(entropy + spawn), stop - lo)
+        lo = stop
 
 
 def _chunk_noise(seed: int, lo: int, hi: int, rows: int, dim: int) -> np.ndarray:
     """Per-trajectory standard-normal draws for trajectories lo..hi-1.
 
     Row 0 is the initial state at t_start; remaining rows are the stochastic
-    sampler's step increments.
+    sampler's step increments.  One generator is reseeded with each
+    trajectory's stream (:func:`_stream_states`) and fills its slice.
     """
     out = np.empty((hi - lo, rows, dim))
-    for index in range(lo, hi):
-        out[index - lo] = _trajectory_stream(seed, index).standard_normal((rows, dim))
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for block, (state, inc) in zip(out, _stream_states(seed, lo, hi)):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.standard_normal(out=block)
     return out
 
 

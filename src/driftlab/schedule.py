@@ -31,6 +31,7 @@ ndarray times, and are safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from typing import Callable, Mapping
@@ -41,6 +42,7 @@ from .errors import ConfigError, DomainError, MissingProfileError, SingularityEr
 
 __all__ = [
     "InterpolantSchedule",
+    "Coefficients",
     "LinearSchedule",
     "GVPSchedule",
     "SBDMVPSchedule",
@@ -146,12 +148,7 @@ class InterpolantSchedule(ABC):
 
         Singular where ``alpha(t) = 0`` (the data weight has fully decayed).
         """
-        arr = _prepare_time(t)
-        self._refuse(self._alpha_vanishes(arr), arr, "lambda_weight", "alpha(t) = 0")
-        a = self._alpha(arr)
-        return _match_shape(
-            self._sigma_dot(arr) - self._alpha_dot(arr) * self._sigma(arr) / a, t
-        )
+        return _match_shape(Coefficients(self, _prepare_time(t)).lambda_weight, t)
 
     def w_kl(self, t: float | np.ndarray) -> float | np.ndarray:
         """KL-bound-minimizing diffusion strength w_kl(t) = 2 * lambda(t) * sigma(t).
@@ -172,9 +169,12 @@ class InterpolantSchedule(ABC):
         conversion between the two field parameterizations never divides by
         zero on interior times.
         """
-        arr = _prepare_time(t)
-        value = self._alpha_dot(arr) * self._sigma(arr) - self._alpha(arr) * self._sigma_dot(arr)
-        return _match_shape(value, t)
+        return _match_shape(Coefficients(self, _prepare_time(t)).conversion_denominator, t)
+
+    def coefficients(self, t: float | np.ndarray) -> Coefficients:
+        """Validate ``t`` once; the returned :class:`Coefficients` computes
+        each quantity on first read."""
+        return Coefficients(self, _prepare_time(t))
 
     # -- config plumbing -------------------------------------------------------
 
@@ -190,6 +190,50 @@ class InterpolantSchedule(ABC):
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.to_config().items())))
+
+
+class Coefficients:
+    """alpha, sigma, their derivatives, lambda and the conversion denominator
+    at one validated time array.
+
+    Made by :meth:`InterpolantSchedule.coefficients`.  Each quantity is
+    computed on first read, with the arithmetic and the refusal of the public
+    accessor of the same name, and then kept.  A caller thus validates ``t``
+    once and computes only what it reads: the mixture field reads alpha and
+    sigma alone, so at ``t = 0`` it never starts sbdm-vp's singular
+    ``sigma_dot``.  Values are float64 arrays of the shape of ``t`` (0-d for
+    a scalar).
+    """
+
+    def __init__(self, schedule: InterpolantSchedule, t: np.ndarray) -> None:
+        self.schedule = schedule
+        self.t = t
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        return self.schedule._alpha(self.t)
+
+    @functools.cached_property
+    def sigma(self) -> np.ndarray:
+        return self.schedule._sigma(self.t)
+
+    @functools.cached_property
+    def alpha_dot(self) -> np.ndarray:
+        return self.schedule._alpha_dot(self.t)
+
+    @functools.cached_property
+    def sigma_dot(self) -> np.ndarray:
+        return self.schedule._sigma_dot(self.t)
+
+    @functools.cached_property
+    def lambda_weight(self) -> np.ndarray:
+        schedule, t = self.schedule, self.t
+        schedule._refuse(schedule._alpha_vanishes(t), t, "lambda_weight", "alpha(t) = 0")
+        return self.sigma_dot - self.alpha_dot * self.sigma / self.alpha
+
+    @functools.cached_property
+    def conversion_denominator(self) -> np.ndarray:
+        return self.alpha_dot * self.sigma - self.alpha * self.sigma_dot
 
 
 class LinearSchedule(InterpolantSchedule):

@@ -265,6 +265,87 @@ def test_exact_field_matches_per_point_reference(name, all_schedules, rng):
             assert np.max(relative_error(got, expected)) < 1e-12
 
 
+def _batched_reference(gmm, schedule, x, t, component=None):
+    """Log density, score, class posterior and posterior means of the time-t
+    mixture from the batched (n, K, d) expressions: a broadcast residual,
+    einsum reductions and ``np.sum`` along rows.  The field must match them
+    bit for bit."""
+    n, d = x.shape
+    a = np.asarray(schedule.alpha(t), dtype=np.float64)
+    s = np.asarray(schedule.sigma(t), dtype=np.float64)
+    picked = slice(None) if component is None else slice(component, component + 1)
+    log_weights = np.log(gmm.weights) if component is None else np.zeros(1)
+    covariances = gmm.covariances[picked]
+    variances = np.diagonal(covariances, axis1=1, axis2=2)
+    diff = x[:, None, :] - a[..., None, None] * gmm.means[picked]
+    if np.array_equal(covariances, variances[:, :, None] * np.eye(d)):
+        var = (a * a)[..., None, None] * variances + (s * s)[..., None, None]
+        solved = diff / var
+        logdet = np.sum(np.log(var), axis=-1)
+    else:
+        cov = ((a * a)[..., None, None, None] * covariances
+               + (s * s)[..., None, None, None] * np.eye(d))
+        solved = np.linalg.solve(cov[None] if cov.ndim == 3 else cov, diff[..., None])[..., 0]
+        _, logdet = np.linalg.slogdet(cov)
+    quad = np.einsum("nkd,nkd->nk", diff, solved)
+    weighted = log_weights + -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+    peak = np.max(weighted, axis=1, keepdims=True)
+    log_density = peak[:, 0] + np.log(np.sum(np.exp(weighted - peak), axis=1))
+    resp = np.exp(weighted - log_density[:, None])
+    score = -np.einsum("nk,nkd->nd", resp, solved)
+    post_x = gmm.means[picked] + a[..., None, None] * np.einsum(
+        "kde,nke->nkd", covariances, solved)
+    post_e = s[..., None, None] * solved
+    return (log_density, score, resp, np.einsum("nk,nkd->nd", resp, post_x),
+            np.einsum("nk,nkd->nd", resp, post_e))
+
+
+def _wide_mixture(dimension, components, correlated):
+    """A mixture whose sums over d or K run past numpy's 8-term blocks."""
+    draw = np.random.default_rng(dimension + components)
+    means = draw.normal(scale=2.0, size=(components, dimension))
+    variances = draw.uniform(0.2, 2.0, size=(components, dimension))
+    if not correlated:
+        return GaussianMixture(np.full(components, 1.0 / components), means, variances)
+    factors = draw.normal(size=(components, dimension, dimension))
+    covariances = factors @ factors.transpose(0, 2, 1) + np.eye(dimension)
+    return GaussianMixture(np.full(components, 1.0 / components), means, covariances)
+
+
+BITWISE_MIXTURES = {
+    **MIXTURES,
+    "eleven-gauss-1d": lambda: _wide_mixture(1, 11, correlated=False),
+    "diagonal-9d": lambda: _wide_mixture(9, 3, correlated=False),
+    "correlated-9d": lambda: _wide_mixture(9, 2, correlated=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_MIXTURES))
+def test_exact_field_matches_batched_reference_bitwise(name, all_schedules, rng):
+    # The per-component kernel keeps every summation order of the batched
+    # expressions, so its bits are theirs at any batch size, at scalar and
+    # per-row t (the endpoints included), and far from every mean.
+    gmm = BITWISE_MIXTURES[name]()
+    d = gmm.dimension
+    for n in (1, 7, 2048):
+        x = rng.normal(scale=3.0, size=(n, d))
+        x[::3] += rng.choice([-60.0, 45.0], size=(len(x[::3]), d))
+        per_row = rng.uniform(0.0, 1.0, size=n)
+        per_row[:2] = (0.0, 1.0)[:n]
+        for schedule in all_schedules:
+            for t in (0.0, 0.35, 1.0, per_row[:n]):
+                log_density, score, resp, e_x, e_e = _batched_reference(gmm, schedule, x, t)
+                assert np.array_equal(mixture_log_density(gmm, schedule, x, t), log_density)
+                assert np.array_equal(gmm_marginal_score(gmm, schedule, x, t), score)
+                assert np.array_equal(gmm_class_posterior(gmm, schedule, x, t), resp)
+                got_x, got_e = gmm_posterior_means(gmm, schedule, x, t)
+                assert np.array_equal(got_x, e_x) and np.array_equal(got_e, e_e)
+                for k in range(gmm.n_components):
+                    expected = _batched_reference(gmm, schedule, x, t, component=k)[1]
+                    assert np.array_equal(gmm_conditional_score(gmm, schedule, x, t, k),
+                                          expected), (schedule.name, n, k)
+
+
 @pytest.mark.parametrize("per_row_t", [False, True], ids=["scalar-t", "per-row-t"])
 @pytest.mark.parametrize("name", ["grid-9", "two-gauss-1d", "correlated-2d",
                                   "correlated-4d", "diagonal-4d"])

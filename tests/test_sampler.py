@@ -24,6 +24,7 @@ from driftlab import (
     velocity_from_score,
 )
 from driftlab.field import FieldModel, gmm_marginal_score
+from driftlab.sampler import _chunk_noise, _stream_states
 from driftlab.schedule import (
     ConstantCoefficient,
     DiffusionCoefficient,
@@ -81,6 +82,15 @@ def test_spec_validation(linear):
     with pytest.raises(ConfigError):  # stochastic sampler needs a coefficient
         euler_maruyama_sample(
             None, SamplerSpec(kind="em", t_start=1.0, t_end=0.1, steps=2), 1)
+
+
+def test_negative_seed_is_a_config_error():
+    # SeedSequence takes no negative entropy; the spec refuses it up front.
+    with pytest.raises(ConfigError):
+        SamplerSpec(kind="heun", t_start=1.0, t_end=0.0, steps=2, seed=-1)
+    with pytest.raises(ConfigError):
+        SamplerSpec(kind="em", t_start=1.0, t_end=0.1, steps=2,
+                    diffusion=ZeroCoefficient(), seed=-(2 ** 40))
 
 
 def test_default_window_table():
@@ -158,6 +168,22 @@ def _trajectory_noise(seed: int, index: int, rows: int, dim: int) -> np.ndarray:
     stream = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(index,)))
     return stream.standard_normal((rows, dim))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70, 2**200])
+def test_stream_seeding_matches_seed_sequence(seed):
+    # The one-pass seeding of a chunk gives each trajectory the PCG64 state of
+    # SeedSequence(seed, spawn_key=(index,)): one- and two-word spawn keys,
+    # and seeds longer than the four-word pool.
+    for lo, hi in ((0, 24), (4096, 4104), (2**32 - 2, 2**32 + 1), (2**40, 2**40 + 1)):
+        states = list(_stream_states(seed, lo, hi))
+        noise = _chunk_noise(seed, lo, hi, 3, 2)
+        assert len(states) == hi - lo
+        for i in range(lo, hi):
+            expected = np.random.PCG64(
+                np.random.SeedSequence(seed, spawn_key=(i,))).state["state"]
+            assert states[i - lo] == (expected["state"], expected["inc"]), (lo, i)
+            assert np.array_equal(noise[i - lo], _trajectory_noise(seed, i, 3, 2))
 
 
 def test_heun_matches_manual_reference(score_model, linear, two_gauss):
