@@ -27,6 +27,7 @@ read-only after construction and safe for concurrent use.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,12 +118,12 @@ def score_from_velocity(schedule: InterpolantSchedule, v_value: np.ndarray,
     xx, _ = _as_batch(x)
     coef = schedule.coefficients(t)
     sig = coef.sigma
-    if np.any(sig == 0.0):
+    if (sig == 0.0).any():
         raise SingularityError(
             "score_from_velocity is singular where sigma(t) = 0; clip the window"
         )
     denom = coef.conversion_denominator
-    if np.any(denom == 0.0):
+    if (denom == 0.0).any():
         raise SingularityError(
             "score_from_velocity: conversion denominator vanished"
         )
@@ -236,6 +237,9 @@ class GaussianMixture:
 #: reuses, large enough that small batches make few numpy calls.
 _BLOCK_VALUES = 8192
 
+#: ``log(2 pi)`` as numpy computes it, the constant of every log density.
+_LOG_2PI = np.log(2.0 * np.pi)
+
 
 def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
     """Sum over axis 0 in the order ``np.sum`` adds a contiguous run.
@@ -261,7 +265,8 @@ def _pairwise_sum(rows: np.ndarray) -> np.ndarray:
     for i in range(8, stop, 8):
         part = part + rows[i:i + 8]
     pairs = part[0::2] + part[1::2]
-    total = (pairs[0] + pairs[1]) + (pairs[2] + pairs[3])
+    quads = pairs[0::2] + pairs[1::2]
+    total = quads[0] + quads[1]
     for row in rows[stop:]:
         total += row
     return total + 0.0
@@ -295,15 +300,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _component_sum(resp: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``sum_k resp[k] * values[k]`` for (K, n) weights and (K, d, n) values,
     in the order of ``einsum("nk,nkd->nd")``: a dot over K when d = 1, else
-    an accumulation from 0, one component after another."""
+    an accumulation from +0, one component after another (a reduction over
+    the outer axis adds its slices in turn).
+
+    For d >= 2 the products overwrite ``values``, which every caller builds
+    for this sum alone: a (K, d, n) temporary costs more than the sum.
+    """
     if values.shape[1] == 1:
         return _dot(resp, values[:, 0])[None]
-    total = np.zeros(values.shape[1:])
-    step = max(1, _BLOCK_VALUES // total.size)
-    for lo in range(0, len(values), step):
-        for term in resp[lo:lo + step, None] * values[lo:lo + step]:
-            total += term
-    return total
+    np.multiply(resp[:, None], values, out=values)
+    return np.add.reduce(values, axis=0, initial=0.0)
 
 
 def _mixture_parts(gmm: GaussianMixture, schedule: InterpolantSchedule,
@@ -349,16 +355,19 @@ def _mixture_parts(gmm: GaussianMixture, schedule: InterpolantSchedule,
         log_comp = _component_block(xt, a, s, means[ks], covariances[ks],
                                     None if variances is None else variances[ks],
                                     out=solved[ks])
-        weighted[ks] = log_weights[ks, None] + log_comp
-    peak = np.max(weighted, axis=0)
-    log_density = peak + np.log(_pairwise_sum(np.exp(weighted - peak)))
+        np.add(log_weights[ks, None], log_comp, out=weighted[ks])
+    peak = np.maximum.reduce(weighted, axis=0)
+    shifted = weighted - peak
+    log_density = peak + np.log(_pairwise_sum(np.exp(shifted, out=shifted)))
+    # The responsibilities exp(weighted - log_density) take weighted's place.
+    np.subtract(weighted, log_density, out=weighted)
     return {
         "was_vector": was_vector,
         "alpha": a,
         "sigma": s,
         "solved": solved,
         "log_density": log_density,
-        "responsibilities": np.exp(weighted - log_density),
+        "responsibilities": np.exp(weighted, out=weighted),
     }
 
 
@@ -374,7 +383,7 @@ def _component_block(xt: np.ndarray, a, s, means: np.ndarray, covariances: np.nd
     through ``np.linalg.solve`` and ``slogdet`` per point.
     """
     d = xt.shape[0]
-    per_row = np.ndim(a) == 1
+    per_row = a.ndim == 1
     diff = xt - means[:, :, None] * a  # (G, d, n)
     a2, s2 = a * a, s * s
     if variances is not None:
@@ -383,7 +392,7 @@ def _component_block(xt: np.ndarray, a, s, means: np.ndarray, covariances: np.nd
             logdet = _pairwise_sum(np.log(var).swapaxes(0, 1))  # (G, n)
         else:
             var = a2 * variances + s2  # (G, d)
-            logdet = np.sum(np.log(var), axis=-1)[:, None]
+            logdet = np.add.reduce(np.log(var), axis=-1, keepdims=True)
             var = var[:, :, None]
         np.divide(diff, var, out=out)
     else:
@@ -394,8 +403,10 @@ def _component_block(xt: np.ndarray, a, s, means: np.ndarray, covariances: np.nd
         _, logdet = np.linalg.slogdet(cov)
         solved = np.linalg.solve(cov, diff.transpose(0, 2, 1)[..., None])[..., 0]
         out[...] = solved.transpose(0, 2, 1)
+    # -0.5 * (d log(2 pi) + logdet + quad), in place on the fresh quad.
     quad = _dot(diff.swapaxes(0, 1), out.swapaxes(0, 1))  # (G, n)
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + quad)
+    np.add(d * _LOG_2PI + logdet, quad, out=quad)
+    return np.multiply(-0.5, quad, out=quad)
 
 
 def _rows(values: np.ndarray, was_vector: bool) -> np.ndarray:
@@ -517,9 +528,13 @@ class Conditioning:
 
     def validate(self, y: int | np.ndarray) -> np.ndarray:
         arr = np.asarray(y)
-        if not np.issubdtype(arr.dtype, np.integer):
+        if arr.dtype.kind not in "iu":  # not an integer dtype
             arr = arr.astype(np.int64)
-        if np.any(arr < 0) or np.any(arr > self.null_id):
+        if arr.ndim == 0:  # one label, checked as a Python int
+            in_range = 0 <= int(arr) <= self.null_id
+        else:
+            in_range = not ((arr < 0).any() or (arr > self.null_id).any())
+        if not in_range:
             raise DomainError(
                 f"label out of range: valid ids are 0..{self.num_classes - 1} "
                 f"plus the null token {self.null_id}"
@@ -641,12 +656,12 @@ def guided_field(model: FieldModel, zeta: float, x: np.ndarray, t,
             "guided evaluation requires a class-conditional model"
         )
     zeta = float(zeta)
-    if not np.isfinite(zeta) or zeta < 0.0:
+    if not math.isfinite(zeta) or zeta < 0.0:
         raise DomainError(f"guidance strength must be >= 0, got {zeta!r}")
     if y is None:
         raise DomainError("guided evaluation requires a real class label y")
     labels = model.conditioning.validate(y)
-    if np.any(labels == model.conditioning.null_id):
+    if (labels == model.conditioning.null_id).any():
         raise DomainError("guided evaluation requires a real class, not the null token")
     if zeta == 1.0:
         return model.evaluate(x, t, labels)

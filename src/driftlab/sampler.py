@@ -357,14 +357,21 @@ def _integrate(model: FieldModel, spec: SamplerSpec, grid: np.ndarray, n_samples
     ``final_step(field, x)`` when given, chunk by chunk.  ``noise`` holds
     each trajectory's ``noise_rows`` standard-normal rows; row 0 is the
     initial state.  NFE is the run's model-call count per chunk, which is
-    the same for every chunk.
+    the same for every chunk.  ``chunk_size`` is ``None`` (DEFAULT_CHUNK) or
+    a positive integer; anything else is a :class:`ConfigError`.
     """
     n_samples = int(n_samples)
     if n_samples <= 0:
         raise DomainError(f"n_samples must be positive, got {n_samples}")
+    if chunk_size is None:
+        chunk = DEFAULT_CHUNK
+    elif (isinstance(chunk_size, (int, np.integer)) and not isinstance(chunk_size, bool)
+          and chunk_size > 0):
+        chunk = int(chunk_size)
+    else:
+        raise ConfigError(f"chunk_size must be None or a positive integer, got {chunk_size!r}")
     dim = _model_dimension(model)
     field = _CountingField(model, spec, y)
-    chunk = int(chunk_size) if chunk_size else DEFAULT_CHUNK
     outputs = []
     for lo in range(0, n_samples, chunk):
         noise = _chunk_noise(spec.seed, lo, min(lo + chunk, n_samples), noise_rows, dim)

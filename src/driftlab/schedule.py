@@ -31,7 +31,6 @@ ndarray times, and are safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-import functools
 import math
 from abc import ABC, abstractmethod
 from typing import Callable, Mapping
@@ -62,8 +61,19 @@ __all__ = [
 
 
 def _prepare_time(t: float | np.ndarray) -> np.ndarray:
-    """Validate and convert a time argument to a float64 array."""
+    """Validate and convert a time argument to a float64 array.
+
+    A scalar (0-d) time is checked as a Python float, which refuses exactly
+    what the array checks refuse and costs no numpy reductions.
+    """
     arr = np.asarray(t, dtype=np.float64)
+    if arr.ndim == 0:
+        value = float(arr)
+        if not math.isfinite(value):
+            raise DomainError(f"time must be finite, got {t!r}")
+        if value < 0.0 or value > 1.0:
+            raise DomainError(f"time must lie in [0, 1], got {t!r}")
+        return arr
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"time must be finite, got {t!r}")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
@@ -83,7 +93,10 @@ class InterpolantSchedule(ABC):
 
     Subclasses implement the four raw closed forms (`_alpha`, `_sigma`,
     `_alpha_dot`, `_sigma_dot`) on validated arrays; the public accessors add
-    domain checks, scalar/array handling, and typed singularity errors.
+    domain checks, scalar/array handling, and typed singularity errors.  The
+    derivative forms also receive ``alpha(t)`` and ``sigma(t)`` as `_alpha`
+    and `_sigma` computed them, so that one call evaluates no closed form
+    twice.
     """
 
     #: CLI / config name of the schedule.
@@ -98,23 +111,20 @@ class InterpolantSchedule(ABC):
     def _sigma(self, t: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def _alpha_dot(self, t: np.ndarray) -> np.ndarray: ...
+    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def _sigma_dot(self, t: np.ndarray) -> np.ndarray: ...
+    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray: ...
 
     # -- singular-set detection ----------------------------------------------
 
-    def _alpha_vanishes(self, t: np.ndarray) -> np.ndarray:
-        """Boolean mask of times where alpha(t) is (analytically) zero."""
-        return self._alpha(t) == 0.0
-
-    def _sigma_vanishes(self, t: np.ndarray) -> np.ndarray:
-        """Boolean mask of times where sigma(t) is (analytically) zero."""
-        return self._sigma(t) == 0.0
+    def _alpha_vanishes(self, t: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """Boolean mask of times where alpha(t) is (analytically) zero, given
+        ``alpha = self._alpha(t)``."""
+        return alpha == 0.0
 
     def _refuse(self, mask: np.ndarray, t: np.ndarray, op: str, where: str) -> None:
-        if np.any(mask):
+        if mask.any():
             bad = np.atleast_1d(t)[np.atleast_1d(mask)][0]
             raise SingularityError(
                 f"{op} is singular where {where} for the {self.name!r} schedule "
@@ -135,13 +145,11 @@ class InterpolantSchedule(ABC):
 
     def alpha_dot(self, t: float | np.ndarray) -> float | np.ndarray:
         """Time derivative of alpha."""
-        arr = _prepare_time(t)
-        return _match_shape(self._alpha_dot(arr), t)
+        return _match_shape(Coefficients(self, _prepare_time(t)).alpha_dot, t)
 
     def sigma_dot(self, t: float | np.ndarray) -> float | np.ndarray:
         """Time derivative of sigma (may be singular at an endpoint)."""
-        arr = _prepare_time(t)
-        return _match_shape(self._sigma_dot(arr), t)
+        return _match_shape(Coefficients(self, _prepare_time(t)).sigma_dot, t)
 
     def lambda_weight(self, t: float | np.ndarray) -> float | np.ndarray:
         """Score-loss weight lambda(t) = sigma_dot - alpha_dot * sigma / alpha.
@@ -157,10 +165,10 @@ class InterpolantSchedule(ABC):
         singular where ``alpha(t) = 0``.
         """
         arr = _prepare_time(t)
-        self._refuse(self._alpha_vanishes(arr), arr, "w_kl", "alpha(t) = 0")
-        a = self._alpha(arr)
-        lam = self._sigma_dot(arr) - self._alpha_dot(arr) * self._sigma(arr) / a
-        return _match_shape(2.0 * lam * self._sigma(arr), t)
+        a, s = self._alpha(arr), self._sigma(arr)
+        self._refuse(self._alpha_vanishes(arr, a), arr, "w_kl", "alpha(t) = 0")
+        lam = self._sigma_dot(arr, a, s) - self._alpha_dot(arr, a, s) * s / a
+        return _match_shape(2.0 * lam * s, t)
 
     def conversion_denominator(self, t: float | np.ndarray) -> float | np.ndarray:
         """The score<->velocity conversion denominator alpha_dot*sigma - alpha*sigma_dot.
@@ -198,42 +206,64 @@ class Coefficients:
 
     Made by :meth:`InterpolantSchedule.coefficients`.  Each quantity is
     computed on first read, with the arithmetic and the refusal of the public
-    accessor of the same name, and then kept.  A caller thus validates ``t``
-    once and computes only what it reads: the mixture field reads alpha and
-    sigma alone, so at ``t = 0`` it never starts sbdm-vp's singular
-    ``sigma_dot``.  Values are float64 arrays of the shape of ``t`` (0-d for
-    a scalar).
+    accessor of the same name, and then kept in a slot of this object.  A
+    caller thus validates ``t`` once and computes only what it reads: the
+    mixture field reads alpha and sigma alone, so at ``t = 0`` it never starts
+    sbdm-vp's singular ``sigma_dot``.  An instance belongs to the call that
+    made it; the schedule itself keeps nothing.  Values are float64 arrays of
+    the shape of ``t``, or numpy float64 scalars for a 0-d ``t`` (indexed out
+    with ``[()]``), so that the arithmetic among them takes numpy's scalar
+    path and not the ufunc machinery; the bits are the same.
     """
+
+    __slots__ = ("schedule", "t", "_alpha", "_sigma", "_alpha_dot", "_sigma_dot",
+                 "_lambda_weight", "_conversion_denominator")
 
     def __init__(self, schedule: InterpolantSchedule, t: np.ndarray) -> None:
         self.schedule = schedule
         self.t = t
+        self._alpha = self._sigma = self._alpha_dot = self._sigma_dot = None
+        self._lambda_weight = self._conversion_denominator = None
 
-    @functools.cached_property
+    @property
     def alpha(self) -> np.ndarray:
-        return self.schedule._alpha(self.t)
+        if self._alpha is None:
+            self._alpha = self.schedule._alpha(self.t)[()]
+        return self._alpha
 
-    @functools.cached_property
+    @property
     def sigma(self) -> np.ndarray:
-        return self.schedule._sigma(self.t)
+        if self._sigma is None:
+            self._sigma = self.schedule._sigma(self.t)[()]
+        return self._sigma
 
-    @functools.cached_property
+    @property
     def alpha_dot(self) -> np.ndarray:
-        return self.schedule._alpha_dot(self.t)
+        if self._alpha_dot is None:
+            self._alpha_dot = self.schedule._alpha_dot(self.t, self.alpha, self.sigma)[()]
+        return self._alpha_dot
 
-    @functools.cached_property
+    @property
     def sigma_dot(self) -> np.ndarray:
-        return self.schedule._sigma_dot(self.t)
+        if self._sigma_dot is None:
+            self._sigma_dot = self.schedule._sigma_dot(self.t, self.alpha, self.sigma)[()]
+        return self._sigma_dot
 
-    @functools.cached_property
+    @property
     def lambda_weight(self) -> np.ndarray:
-        schedule, t = self.schedule, self.t
-        schedule._refuse(schedule._alpha_vanishes(t), t, "lambda_weight", "alpha(t) = 0")
-        return self.sigma_dot - self.alpha_dot * self.sigma / self.alpha
+        if self._lambda_weight is None:
+            schedule, t, alpha = self.schedule, self.t, self.alpha
+            schedule._refuse(schedule._alpha_vanishes(t, alpha), t,
+                             "lambda_weight", "alpha(t) = 0")
+            self._lambda_weight = self.sigma_dot - self.alpha_dot * self.sigma / alpha
+        return self._lambda_weight
 
-    @functools.cached_property
+    @property
     def conversion_denominator(self) -> np.ndarray:
-        return self.alpha_dot * self.sigma - self.alpha * self.sigma_dot
+        if self._conversion_denominator is None:
+            self._conversion_denominator = (self.alpha_dot * self.sigma
+                                            - self.alpha * self.sigma_dot)
+        return self._conversion_denominator
 
 
 class LinearSchedule(InterpolantSchedule):
@@ -247,10 +277,10 @@ class LinearSchedule(InterpolantSchedule):
     def _sigma(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(t, dtype=np.float64).copy()
 
-    def _alpha_dot(self, t: np.ndarray) -> np.ndarray:
+    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return np.full_like(t, -1.0)
 
-    def _sigma_dot(self, t: np.ndarray) -> np.ndarray:
+    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return np.ones_like(t)
 
 
@@ -265,15 +295,15 @@ class GVPSchedule(InterpolantSchedule):
     def _sigma(self, t: np.ndarray) -> np.ndarray:
         return np.sin(0.5 * np.pi * t)
 
-    def _alpha_dot(self, t: np.ndarray) -> np.ndarray:
-        return -0.5 * np.pi * np.sin(0.5 * np.pi * t)
+    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        return -0.5 * np.pi * sigma  # -pi/2 * sin(pi*t/2)
 
-    def _sigma_dot(self, t: np.ndarray) -> np.ndarray:
-        return 0.5 * np.pi * np.cos(0.5 * np.pi * t)
+    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        return 0.5 * np.pi * alpha  # pi/2 * cos(pi*t/2)
 
-    def _alpha_vanishes(self, t: np.ndarray) -> np.ndarray:
+    def _alpha_vanishes(self, t: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         # cos(pi/2) is a subnormal positive float, but alpha(1) = 0 analytically.
-        return (t == 1.0) | (self._alpha(t) == 0.0)
+        return (t == 1.0) | (alpha == 0.0)
 
 
 class SBDMVPSchedule(InterpolantSchedule):
@@ -322,14 +352,12 @@ class SBDMVPSchedule(InterpolantSchedule):
         # sqrt(1 - alpha^2) = sqrt(1 - exp(-B)); expm1 keeps precision near t = 0.
         return np.sqrt(-np.expm1(-self._B(t)))
 
-    def _alpha_dot(self, t: np.ndarray) -> np.ndarray:
-        return -0.5 * self._beta(t) * self._alpha(t)
+    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        return -0.5 * self._beta(t) * alpha
 
-    def _sigma_dot(self, t: np.ndarray) -> np.ndarray:
-        sig = self._sigma(t)
-        self._refuse(sig == 0.0, t, "sigma_dot", "sigma(t) = 0")
-        a = self._alpha(t)
-        return self._beta(t) * a * a / (2.0 * sig)
+    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        self._refuse(sigma == 0.0, t, "sigma_dot", "sigma(t) = 0")
+        return self._beta(t) * alpha * alpha / (2.0 * sigma)
 
     def to_config(self) -> dict:
         return {"kind": self.name, "beta_min": self.beta_min, "beta_max": self.beta_max}

@@ -32,6 +32,8 @@ from driftlab import (
 
 from helpers import gradient_fd, relative_error
 
+TIME_FORMS = {"float": float, "np.float64": np.float64}
+
 
 @pytest.fixture
 def two_gauss():
@@ -103,6 +105,45 @@ def test_conversion_refusals(linear, gvp, vp):
         velocity_from_score(vp, value, x, 0.0)  # sigma_dot singular
     # The variance-preserving path never loses alpha, so t=1 is regular.
     velocity_from_score(vp, value, x, 1.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("form", ["float", "np.float64", "per-row"])
+def test_conversions_keep_their_expressions_bitwise(all_schedules, rng, form):
+    # The two conversions written out from the public accessors, in their
+    # order of operations.  The samplers' manual references call the
+    # conversions themselves, so only this test sees their arithmetic move.
+    n = 257
+    x = rng.normal(scale=3.0, size=(n, 2))
+    value = rng.normal(scale=3.0, size=(n, 2))
+    x[::5] *= -0.0  # signed zeros
+    value[::7] = -0.0
+    if form == "per-row":
+        per_row = rng.uniform(0.0, 1.0, size=n)
+        per_row[:3] = (1e-6, 0.5, 1.0 - 1e-6)
+        times = [per_row]
+    else:
+        times = [TIME_FORMS[form](t) for t in (1e-6, 0.04, 0.35, 0.5, 0.999)]
+    for schedule in all_schedules:
+        for t in times:
+            column = (lambda q: q[:, None]) if form == "per-row" else (lambda q: q)
+            a, s = schedule.alpha(t), schedule.sigma(t)
+            a_dot, s_dot = schedule.alpha_dot(t), schedule.sigma_dot(t)
+            lam = schedule.lambda_weight(t)
+            velocity = column(a_dot / a) * x - column(lam * s) * value
+            score = (column(a) * value - column(a_dot) * x) / column(s * (a_dot * s - a * s_dot))
+            assert np.array_equal(_bits(velocity_from_score(schedule, value, x, t)),
+                                  _bits(velocity)), (schedule.name, t)
+            assert np.array_equal(_bits(score_from_velocity(schedule, value, x, t)),
+                                  _bits(score)), (schedule.name, t)
+            if form != "per-row":  # a bare d-vector is one row
+                assert np.array_equal(_bits(velocity_from_score(schedule, value[0], x[0], t)),
+                                      _bits(velocity[0]))
+                assert np.array_equal(_bits(score_from_velocity(schedule, value[0], x[0], t)),
+                                      _bits(score[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +620,23 @@ def test_conditioning_validation():
         cond.validate(10)
     with pytest.raises(DomainError):
         cond.validate(-1)
+
+
+def test_conditioning_checks_single_labels_and_rows_alike():
+    # A single label is checked apart from an array of them: the same ids
+    # pass and fail, with the same message.
+    cond = Conditioning(9)
+    message = "label out of range: valid ids are 0..8 plus the null token 9"
+    for good in (0, 9, np.int64(4), np.uint8(9), np.array(3), 2.0, True):
+        assert cond.validate(good) == int(good)
+        assert np.array_equal(cond.validate(np.array([good])), [int(good)])
+    for bad in (-1, 10, np.int64(-3), np.uint64(10), np.array(12), 10.0, -0.5 - 1.0):
+        with pytest.raises(DomainError) as excinfo:
+            cond.validate(bad)
+        assert str(excinfo.value) == message
+        with pytest.raises(DomainError) as excinfo:
+            cond.validate(np.array([0, bad]))
+        assert str(excinfo.value) == message
 
 
 def test_unconditional_field_rejects_labels(two_gauss, linear):

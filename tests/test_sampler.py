@@ -1,6 +1,8 @@
 """Integrators: grids, windows, NFE accounting, determinism, convergence."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -295,6 +297,68 @@ def test_batch_extension_is_prefix_stable(score_model, linear):
     small = euler_maruyama_sample(score_model, em_spec, 16)
     large = euler_maruyama_sample(score_model, em_spec, 48)
     assert np.array_equal(large.samples[:16], small.samples)
+
+
+def _chunk_specs(linear):
+    heun_spec = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=3, seed=1)
+    em_spec = SamplerSpec(kind="em", t_start=0.999, t_end=0.04, steps=3,
+                          diffusion=SigmaCoefficient(linear), last_step_to=0.0, seed=1)
+    return ((heun_sample, heun_spec), (euler_maruyama_sample, em_spec))
+
+
+@pytest.mark.parametrize("chunk_size", [-1, 0, 2.5, 1.0, "3", True])
+def test_chunk_size_must_be_none_or_a_positive_integer(score_model, linear, chunk_size):
+    for sample, spec in _chunk_specs(linear):
+        with pytest.raises(ConfigError, match="chunk_size must be None or a positive integer"):
+            sample(score_model, spec, 9, chunk_size=chunk_size)
+
+
+def test_numpy_integer_chunk_size_is_accepted(score_model, linear):
+    for sample, spec in _chunk_specs(linear):
+        assert np.array_equal(sample(score_model, spec, 9, chunk_size=np.int64(4)).samples,
+                              sample(score_model, spec, 9).samples)
+
+
+def test_threads_sharing_one_field_match_serial_runs(linear):
+    # Schedules and fields keep no state, so concurrent samplers that share
+    # them must each give the bits of a run on its own.  More threads than
+    # cores, switching often.
+    model = AnalyticMixtureField(get_preset("grid-9"), linear,
+                                 prediction=Prediction.SCORE, conditional=True)
+    t_start, t_end, last = default_window(linear, "score", "em")
+    runs = []
+    for seed in range(4):
+        if seed % 2 == 0:
+            spec = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=15, seed=seed)
+            runs.append((heun_sample, spec, None))
+        else:
+            spec = SamplerSpec(kind="em", t_start=t_start, t_end=t_end, steps=15,
+                               diffusion=SigmaCoefficient(linear), last_step_to=last,
+                               guidance_zeta=4.0, seed=seed)
+            runs.append((euler_maruyama_sample, spec, seed % 9))
+    serial = [sample(model, spec, 48, y=y).samples for sample, spec, y in runs]
+    results = [None] * len(runs)
+
+    def work(i):
+        sample, spec, y = runs[i]
+        for _ in range(4):
+            results[i] = sample(model, spec, 48, y=y).samples
+            if not np.array_equal(results[i], serial[i]):
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(runs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, expected in zip(results, serial):
+        assert np.array_equal(got, expected)
 
 
 def test_same_seed_same_samples_different_seed_differs(score_model):

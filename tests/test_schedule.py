@@ -184,6 +184,59 @@ def test_time_domain_validation(linear):
         linear.sigma(np.array([0.5, -1e-9]))
 
 
+#: Refused times and the end of the message each one gets.
+BAD_TIMES = [
+    (float("nan"), "must be finite"),
+    (float("inf"), "must be finite"),
+    (float("-inf"), "must be finite"),
+    (-1e-300, "must lie in [0, 1]"),
+    (1.0000000000000002, "must lie in [0, 1]"),
+    (-0.5, "must lie in [0, 1]"),
+    (1.5, "must lie in [0, 1]"),
+]
+TIME_FORMS = {
+    "float": float,
+    "np.float64": np.float64,
+    "0-d": np.array,
+    "1-element": lambda value: np.array([value]),
+}
+
+
+@pytest.mark.parametrize("form", sorted(TIME_FORMS))
+@pytest.mark.parametrize("value,message", BAD_TIMES, ids=[repr(v) for v, _ in BAD_TIMES])
+def test_time_refusals_keep_their_messages(all_schedules, value, message, form):
+    # A scalar time is checked apart from an array one; both must refuse the
+    # same values with the same words, naming the argument as it was given.
+    t = TIME_FORMS[form](value)
+    expected = f"time {message}, got {t!r}"
+    calls = [ZeroCoefficient(), ConstantCoefficient(0.5), SineSquaredCoefficient(),
+             all_schedules[2].beta, all_schedules[2].beta_integral]
+    for schedule in all_schedules:
+        calls += [schedule.alpha, schedule.sigma, schedule.alpha_dot, schedule.sigma_dot,
+                  schedule.lambda_weight, schedule.w_kl, schedule.conversion_denominator,
+                  schedule.coefficients, SigmaCoefficient(schedule), KLCoefficient(schedule)]
+    for call in calls:
+        with pytest.raises(DomainError) as excinfo:
+            call(t)
+        assert str(excinfo.value) == expected, call
+
+
+@pytest.mark.parametrize("form", sorted(TIME_FORMS))
+def test_negative_zero_time_is_accepted_and_keeps_its_sign(all_schedules, linear, form):
+    t = TIME_FORMS[form](-0.0)
+    # +0.0 first: anything that kept results keyed on the time value, which
+    # compares -0.0 equal to +0.0, would hand its +0.0 back below.
+    assert not np.any(np.signbit(linear.sigma(TIME_FORMS[form](0.0))))
+    assert not np.any(np.signbit(linear.coefficients(TIME_FORMS[form](0.0)).sigma))
+    for schedule in all_schedules:
+        assert np.all(np.asarray(schedule.alpha(t)) == 1.0)
+        assert np.all(np.asarray(schedule.sigma(t)) == 0.0)
+    assert np.all(np.signbit(linear.sigma(t)))
+    assert np.all(np.signbit(linear.coefficients(t).sigma))
+    if form == "float":
+        assert math.copysign(1.0, linear.sigma(t)) == -1.0
+
+
 def test_vp_rate_validation():
     with pytest.raises(DomainError):
         SBDMVPSchedule(beta_min=-0.1, beta_max=1.0)
