@@ -297,19 +297,20 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (even if odd is None else even + odd) + 0.0
 
 
-def _component_sum(resp: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``sum_k resp[k] * values[k]`` for (K, n) weights and (K, d, n) values,
+def _component_sum(resp: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``sum_k resp[k] * scratch[k]`` for (K, n) weights and (K, d, n) values,
     in the order of ``einsum("nk,nkd->nd")``: a dot over K when d = 1, else
     an accumulation from +0, one component after another (a reduction over
     the outer axis adds its slices in turn).
 
-    For d >= 2 the products overwrite ``values``, which every caller builds
-    for this sum alone: a (K, d, n) temporary costs more than the sum.
+    Consumes ``scratch``: for d >= 2 the products overwrite it, because a
+    (K, d, n) temporary costs more than the sum.  Pass only an array built
+    for this sum and read nowhere after it.
     """
-    if values.shape[1] == 1:
-        return _dot(resp, values[:, 0])[None]
-    np.multiply(resp[:, None], values, out=values)
-    return np.add.reduce(values, axis=0, initial=0.0)
+    if scratch.shape[1] == 1:
+        return _dot(resp, scratch[:, 0])[None]
+    np.multiply(resp[:, None], scratch, out=scratch)
+    return np.add.reduce(scratch, axis=0, initial=0.0)
 
 
 def _mixture_parts(gmm: GaussianMixture, schedule: InterpolantSchedule,
@@ -435,8 +436,12 @@ def gmm_marginal_score(gmm: GaussianMixture, schedule: InterpolantSchedule,
 
 
 def _score(parts: dict) -> np.ndarray:
-    """The score ``-sum_k p_t(k|x) C_k^{-1}(x - alpha*mu_k)`` from mixture parts."""
-    score = -_component_sum(parts["responsibilities"], parts["solved"])
+    """The score ``-sum_k p_t(k|x) C_k^{-1}(x - alpha*mu_k)`` from mixture parts.
+
+    Consumes ``parts["solved"]`` (the sum overwrites it) and takes it out of
+    ``parts``, so that no later read sees the overwritten values.
+    """
+    score = -_component_sum(parts["responsibilities"], parts.pop("solved"))
     return _rows(score, parts["was_vector"])
 
 
@@ -530,11 +535,7 @@ class Conditioning:
         arr = np.asarray(y)
         if arr.dtype.kind not in "iu":  # not an integer dtype
             arr = arr.astype(np.int64)
-        if arr.ndim == 0:  # one label, checked as a Python int
-            in_range = 0 <= int(arr) <= self.null_id
-        else:
-            in_range = not ((arr < 0).any() or (arr > self.null_id).any())
-        if not in_range:
+        if (arr < 0).any() or (arr > self.null_id).any():
             raise DomainError(
                 f"label out of range: valid ids are 0..{self.num_classes - 1} "
                 f"plus the null token {self.null_id}"

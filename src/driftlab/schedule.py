@@ -94,9 +94,10 @@ class InterpolantSchedule(ABC):
     Subclasses implement the four raw closed forms (`_alpha`, `_sigma`,
     `_alpha_dot`, `_sigma_dot`) on validated arrays; the public accessors add
     domain checks, scalar/array handling, and typed singularity errors.  The
-    derivative forms also receive ``alpha(t)`` and ``sigma(t)`` as `_alpha`
-    and `_sigma` computed them, so that one call evaluates no closed form
-    twice.
+    derivative forms may also be given ``alpha(t)`` and ``sigma(t)`` as
+    `_alpha` and `_sigma` computed them, so that a caller that has them
+    evaluates no closed form twice; a form computes what it uses and was not
+    given.
     """
 
     #: CLI / config name of the schedule.
@@ -111,10 +112,12 @@ class InterpolantSchedule(ABC):
     def _sigma(self, t: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray: ...
+    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray | None = None,
+                   sigma: np.ndarray | None = None) -> np.ndarray: ...
 
     @abstractmethod
-    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray: ...
+    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray | None = None,
+                   sigma: np.ndarray | None = None) -> np.ndarray: ...
 
     # -- singular-set detection ----------------------------------------------
 
@@ -145,11 +148,13 @@ class InterpolantSchedule(ABC):
 
     def alpha_dot(self, t: float | np.ndarray) -> float | np.ndarray:
         """Time derivative of alpha."""
-        return _match_shape(Coefficients(self, _prepare_time(t)).alpha_dot, t)
+        arr = _prepare_time(t)
+        return _match_shape(self._alpha_dot(arr), t)
 
     def sigma_dot(self, t: float | np.ndarray) -> float | np.ndarray:
         """Time derivative of sigma (may be singular at an endpoint)."""
-        return _match_shape(Coefficients(self, _prepare_time(t)).sigma_dot, t)
+        arr = _prepare_time(t)
+        return _match_shape(self._sigma_dot(arr), t)
 
     def lambda_weight(self, t: float | np.ndarray) -> float | np.ndarray:
         """Score-loss weight lambda(t) = sigma_dot - alpha_dot * sigma / alpha.
@@ -277,10 +282,10 @@ class LinearSchedule(InterpolantSchedule):
     def _sigma(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(t, dtype=np.float64).copy()
 
-    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    def _alpha_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
         return np.full_like(t, -1.0)
 
-    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    def _sigma_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
         return np.ones_like(t)
 
 
@@ -295,10 +300,14 @@ class GVPSchedule(InterpolantSchedule):
     def _sigma(self, t: np.ndarray) -> np.ndarray:
         return np.sin(0.5 * np.pi * t)
 
-    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    def _alpha_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
+        if sigma is None:
+            sigma = self._sigma(t)
         return -0.5 * np.pi * sigma  # -pi/2 * sin(pi*t/2)
 
-    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    def _sigma_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
+        if alpha is None:
+            alpha = self._alpha(t)
         return 0.5 * np.pi * alpha  # pi/2 * cos(pi*t/2)
 
     def _alpha_vanishes(self, t: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -352,11 +361,17 @@ class SBDMVPSchedule(InterpolantSchedule):
         # sqrt(1 - alpha^2) = sqrt(1 - exp(-B)); expm1 keeps precision near t = 0.
         return np.sqrt(-np.expm1(-self._B(t)))
 
-    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    def _alpha_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
+        if alpha is None:
+            alpha = self._alpha(t)
         return -0.5 * self._beta(t) * alpha
 
-    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    def _sigma_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
+        if sigma is None:
+            sigma = self._sigma(t)
         self._refuse(sigma == 0.0, t, "sigma_dot", "sigma(t) = 0")
+        if alpha is None:
+            alpha = self._alpha(t)
         return self._beta(t) * alpha * alpha / (2.0 * sigma)
 
     def to_config(self) -> dict:

@@ -623,8 +623,8 @@ def test_conditioning_validation():
 
 
 def test_conditioning_checks_single_labels_and_rows_alike():
-    # A single label is checked apart from an array of them: the same ids
-    # pass and fail, with the same message.
+    # A single label and an array of labels pass and fail alike, with the
+    # same message.
     cond = Conditioning(9)
     message = "label out of range: valid ids are 0..8 plus the null token 9"
     for good in (0, 9, np.int64(4), np.uint8(9), np.array(3), 2.0, True):
@@ -637,6 +637,22 @@ def test_conditioning_checks_single_labels_and_rows_alike():
         with pytest.raises(DomainError) as excinfo:
             cond.validate(np.array([0, bad]))
         assert str(excinfo.value) == message
+
+
+def test_score_consumes_the_solved_array_it_overwrites(rng):
+    # The score's component sum writes its products into parts["solved"];
+    # taking the array out of parts keeps anyone from reading it afterwards.
+    from driftlab.field import _component_sum, _mixture_parts, _score
+    gmm = get_preset("grid-9")
+    schedule = make_schedule("gvp")
+    x = rng.normal(scale=3.0, size=(33, 2))
+    parts = _mixture_parts(gmm, schedule, x, 0.4)
+    solved = parts["solved"].copy()
+    score = _score(parts)
+    assert "solved" not in parts
+    expected = -_component_sum(parts["responsibilities"], solved).T  # (n, d)
+    assert np.array_equal(_bits(score), _bits(expected))
+    assert np.array_equal(_bits(score), _bits(gmm_marginal_score(gmm, schedule, x, 0.4)))
 
 
 def test_unconditional_field_rejects_labels(two_gauss, linear):
