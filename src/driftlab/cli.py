@@ -573,7 +573,6 @@ def _cmd_sweep(merged: dict) -> int:
 # ---------------------------------------------------------------------------
 
 _INFO_OPTIONS = {
-    **_OUT,
     **_SCHEDULE,
     "w": (None, _text),
     "t_start": (0.0, _real),

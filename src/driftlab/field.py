@@ -90,7 +90,8 @@ def interpolate(schedule: InterpolantSchedule, x_star: np.ndarray,
     ep, _ = _as_batch(eps)
     if xs.shape != ep.shape:
         raise DomainError(f"shape mismatch: x_star {xs.shape} vs eps {ep.shape}")
-    out = _per_sample(schedule.alpha(t)) * xs + _per_sample(schedule.sigma(t)) * ep
+    coef = schedule.coefficients(t)
+    out = _per_sample(coef.alpha) * xs + _per_sample(coef.sigma) * ep
     return out[0] if was_vector else out
 
 
@@ -103,7 +104,8 @@ def interpolant_derivative(schedule: InterpolantSchedule, x_star: np.ndarray,
     ep, _ = _as_batch(eps)
     if xs.shape != ep.shape:
         raise DomainError(f"shape mismatch: x_star {xs.shape} vs eps {ep.shape}")
-    out = _per_sample(schedule.alpha_dot(t)) * xs + _per_sample(schedule.sigma_dot(t)) * ep
+    coef = schedule.coefficients(t)
+    out = _per_sample(coef.alpha_dot) * xs + _per_sample(coef.sigma_dot) * ep
     return out[0] if was_vector else out
 
 

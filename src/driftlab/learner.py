@@ -144,7 +144,9 @@ class MLPField(FieldModel):
         self.class_embed_dim = int(class_embed_dim)
         self._freqs = np.geomspace(self.time_freq_min, self.time_freq_max,
                                    self.time_feature_count)
-        self.conditioning = Conditioning(int(num_classes)) if num_classes else None
+        if num_classes is not None and int(num_classes) < 1:
+            raise ConfigError(f"num_classes must be None or >= 1, got {num_classes!r}")
+        self.conditioning = None if num_classes is None else Conditioning(int(num_classes))
         input_dim = dimension + 2 * self.time_feature_count
         if self.conditioning is not None:
             input_dim += self.class_embed_dim
@@ -367,7 +369,7 @@ def loss_score(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
     x_star, eps, t, y = _batch_arrays(batch)
     schedule = model.schedule
     x_t = interpolate(schedule, x_star, eps, t)
-    sig = np.asarray(schedule.sigma(t), dtype=np.float64)[:, None]
+    sig = schedule.coefficients(t).sigma[:, None]
     out, cache = _forward_any(model, x_t, t, y)
     residual = sig * out + eps
     n = x_star.shape[0]
@@ -388,8 +390,8 @@ def loss_score_weighted(model: FieldModel, batch) -> tuple[float, np.ndarray | N
     x_star, eps, t, y = _batch_arrays(batch)
     schedule = model.schedule
     x_t = interpolate(schedule, x_star, eps, t)
-    sig = np.asarray(schedule.sigma(t), dtype=np.float64)[:, None]
-    lam = np.asarray(schedule.lambda_weight(t), dtype=np.float64)[:, None]
+    coef = schedule.coefficients(t)
+    sig, lam = coef.sigma[:, None], coef.lambda_weight[:, None]
     out, cache = _forward_any(model, x_t, t, y)
     residual = sig * out + eps
     n = x_star.shape[0]
@@ -602,6 +604,8 @@ class LossProfile:
         values = np.asarray(values, dtype=np.float64)
         if edges.ndim != 1 or values.ndim != 1 or edges.shape[0] != values.shape[0] + 1:
             raise ConfigError("profile needs bins+1 edges and bins values")
+        if values.shape[0] == 0:
+            raise ConfigError("profile needs at least one bin")
         if not np.all(np.diff(edges) > 0):
             raise ConfigError("profile edges must be strictly increasing")
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
@@ -672,6 +676,9 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
     dropped to the null token at ``label_dropout``, matching how they were
     trained.
     """
+    if bins < 1 or draws_per_bin < 1:
+        raise ConfigError(f"a loss profile needs at least one bin and one draw per bin, "
+                          f"got bins={bins!r}, draws_per_bin={draws_per_bin!r}")
     dataset = as_dataset(data)
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(2,)))

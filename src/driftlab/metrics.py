@@ -306,8 +306,8 @@ def path_length(field: FieldModel, data, n_mc: int = 10_000,
 
 
 def _lambda_sigma(schedule: InterpolantSchedule, t) -> np.ndarray:
-    return np.asarray(schedule.lambda_weight(t), dtype=np.float64) * \
-        np.asarray(schedule.sigma(t), dtype=np.float64)
+    coef = schedule.coefficients(t)
+    return coef.lambda_weight * coef.sigma
 
 
 def kl_integrand(w_value, loss_value, t, schedule: InterpolantSchedule):

@@ -344,7 +344,7 @@ def _model_dimension(model: FieldModel) -> int:
 
 
 def _check_finite(x: np.ndarray, step: int) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError("sampler state became non-finite", step=step)
 
 

@@ -92,12 +92,12 @@ class InterpolantSchedule(ABC):
     """Blending functions alpha/sigma, their derivatives, and derived weights.
 
     Subclasses implement the four raw closed forms (`_alpha`, `_sigma`,
-    `_alpha_dot`, `_sigma_dot`) on validated arrays; the public accessors add
-    domain checks, scalar/array handling, and typed singularity errors.  The
-    derivative forms may also be given ``alpha(t)`` and ``sigma(t)`` as
-    `_alpha` and `_sigma` computed them, so that a caller that has them
-    evaluates no closed form twice; a form computes what it uses and was not
-    given.
+    `_alpha_dot`, `_sigma_dot`) on validated arrays.  Only
+    :class:`Coefficients` calls them: the derivative forms take ``alpha(t)``
+    and ``sigma(t)`` as `_alpha` and `_sigma` computed them, so that no
+    closed form is evaluated twice.  Every public accessor is the quantity of
+    the same name of :meth:`coefficients`, as a python float for a scalar
+    time and an ndarray otherwise.
     """
 
     #: CLI / config name of the schedule.
@@ -112,18 +112,18 @@ class InterpolantSchedule(ABC):
     def _sigma(self, t: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray | None = None,
-                   sigma: np.ndarray | None = None) -> np.ndarray: ...
+    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray,
+                   sigma: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
-    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray | None = None,
-                   sigma: np.ndarray | None = None) -> np.ndarray: ...
+    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray,
+                   sigma: np.ndarray) -> np.ndarray: ...
 
     # -- singular-set detection ----------------------------------------------
 
     def _alpha_vanishes(self, t: np.ndarray, alpha: np.ndarray) -> np.ndarray:
         """Boolean mask of times where alpha(t) is (analytically) zero, given
-        ``alpha = self._alpha(t)``."""
+        the computed ``alpha`` at ``t``."""
         return alpha == 0.0
 
     def _refuse(self, mask: np.ndarray, t: np.ndarray, op: str, where: str) -> None:
@@ -138,30 +138,26 @@ class InterpolantSchedule(ABC):
 
     def alpha(self, t: float | np.ndarray) -> float | np.ndarray:
         """Data weight alpha(t); decreasing, alpha(0) = 1."""
-        arr = _prepare_time(t)
-        return _match_shape(self._alpha(arr), t)
+        return _match_shape(self.coefficients(t).alpha, t)
 
     def sigma(self, t: float | np.ndarray) -> float | np.ndarray:
         """Noise weight sigma(t); increasing, sigma(0) = 0."""
-        arr = _prepare_time(t)
-        return _match_shape(self._sigma(arr), t)
+        return _match_shape(self.coefficients(t).sigma, t)
 
     def alpha_dot(self, t: float | np.ndarray) -> float | np.ndarray:
         """Time derivative of alpha."""
-        arr = _prepare_time(t)
-        return _match_shape(self._alpha_dot(arr), t)
+        return _match_shape(self.coefficients(t).alpha_dot, t)
 
     def sigma_dot(self, t: float | np.ndarray) -> float | np.ndarray:
         """Time derivative of sigma (may be singular at an endpoint)."""
-        arr = _prepare_time(t)
-        return _match_shape(self._sigma_dot(arr), t)
+        return _match_shape(self.coefficients(t).sigma_dot, t)
 
     def lambda_weight(self, t: float | np.ndarray) -> float | np.ndarray:
         """Score-loss weight lambda(t) = sigma_dot - alpha_dot * sigma / alpha.
 
         Singular where ``alpha(t) = 0`` (the data weight has fully decayed).
         """
-        return _match_shape(Coefficients(self, _prepare_time(t)).lambda_weight, t)
+        return _match_shape(self.coefficients(t).lambda_weight, t)
 
     def w_kl(self, t: float | np.ndarray) -> float | np.ndarray:
         """KL-bound-minimizing diffusion strength w_kl(t) = 2 * lambda(t) * sigma(t).
@@ -169,11 +165,7 @@ class InterpolantSchedule(ABC):
         Equivalently ``2*(sigma_dot*sigma - alpha_dot*sigma^2/alpha)``;
         singular where ``alpha(t) = 0``.
         """
-        arr = _prepare_time(t)
-        a, s = self._alpha(arr), self._sigma(arr)
-        self._refuse(self._alpha_vanishes(arr, a), arr, "w_kl", "alpha(t) = 0")
-        lam = self._sigma_dot(arr, a, s) - self._alpha_dot(arr, a, s) * s / a
-        return _match_shape(2.0 * lam * s, t)
+        return _match_shape(self.coefficients(t).w_kl, t)
 
     def conversion_denominator(self, t: float | np.ndarray) -> float | np.ndarray:
         """The score<->velocity conversion denominator alpha_dot*sigma - alpha*sigma_dot.
@@ -182,11 +174,11 @@ class InterpolantSchedule(ABC):
         conversion between the two field parameterizations never divides by
         zero on interior times.
         """
-        return _match_shape(Coefficients(self, _prepare_time(t)).conversion_denominator, t)
+        return _match_shape(self.coefficients(t).conversion_denominator, t)
 
     def coefficients(self, t: float | np.ndarray) -> Coefficients:
         """Validate ``t`` once; the returned :class:`Coefficients` computes
-        each quantity on first read."""
+        each quantity when it is read."""
         return Coefficients(self, _prepare_time(t))
 
     # -- config plumbing -------------------------------------------------------
@@ -206,29 +198,29 @@ class InterpolantSchedule(ABC):
 
 
 class Coefficients:
-    """alpha, sigma, their derivatives, lambda and the conversion denominator
-    at one validated time array.
+    """Every schedule quantity at one validated time array: alpha, sigma,
+    their derivatives, lambda, w_kl and the conversion denominator.
 
-    Made by :meth:`InterpolantSchedule.coefficients`.  Each quantity is
-    computed on first read, with the arithmetic and the refusal of the public
-    accessor of the same name, and then kept in a slot of this object.  A
-    caller thus validates ``t`` once and computes only what it reads: the
-    mixture field reads alpha and sigma alone, so at ``t = 0`` it never starts
-    sbdm-vp's singular ``sigma_dot``.  An instance belongs to the call that
-    made it; the schedule itself keeps nothing.  Values are float64 arrays of
-    the shape of ``t``, or numpy float64 scalars for a 0-d ``t`` (indexed out
+    Made by :meth:`InterpolantSchedule.coefficients`, and the only caller of
+    the schedule's raw closed forms.  alpha, sigma and their derivatives are
+    computed on first read and then kept in a slot of this object; lambda,
+    w_kl and the conversion denominator are computed from them on each read,
+    and a singular one is refused under its own name.  A caller thus
+    validates ``t`` once and computes only what it reads: the mixture field
+    reads alpha and sigma alone, so at ``t = 0`` it never starts sbdm-vp's
+    singular ``sigma_dot``.  An instance belongs to the call that made it;
+    the schedule itself keeps nothing.  Values are float64 arrays of the
+    shape of ``t``, or numpy float64 scalars for a 0-d ``t`` (indexed out
     with ``[()]``), so that the arithmetic among them takes numpy's scalar
     path and not the ufunc machinery; the bits are the same.
     """
 
-    __slots__ = ("schedule", "t", "_alpha", "_sigma", "_alpha_dot", "_sigma_dot",
-                 "_lambda_weight", "_conversion_denominator")
+    __slots__ = ("schedule", "t", "_alpha", "_sigma", "_alpha_dot", "_sigma_dot")
 
     def __init__(self, schedule: InterpolantSchedule, t: np.ndarray) -> None:
         self.schedule = schedule
         self.t = t
         self._alpha = self._sigma = self._alpha_dot = self._sigma_dot = None
-        self._lambda_weight = self._conversion_denominator = None
 
     @property
     def alpha(self) -> np.ndarray:
@@ -254,21 +246,24 @@ class Coefficients:
             self._sigma_dot = self.schedule._sigma_dot(self.t, self.alpha, self.sigma)[()]
         return self._sigma_dot
 
+    def _lambda(self, op: str) -> np.ndarray:
+        """lambda = sigma_dot - alpha_dot * sigma / alpha, refused under the
+        name ``op`` where alpha(t) = 0."""
+        schedule, t, alpha = self.schedule, self.t, self.alpha
+        schedule._refuse(schedule._alpha_vanishes(t, alpha), t, op, "alpha(t) = 0")
+        return self.sigma_dot - self.alpha_dot * self.sigma / alpha
+
     @property
     def lambda_weight(self) -> np.ndarray:
-        if self._lambda_weight is None:
-            schedule, t, alpha = self.schedule, self.t, self.alpha
-            schedule._refuse(schedule._alpha_vanishes(t, alpha), t,
-                             "lambda_weight", "alpha(t) = 0")
-            self._lambda_weight = self.sigma_dot - self.alpha_dot * self.sigma / alpha
-        return self._lambda_weight
+        return self._lambda("lambda_weight")
+
+    @property
+    def w_kl(self) -> np.ndarray:
+        return 2.0 * self._lambda("w_kl") * self.sigma
 
     @property
     def conversion_denominator(self) -> np.ndarray:
-        if self._conversion_denominator is None:
-            self._conversion_denominator = (self.alpha_dot * self.sigma
-                                            - self.alpha * self.sigma_dot)
-        return self._conversion_denominator
+        return self.alpha_dot * self.sigma - self.alpha * self.sigma_dot
 
 
 class LinearSchedule(InterpolantSchedule):
@@ -282,10 +277,10 @@ class LinearSchedule(InterpolantSchedule):
     def _sigma(self, t: np.ndarray) -> np.ndarray:
         return np.asarray(t, dtype=np.float64).copy()
 
-    def _alpha_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
+    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return np.full_like(t, -1.0)
 
-    def _sigma_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
+    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return np.ones_like(t)
 
 
@@ -300,14 +295,10 @@ class GVPSchedule(InterpolantSchedule):
     def _sigma(self, t: np.ndarray) -> np.ndarray:
         return np.sin(0.5 * np.pi * t)
 
-    def _alpha_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
-        if sigma is None:
-            sigma = self._sigma(t)
+    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return -0.5 * np.pi * sigma  # -pi/2 * sin(pi*t/2)
 
-    def _sigma_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
-        if alpha is None:
-            alpha = self._alpha(t)
+    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return 0.5 * np.pi * alpha  # pi/2 * cos(pi*t/2)
 
     def _alpha_vanishes(self, t: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -361,17 +352,11 @@ class SBDMVPSchedule(InterpolantSchedule):
         # sqrt(1 - alpha^2) = sqrt(1 - exp(-B)); expm1 keeps precision near t = 0.
         return np.sqrt(-np.expm1(-self._B(t)))
 
-    def _alpha_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
-        if alpha is None:
-            alpha = self._alpha(t)
+    def _alpha_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return -0.5 * self._beta(t) * alpha
 
-    def _sigma_dot(self, t: np.ndarray, alpha=None, sigma=None) -> np.ndarray:
-        if sigma is None:
-            sigma = self._sigma(t)
+    def _sigma_dot(self, t: np.ndarray, alpha: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         self._refuse(sigma == 0.0, t, "sigma_dot", "sigma(t) = 0")
-        if alpha is None:
-            alpha = self._alpha(t)
         return self._beta(t) * alpha * alpha / (2.0 * sigma)
 
     def to_config(self) -> dict:
@@ -543,16 +528,13 @@ class KLEtaCoefficient(DiffusionCoefficient):
         self.spec = f"kl-eta:{eta!r}"
 
     def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
-        arr = _prepare_time(t)
+        coef = self.schedule.coefficients(t)
         if self.eta == 0.0:
-            w_kl = np.asarray(self.schedule.w_kl(arr), dtype=np.float64)
-            return _match_shape(w_kl, t)
-        sig = np.asarray(self.schedule.sigma(arr), dtype=np.float64)
-        alp = np.asarray(self.schedule.alpha(arr), dtype=np.float64)
+            return _match_shape(coef.w_kl, t)
+        sig, alp = coef.sigma, coef.alpha
         # alpha*sigma_dot - alpha_dot*sigma, positive on the interior.
-        pos = -np.asarray(self.schedule.conversion_denominator(arr),
-                          dtype=np.float64)
-        loss = np.asarray(self.loss_profile(arr), dtype=np.float64)
+        pos = -coef.conversion_denominator
+        loss = np.asarray(self.loss_profile(coef.t), dtype=np.float64)
         if np.any(loss < 0.0) or not np.all(np.isfinite(loss)):
             raise DomainError("loss profile values must be finite and nonnegative")
         # Algebraically w_kl*sqrt(L/(L + 2*eta*w_kl^2)).  Evaluated through

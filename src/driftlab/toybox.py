@@ -171,6 +171,8 @@ class ToyDataset:
             self.samples = np.asarray(self.samples, dtype=np.float64)
             if self.samples.ndim != 2:
                 raise DomainError("dataset samples must be an (n, d) array")
+            if self.samples.shape[0] == 0:
+                raise DomainError("dataset has no samples")
             if not np.all(np.isfinite(self.samples)):
                 raise DomainError("dataset samples must be finite")
             if self.labels is not None:
@@ -190,6 +192,8 @@ class ToyDataset:
         if self.gmm is not None:
             return self.gmm.n_components
         if self.labels is not None:
+            if (self.labels < 0).any():
+                raise DomainError("class labels must be nonnegative ids")
             return int(self.labels.max()) + 1
         return None
 

@@ -278,6 +278,31 @@ def test_config_values_of_the_wrong_type_exit_with_usage_code(tmp_path, capsys, 
     assert not (tmp_path / f"{command}-out").exists()
 
 
+UNUSABLE_DATASETS = {
+    "header-only": ("# d=1 n=0 seed=0\n", []),
+    "header-only-labeled": ("# d=1 n=0 seed=0 labels=1\n", ["--conditional"]),
+    "all-labels-negative": ("# d=1 n=2 seed=0 labels=1\n0.5 -1\n-0.5 -1\n",
+                            ["--conditional"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_DATASETS))
+def test_sample_files_train_cannot_use_exit_with_usage_code(tmp_path, capsys, case):
+    content, flags = UNUSABLE_DATASETS[case]
+    path = tmp_path / "data.txt"
+    path.write_text(content)
+    assert main(["train", "--dataset", str(path), *flags, *TRAIN_FAST]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unconditional_training_ignores_the_labels_of_a_file(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_text("# d=1 n=2 seed=0 labels=1\n0.5 -1\n-0.5 -1\n")
+    assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "t"),
+                 *TRAIN_FAST]) == 0
+
+
 TINY_SAMPLES = "# d=1 n=2 seed=0\n0.5\n-0.5\n"
 
 NOT_A_FILE = {
@@ -589,6 +614,18 @@ def test_info_prints_schedule_table(capsys):
     assert float(mid[1]) == 0.5  # alpha(0.5)
     assert float(mid[-1]) == 2.5  # the requested coefficient column
     assert "singular" in lines[3]  # w_kl refuses t = 1 on the linear schedule
+
+
+def test_info_takes_no_output_directory(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["info", "--out", str(tmp_path / "info")])
+    assert excinfo.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    config = tmp_path / "info.json"
+    config.write_text(json.dumps({"out": str(tmp_path / "info")}))
+    assert main(["info", "--config", str(config)]) == 2
+    assert "out" in capsys.readouterr().err
+    assert not (tmp_path / "info").exists()
 
 
 def test_info_marks_singular_times(capsys):

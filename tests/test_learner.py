@@ -499,6 +499,13 @@ def test_conditional_training_requires_labels(linear, rng):
         train(config, unlabeled)
 
 
+def test_mlp_refuses_fewer_than_one_class(linear):
+    for num_classes in (0, -1):
+        with pytest.raises(ConfigError):
+            MLPField(1, linear, widths=(4,), num_classes=num_classes)
+    assert MLPField(1, linear, widths=(4,), num_classes=None).conditioning is None
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_training_loss_reports_the_step(linear):
     huge = ToyDataset(samples=np.full((16, 1), 1e200))
@@ -572,6 +579,16 @@ def test_loss_profile_validation():
         LossProfile(np.array([0.0, 0.5, 1.0]), np.array([1.0, -2.0]))
     with pytest.raises(ConfigError):
         LossProfile(np.array([0.0, 0.5, 1.0]), np.array([1.0, np.inf]))
+
+
+def test_loss_profile_needs_a_bin_and_a_draw(linear):
+    with pytest.raises(ConfigError):
+        LossProfile(np.array([0.5]), np.array([]))
+    model = MLPField(1, linear, widths=(4,))
+    data = get_preset("two-gauss-1d")
+    for bins, draws in [(0, 10), (2, 0), (-1, 10)]:
+        with pytest.raises(ConfigError):
+            estimate_loss_profile(model, data, bins=bins, draws_per_bin=draws)
 
 
 def test_loss_profile_file_round_trip_is_exact(tmp_path):

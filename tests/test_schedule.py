@@ -172,6 +172,84 @@ def test_w_kl_equals_rate_for_vp(rng):
 
 
 # ---------------------------------------------------------------------------
+# Every accessor is a view of coefficients(t)
+# ---------------------------------------------------------------------------
+
+QUANTITIES = ("alpha", "sigma", "alpha_dot", "sigma_dot", "lambda_weight", "w_kl",
+              "conversion_denominator")
+EDGE_TIMES = [0.0, -0.0, 5e-324, 0.3, 0.5, 1.0 - 1e-16, 1.0]
+SCALAR_FORMS = {"float": float, "np.float64": np.float64, "0-d": np.array}
+
+
+def _schedules_under_test():
+    return [make_schedule("linear"), make_schedule("gvp"), make_schedule("sbdm-vp"),
+            make_schedule("sbdm-vp", beta_min=0.0, beta_max=3.0)]
+
+
+def _outcome(read):
+    """The bits of a quantity, or the message it was refused with."""
+    try:
+        value = read()
+    except SingularityError as exc:
+        return "refused", str(exc)
+    return "value", np.asarray(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("form", sorted(SCALAR_FORMS))
+def test_scalar_accessors_are_their_coefficients_bitwise(form):
+    for schedule in _schedules_under_test():
+        for value in EDGE_TIMES:
+            t = SCALAR_FORMS[form](value)
+            for name in QUANTITIES:
+                accessor = _outcome(lambda: getattr(schedule, name)(t))
+                quantity = _outcome(lambda: getattr(schedule.coefficients(t), name))
+                assert accessor == quantity, (schedule, value, name)
+                if accessor[0] == "value":
+                    assert type(getattr(schedule, name)(t)) is float
+
+
+def test_array_accessors_are_their_coefficients_bitwise():
+    # Singular times would refuse the whole array, so each array is one
+    # regular interior grid plus the edge times one at a time.
+    grid = np.linspace(0.01, 0.99, 9)
+    for schedule in _schedules_under_test():
+        for t in [grid, grid.reshape(3, 3)] + [np.append(grid, v) for v in EDGE_TIMES]:
+            for name in QUANTITIES:
+                accessor = _outcome(lambda: getattr(schedule, name)(t))
+                quantity = _outcome(lambda: getattr(schedule.coefficients(t), name))
+                assert accessor == quantity, (schedule, t, name)
+                if accessor[0] == "value":
+                    out = getattr(schedule, name)(t)
+                    assert isinstance(out, np.ndarray) and out.shape == t.shape
+
+
+def _singular_message(op, where, schedule, t):
+    return (f"{op} is singular where {where} for the {schedule.name!r} schedule "
+            f"(t = {np.float64(t)!r}); clip the time window instead")
+
+
+@pytest.mark.parametrize("read", ["accessor", "coefficients"])
+def test_singular_refusals_name_the_quantity_asked_for(read):
+    def get(schedule, name, t):
+        if read == "accessor":
+            return getattr(schedule, name)(t)
+        return getattr(schedule.coefficients(t), name)
+
+    for schedule in (make_schedule("linear"), make_schedule("gvp")):
+        for name in ("lambda_weight", "w_kl"):
+            with pytest.raises(SingularityError) as excinfo:
+                get(schedule, name, 1.0)
+            assert str(excinfo.value) == _singular_message(
+                name, "alpha(t) = 0", schedule, 1.0)
+    for schedule in _schedules_under_test()[2:]:
+        for name in ("sigma_dot", "lambda_weight", "w_kl", "conversion_denominator"):
+            with pytest.raises(SingularityError) as excinfo:
+                get(schedule, name, 0.0)
+            assert str(excinfo.value) == _singular_message(
+                "sigma_dot", "sigma(t) = 0", schedule, 0.0)
+
+
+# ---------------------------------------------------------------------------
 # Validation and construction
 # ---------------------------------------------------------------------------
 

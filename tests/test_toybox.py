@@ -200,6 +200,16 @@ def test_dataset_requires_exactly_one_source():
         ToyDataset(gmm=gmm, samples=np.zeros((3, 1)))
 
 
+def test_dataset_refuses_no_samples_and_negative_labels():
+    with pytest.raises(DomainError):
+        ToyDataset(samples=np.zeros((0, 1)))
+    with pytest.raises(DomainError):
+        ToyDataset(samples=np.zeros((0, 1)), labels=np.zeros(0, dtype=np.int64))
+    dataset = ToyDataset(samples=np.zeros((2, 1)), labels=np.array([0, -1]))
+    with pytest.raises(DomainError):
+        dataset.num_classes
+
+
 def test_dataset_from_mixture_resamples_fresh_draws():
     dataset = ToyDataset(gmm=get_preset("two-gauss-1d"))
     assert dataset.dimension == 1
