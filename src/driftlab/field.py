@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError, UnconditionalModelError
-from .schedule import InterpolantSchedule
+from .schedule import Coefficients, InterpolantSchedule
 
 __all__ = [
     "Prediction",
@@ -90,9 +90,14 @@ def interpolate(schedule: InterpolantSchedule, x_star: np.ndarray,
     ep, _ = _as_batch(eps)
     if xs.shape != ep.shape:
         raise DomainError(f"shape mismatch: x_star {xs.shape} vs eps {ep.shape}")
-    coef = schedule.coefficients(t)
-    out = _per_sample(coef.alpha) * xs + _per_sample(coef.sigma) * ep
+    out = _interpolant_state(schedule.coefficients(t), xs, ep)
     return out[0] if was_vector else out
+
+
+def _interpolant_state(coef: Coefficients, xs: np.ndarray,
+                       ep: np.ndarray) -> np.ndarray:
+    """:func:`interpolate` on (n, d) batches at the times of ``coef``."""
+    return _per_sample(coef.alpha) * xs + _per_sample(coef.sigma) * ep
 
 
 def interpolant_derivative(schedule: InterpolantSchedule, x_star: np.ndarray,
@@ -104,9 +109,15 @@ def interpolant_derivative(schedule: InterpolantSchedule, x_star: np.ndarray,
     ep, _ = _as_batch(eps)
     if xs.shape != ep.shape:
         raise DomainError(f"shape mismatch: x_star {xs.shape} vs eps {ep.shape}")
-    coef = schedule.coefficients(t)
-    out = _per_sample(coef.alpha_dot) * xs + _per_sample(coef.sigma_dot) * ep
+    out = _interpolant_velocity(schedule.coefficients(t), xs, ep)
     return out[0] if was_vector else out
+
+
+def _interpolant_velocity(coef: Coefficients, xs: np.ndarray,
+                          ep: np.ndarray) -> np.ndarray:
+    """:func:`interpolant_derivative` on (n, d) batches at the times of
+    ``coef``."""
+    return _per_sample(coef.alpha_dot) * xs + _per_sample(coef.sigma_dot) * ep
 
 
 def score_from_velocity(schedule: InterpolantSchedule, v_value: np.ndarray,
@@ -144,11 +155,16 @@ def velocity_from_score(schedule: InterpolantSchedule, s_value: np.ndarray,
     """
     sv, was_vector = _as_batch(s_value)
     xx, _ = _as_batch(x)
-    coef = schedule.coefficients(t)
+    out = _velocity_from_score(schedule.coefficients(t), sv, xx)
+    return out[0] if was_vector else out
+
+
+def _velocity_from_score(coef: Coefficients, sv: np.ndarray,
+                         xx: np.ndarray) -> np.ndarray:
+    """:func:`velocity_from_score` on (n, d) batches at the times of ``coef``."""
     lam_sig = coef.lambda_weight * coef.sigma
     ratio = coef.alpha_dot / coef.alpha
-    out = _per_sample(ratio) * xx - _per_sample(lam_sig) * sv
-    return out[0] if was_vector else out
+    return _per_sample(ratio) * xx - _per_sample(lam_sig) * sv
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +583,6 @@ class FieldModel:
     schedule: InterpolantSchedule
     source: str = ""
     conditioning: Conditioning | None = None
-
-    @property
-    def is_conditional(self) -> bool:
-        return self.conditioning is not None
 
     def evaluate(self, x: np.ndarray, t, y=None) -> np.ndarray:
         """Field value at ``(x, t)``; same shape as ``x``.

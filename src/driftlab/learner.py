@@ -44,9 +44,10 @@ from .field import (
     Conditioning,
     FieldModel,
     Prediction,
-    interpolant_derivative,
+    _interpolant_state,
+    _interpolant_velocity,
+    _velocity_from_score,
     interpolate,
-    velocity_from_score,
 )
 from .schedule import InterpolantSchedule, schedule_from_config
 from .toybox import as_dataset, atomic_write_text
@@ -82,6 +83,15 @@ TIME_FREQ_MAX = 1000.0
 CLASS_EMBED_DIM = 8
 #: Default hidden widths.
 DEFAULT_WIDTHS = (128, 128, 128)
+
+#: Evaluation without a cache runs the network over blocks of rows holding
+#: at most this many values in the widest layer: 256 rows at the default
+#: widths, 256 KB per activation.  glibc gives several freed MB back to the
+#: OS, so a one-pass call at n = 2,048 (6.5 MB of activations) page-faulted
+#: them all in again on every call: the learned-1d `sample` command took
+#: ~198,900 minor faults, ~193,000 with 1,024-row blocks and ~300 with 512-
+#: or 256-row blocks, whose memory the allocator keeps and reuses.
+_EVAL_BLOCK_VALUES = 32768
 
 
 def time_features(t: float | np.ndarray, count: int = TIME_FEATURE_COUNT,
@@ -237,9 +247,29 @@ class MLPField(FieldModel):
         if t_arr.ndim != 0 and t_arr.shape != (n,):
             raise DomainError(f"t must be scalar or shape ({n},)")
         labels = self._labels_for(n, y)
+        rows = max(1, _EVAL_BLOCK_VALUES // max(self._layer_dims))
+        if want_cache or n <= rows:
+            out, activations = self._layer_stack(xx, t_arr, labels)
+            if want_cache:
+                return out, {"activations": activations, "labels": labels,
+                             "was_vector": was_vector}
+        else:
+            out = np.empty((n, self.dimension))
+            for lo in range(0, n, rows):
+                block = slice(lo, lo + rows)
+                self._layer_stack(xx[block],
+                                  t_arr if t_arr.ndim == 0 else t_arr[block],
+                                  None if labels is None else labels[block],
+                                  out=out[block])
+        return out[0] if was_vector else out
+
+    def _layer_stack(self, xx: np.ndarray, t_arr: np.ndarray,
+                     labels: np.ndarray | None, out: np.ndarray | None = None):
+        """Run the network on validated rows; returns ``(output, activations)``
+        and writes the output into ``out`` when it is given."""
         # One input buffer [x | time features | embedding].
         d, width = self.dimension, 2 * self.time_feature_count
-        h = np.empty((n, self._layer_dims[0]))
+        h = np.empty((xx.shape[0], self._layer_dims[0]))
         h[:, :d] = xx
         _fill_time_features(h[:, d:d + width], t_arr.reshape(-1), self._freqs)
         if labels is not None:
@@ -252,15 +282,18 @@ class MLPField(FieldModel):
             np.tanh(h, out=h)
             activations.append(h)
         w_last, b_last = layers[-1]
-        out = np.matmul(h, w_last)
+        out = np.matmul(h, w_last, out=out)
         out += b_last
-        if want_cache:
-            return out, {"activations": activations, "labels": labels,
-                         "was_vector": was_vector}
-        return out[0] if was_vector else out
+        return out, activations
 
     def evaluate(self, x: np.ndarray, t, y=None) -> np.ndarray:
-        """Deterministic forward pass; same shape as ``x``."""
+        """Deterministic forward pass; same shape as ``x``.
+
+        Runs over blocks of rows (``_EVAL_BLOCK_VALUES``) into one output, so
+        its memory beyond the output does not grow with n.  Up to one block
+        the bits are those of :meth:`forward_with_cache`; beyond it they agree
+        to rounding.
+        """
         return self._forward(x, t, y, want_cache=False)
 
     def forward_with_cache(self, x: np.ndarray, t, y=None):
@@ -352,9 +385,9 @@ def loss_velocity(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
     if model.prediction is not Prediction.VELOCITY:
         raise ConfigError("loss_velocity requires a velocity-prediction model")
     x_star, eps, t, y = _batch_arrays(batch)
-    schedule = model.schedule
-    x_t = interpolate(schedule, x_star, eps, t)
-    target = interpolant_derivative(schedule, x_star, eps, t)
+    coef = model.schedule.coefficients(t)
+    x_t = _interpolant_state(coef, x_star, eps)
+    target = _interpolant_velocity(coef, x_star, eps)
     out, cache = _forward_any(model, x_t, t, y)
     residual = out - target
     n = x_star.shape[0]
@@ -367,9 +400,9 @@ def loss_score(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
     if model.prediction is not Prediction.SCORE:
         raise ConfigError("loss_score requires a score-prediction model")
     x_star, eps, t, y = _batch_arrays(batch)
-    schedule = model.schedule
-    x_t = interpolate(schedule, x_star, eps, t)
-    sig = schedule.coefficients(t).sigma[:, None]
+    coef = model.schedule.coefficients(t)
+    x_t = _interpolant_state(coef, x_star, eps)
+    sig = coef.sigma[:, None]
     out, cache = _forward_any(model, x_t, t, y)
     residual = sig * out + eps
     n = x_star.shape[0]
@@ -388,9 +421,8 @@ def loss_score_weighted(model: FieldModel, batch) -> tuple[float, np.ndarray | N
     if model.prediction is not Prediction.SCORE:
         raise ConfigError("loss_score_weighted requires a score-prediction model")
     x_star, eps, t, y = _batch_arrays(batch)
-    schedule = model.schedule
-    x_t = interpolate(schedule, x_star, eps, t)
-    coef = schedule.coefficients(t)
+    coef = model.schedule.coefficients(t)
+    x_t = _interpolant_state(coef, x_star, eps)
     sig, lam = coef.sigma[:, None], coef.lambda_weight[:, None]
     out, cache = _forward_any(model, x_t, t, y)
     residual = sig * out + eps
@@ -706,11 +738,12 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
             y[dropped] = model.conditioning.null_id
         else:
             y = None
-        x_t = interpolate(schedule, x_star, eps, t)
+        coef = schedule.coefficients(t)
+        x_t = _interpolant_state(coef, x_star, eps)
         out = model.evaluate(x_t, t, y)
         if model.prediction is Prediction.SCORE:
-            out = velocity_from_score(schedule, out, x_t, t)
-        target = interpolant_derivative(schedule, x_star, eps, t)
+            out = _velocity_from_score(coef, out, x_t)
+        target = _interpolant_velocity(coef, x_star, eps)
         residual = out - target
         value = float(np.sum(residual * residual) / draws_per_bin)
         if not math.isfinite(value):

@@ -306,8 +306,10 @@ def path_length(field: FieldModel, data, n_mc: int = 10_000,
 
 
 def _lambda_sigma(schedule: InterpolantSchedule, t) -> np.ndarray:
+    """``lambda(t) * sigma(t)``; ``+ 0.0`` turns the -0.0 that t = -0.0 gives
+    on linear and gvp into +0.0, so that t = -0.0 and t = 0.0 agree."""
     coef = schedule.coefficients(t)
-    return coef.lambda_weight * coef.sigma
+    return coef.lambda_weight * coef.sigma + 0.0
 
 
 def kl_integrand(w_value, loss_value, t, schedule: InterpolantSchedule):
@@ -377,7 +379,8 @@ def kl_cost_minimum(loss_value, t, schedule: InterpolantSchedule, eta: float):
         raise DomainError("eta must be nonnegative")
     loss = np.asarray(loss_value, dtype=np.float64)
     a = _lambda_sigma(schedule, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A subnormal t gives a subnormal a, and 2 L / a overflows to inf.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = np.where(loss > 0.0,
                         np.sqrt((loss + 4.0 * float(eta) * a * a)
                                 / np.where(loss > 0.0, loss, 1.0)), 1.0)

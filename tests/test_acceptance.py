@@ -260,6 +260,7 @@ def test_c05_heun_error_decays_at_second_order():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c06_em_marginals_are_invariant_to_diffusion_choice():
     """Terminal samples under four different diffusion coefficients are
     pairwise indistinguishable by the energy-distance permutation test."""
@@ -339,6 +340,7 @@ def test_c08_vp_schedule_pays_highest_transport_cost():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c09_trained_velocity_model_reproduces_two_mode_target(
         trained_models, exact_reference):
     """Median over three training seeds: mode occupancy within +-0.05 of the
@@ -444,6 +446,7 @@ def test_c10_guidance_strength_increases_target_class_occupancy():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c11_ode_wins_low_budget_and_sde_matches_high_budget(
         trained_models, exact_reference):
     """At 32 evaluations per trajectory the deterministic sampler's median

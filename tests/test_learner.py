@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from driftlab import (
     train,
     velocity_from_score,
 )
+from driftlab.learner import _EVAL_BLOCK_VALUES
 from driftlab.toybox import as_dataset
 
 from helpers import relative_error
@@ -229,6 +231,42 @@ def test_mlp_matches_manual_reference(linear, rng, num_classes):
         g = rng.standard_normal(out.shape)
         assert _bitwise_equal(model.backward(cache, g),
                               _reference_backward(model, activations, labels, g))
+
+
+def _block_rows(model) -> int:
+    return _EVAL_BLOCK_VALUES // max(model._layer_dims)
+
+
+def test_evaluate_memory_does_not_grow_with_rows(linear):
+    model = MLPField(2, linear, seed=4)
+    rows = _block_rows(model)
+    inputs = {n: np.linspace(-3.0, 3.0, 2 * n).reshape(n, 2) for n in (rows, 32 * rows)}
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            model.evaluate(inputs[n], 0.37)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_block, many_blocks = traced_peak(rows), traced_peak(32 * rows)
+    output_bytes = inputs[32 * rows].nbytes
+    assert many_blocks <= one_block + output_bytes + 16_384, (one_block, many_blocks)
+
+
+@pytest.mark.parametrize("num_classes", [None, 3])
+def test_evaluate_in_blocks_matches_manual_reference_with_a_remainder_row(
+        linear, rng, num_classes):
+    model = MLPField(2, linear, num_classes=num_classes, seed=4)
+    n = 2 * _block_rows(model) + 1
+    x = rng.standard_normal((n, 2))
+    y = None if num_classes is None else rng.integers(0, num_classes + 1, size=n)
+    for time in (0.37, rng.uniform(0.0, 1.0, size=n)):
+        out = model.evaluate(x, time, y)
+        expected = _reference_forward(model, x, time, y)[0]
+        assert out.shape == (n, 2)
+        assert np.max(relative_error(out, expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("conditional", [False, True])

@@ -29,6 +29,7 @@ from driftlab import (
     kl_cost_minimum,
     kl_integrand,
     ks_per_axis,
+    make_schedule,
     mode_occupancy,
     path_length,
 )
@@ -342,6 +343,19 @@ def test_cost_minimum_equals_integrand_at_the_minimizer(linear):
             assert math.isclose(value, closed, rel_tol=1e-10)
             assert kl_cost_integrand(w_star * 1.01, loss, t, linear, eta) > closed
             assert kl_cost_integrand(w_star * 0.99, loss, t, linear, eta) > closed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", ["linear", "gvp"])
+def test_cost_minimum_at_zero_and_subnormal_times(name):
+    schedule = make_schedule(name)
+    for eta in (0.0, 0.5):
+        assert kl_cost_minimum(0.3, 0.0, schedule, eta) == math.inf
+        assert kl_cost_minimum(0.3, -0.0, schedule, eta) == math.inf
+        assert kl_cost_minimum(0.3, 5e-324, schedule, eta) == math.inf
+        both = kl_cost_minimum(np.array([0.3, 0.3]), np.array([-0.0, 0.0]),
+                               schedule, eta)
+        assert np.array_equal(both, [math.inf, math.inf])
 
 
 def test_regularized_coefficient_beats_unregularized_on_the_full_objective(linear):
