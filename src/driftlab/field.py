@@ -570,8 +570,8 @@ class FieldModel:
         Which field the model outputs (:class:`Prediction`).
     schedule:
         The interpolant schedule the field lives on.
-    source:
-        ``"analytic-gmm"`` or ``"learned-mlp"``.
+    dimension:
+        The data dimension d: points are (d,) vectors or (n, d) batches.
     conditioning:
         :class:`Conditioning` for conditional models, else ``None``.
 
@@ -581,7 +581,7 @@ class FieldModel:
 
     prediction: Prediction
     schedule: InterpolantSchedule
-    source: str = ""
+    dimension: int
     conditioning: Conditioning | None = None
 
     def evaluate(self, x: np.ndarray, t, y=None) -> np.ndarray:
@@ -602,12 +602,11 @@ class AnalyticMixtureField(FieldModel):
     ground truth — is exact.
     """
 
-    source = "analytic-gmm"
-
     def __init__(self, gmm: GaussianMixture, schedule: InterpolantSchedule,
                  prediction: Prediction = Prediction.VELOCITY,
                  conditional: bool = False) -> None:
         self.gmm = gmm
+        self.dimension = gmm.dimension
         self.schedule = schedule
         self.prediction = Prediction(prediction)
         self.conditioning = Conditioning(gmm.n_components) if conditional else None

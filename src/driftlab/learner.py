@@ -44,6 +44,7 @@ from .field import (
     Conditioning,
     FieldModel,
     Prediction,
+    _as_batch,
     _interpolant_state,
     _interpolant_velocity,
     _velocity_from_score,
@@ -125,8 +126,6 @@ class MLPField(FieldModel):
     ``num_classes=None`` builds an unconditional model; otherwise the input
     gains a learned embedding row per class plus one for the null token.
     """
-
-    source = "learned-mlp"
 
     def __init__(self, dimension: int, schedule: InterpolantSchedule,
                  prediction: Prediction = Prediction.VELOCITY,
@@ -234,11 +233,8 @@ class MLPField(FieldModel):
         return labels.astype(np.int64)
 
     def _forward(self, x: np.ndarray, t, y, want_cache: bool):
-        xx = np.asarray(x, dtype=np.float64)
-        was_vector = xx.ndim == 1
-        if was_vector:
-            xx = xx[None, :]
-        if xx.ndim != 2 or xx.shape[1] != self.dimension:
+        xx, was_vector = _as_batch(x)
+        if xx.shape[1] != self.dimension:
             raise DomainError(
                 f"points must have shape (n, {self.dimension}), got {xx.shape}"
             )
@@ -353,27 +349,49 @@ class MLPField(FieldModel):
 # ---------------------------------------------------------------------------
 
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray, object]:
+def _regress(model: FieldModel, batch, residual) -> tuple[float, np.ndarray | None]:
+    """The regression all three objectives share.
+
+    Validates ``batch = (x_star, eps, t, y)``, forms ``x_t`` from one
+    ``schedule.coefficients(t)`` and runs the model on it.  ``residual(coef,
+    x_star, eps, out, n)`` returns the per-element loss terms and the gradient
+    with respect to the model output; the loss is their sum over the batch
+    divided by n.  Returns ``(loss, flat gradient)``, the gradient ``None``
+    for models without parameters (analytic oracles).
+    """
     x_star, eps, t, y = batch
     x_star = np.asarray(x_star, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if x_star.ndim != 2 or x_star.shape != eps.shape or t.shape != (x_star.shape[0],):
         raise DomainError("batch must be (x_star (n,d), eps (n,d), t (n,), y)")
-    return x_star, eps, t, y
-
-
-def _grad_or_none(model: FieldModel, cache, grad_out: np.ndarray):
+    coef = model.schedule.coefficients(t)
+    x_t = _interpolant_state(coef, x_star, eps)
     if isinstance(model, MLPField):
-        return model.backward(cache, grad_out)
-    return None
+        out, cache = model.forward_with_cache(x_t, t, y)
+    else:
+        out, cache = model.evaluate(x_t, t, y), None
+    n = x_star.shape[0]
+    terms, grad_out = residual(coef, x_star, eps, out, n)
+    loss = float(np.sum(terms) / n)
+    return loss, None if cache is None else model.backward(cache, grad_out)
 
 
-def _forward_any(model: FieldModel, x: np.ndarray, t: np.ndarray, y):
-    """Forward pass that also works for non-trainable (oracle) field models."""
-    if isinstance(model, MLPField):
-        return model.forward_with_cache(x, t, y)
-    return model.evaluate(x, t, y), None
+def _velocity_residual(coef, x_star, eps, out, n):
+    residual = out - _interpolant_velocity(coef, x_star, eps)
+    return residual * residual, (2.0 / n) * residual
+
+
+def _score_residual(coef, x_star, eps, out, n):
+    sig = coef.sigma[:, None]
+    residual = sig * out + eps
+    return residual * residual, (2.0 / n) * sig * residual
+
+
+def _weighted_score_residual(coef, x_star, eps, out, n):
+    sig, lam = coef.sigma[:, None], coef.lambda_weight[:, None]
+    residual = sig * out + eps
+    return lam * lam * residual * residual, (2.0 / n) * lam * lam * sig * residual
 
 
 def loss_velocity(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
@@ -384,30 +402,14 @@ def loss_velocity(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
     """
     if model.prediction is not Prediction.VELOCITY:
         raise ConfigError("loss_velocity requires a velocity-prediction model")
-    x_star, eps, t, y = _batch_arrays(batch)
-    coef = model.schedule.coefficients(t)
-    x_t = _interpolant_state(coef, x_star, eps)
-    target = _interpolant_velocity(coef, x_star, eps)
-    out, cache = _forward_any(model, x_t, t, y)
-    residual = out - target
-    n = x_star.shape[0]
-    loss = float(np.sum(residual * residual) / n)
-    return loss, _grad_or_none(model, cache, (2.0 / n) * residual)
+    return _regress(model, batch, _velocity_residual)
 
 
 def loss_score(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
     """Denoising score matching: mean ``|sigma(t) f(x_t,t,y) + eps|^2``."""
     if model.prediction is not Prediction.SCORE:
         raise ConfigError("loss_score requires a score-prediction model")
-    x_star, eps, t, y = _batch_arrays(batch)
-    coef = model.schedule.coefficients(t)
-    x_t = _interpolant_state(coef, x_star, eps)
-    sig = coef.sigma[:, None]
-    out, cache = _forward_any(model, x_t, t, y)
-    residual = sig * out + eps
-    n = x_star.shape[0]
-    loss = float(np.sum(residual * residual) / n)
-    return loss, _grad_or_none(model, cache, (2.0 / n) * sig * residual)
+    return _regress(model, batch, _score_residual)
 
 
 def loss_score_weighted(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
@@ -420,16 +422,7 @@ def loss_score_weighted(model: FieldModel, batch) -> tuple[float, np.ndarray | N
     """
     if model.prediction is not Prediction.SCORE:
         raise ConfigError("loss_score_weighted requires a score-prediction model")
-    x_star, eps, t, y = _batch_arrays(batch)
-    coef = model.schedule.coefficients(t)
-    x_t = _interpolant_state(coef, x_star, eps)
-    sig, lam = coef.sigma[:, None], coef.lambda_weight[:, None]
-    out, cache = _forward_any(model, x_t, t, y)
-    residual = sig * out + eps
-    n = x_star.shape[0]
-    weighted = lam * lam * residual * residual
-    loss = float(np.sum(weighted) / n)
-    return loss, _grad_or_none(model, cache, (2.0 / n) * lam * lam * sig * residual)
+    return _regress(model, batch, _weighted_score_residual)
 
 
 class TrainObjective(str, enum.Enum):
@@ -560,21 +553,14 @@ def train(config: TrainConfig, data) -> TrainResult:
     scratch = np.empty_like(model.parameters)
     curve = np.empty((config.steps, 2))
     for step in range(config.steps):
-        x_star, labels = dataset.resample(rng, config.batch)
-        eps = rng.standard_normal(x_star.shape)
-        t = rng.uniform(t_lo, t_hi, size=config.batch)
-        if config.conditional:
-            y = labels.astype(np.int64).copy()
-            dropped = rng.random(config.batch) < config.label_dropout
-            y[dropped] = model.conditioning.null_id
-        else:
-            y = None
-        loss, grad = loss_fn(model, (x_star, eps, t, y))
+        batch = _draw_batch(model, dataset, rng, config.batch, t_lo, t_hi,
+                            config.label_dropout)
+        loss, grad = loss_fn(model, batch)
         if not math.isfinite(loss):
             raise NonFiniteError(
                 "training loss became non-finite",
                 step=step,
-                t_bin=_blame_bin(model, config, (x_star, eps, t, y), t_lo, t_hi),
+                t_bin=_blame_bin(model, config, batch, t_lo, t_hi),
             )
         # Adam with bias correction, constant learning rate; in place, rounded as
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, p -= lr*(m/c1)/(sqrt(v/c2)+eps).
@@ -590,17 +576,31 @@ def train(config: TrainConfig, data) -> TrainResult:
         grad *= config.learning_rate
         model.parameters -= np.divide(grad, scratch, out=grad)
         curve[step] = (step, loss)
-    profile_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(2,)))
     profile = estimate_loss_profile(
         model, dataset,
         bins=config.profile_bins,
         draws_per_bin=config.profile_draws,
         window=(t_lo, t_hi),
-        rng=profile_rng,
-        label_dropout=config.label_dropout if config.conditional else 0.0,
+        seed=config.seed,
+        label_dropout=config.label_dropout,
     )
     return TrainResult(model=model, curve=curve, profile=profile)
+
+
+def _draw_batch(model: FieldModel, dataset, rng: np.random.Generator, n: int,
+                t_lo: float, t_hi: float, label_dropout: float):
+    """One batch ``(x_star, eps, t, y)`` of n rows, drawn from ``rng`` in a
+    fixed order: data points, standard-normal noise, t uniform on
+    ``[t_lo, t_hi)``, then, for a conditional model only, the labels dropped
+    to the null token at ``label_dropout``."""
+    x_star, labels = dataset.resample(rng, n)
+    eps = rng.standard_normal(x_star.shape)
+    t = rng.uniform(t_lo, t_hi, size=n)
+    y = None
+    if model.conditioning is not None:
+        y = labels.astype(np.int64)
+        y[rng.random(n) < label_dropout] = model.conditioning.null_id
+    return x_star, eps, t, y
 
 
 def _blame_bin(model, config, batch, t_lo, t_hi) -> int | None:
@@ -697,7 +697,6 @@ class LossProfile:
 def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
                           draws_per_bin: int = 2000,
                           window: tuple[float, float] | None = None,
-                          rng: np.random.Generator | None = None,
                           seed: int = 0,
                           label_dropout: float = 0.0) -> LossProfile:
     """Monte-Carlo estimate of the per-time velocity loss L(t) on uniform bins.
@@ -706,14 +705,15 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
     window is clipped to keep the conversion regular (``alpha > 0``; for
     sbdm-vp also ``t > 0``).  Conditional models are evaluated with labels
     dropped to the null token at ``label_dropout``, matching how they were
-    trained.
+    trained.  Batches are drawn as in training, from the stream
+    ``SeedSequence(seed, spawn_key=(2,))``, which is the stream :func:`train`
+    gives its profile.
     """
     if bins < 1 or draws_per_bin < 1:
         raise ConfigError(f"a loss profile needs at least one bin and one draw per bin, "
                           f"got bins={bins!r}, draws_per_bin={draws_per_bin!r}")
     dataset = as_dataset(data)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(2,)))
+    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(2,)))
     schedule = model.schedule
     if window is None:
         lo, hi = 0.0, 1.0
@@ -727,17 +727,9 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
         raise ConfigError(f"profile window [{lo}, {hi}] is empty")
     edges = np.linspace(lo, hi, bins + 1)
     values = np.empty(bins)
-    conditional = model.conditioning is not None
     for b in range(bins):
-        x_star, labels = dataset.resample(rng, draws_per_bin)
-        eps = rng.standard_normal(x_star.shape)
-        t = rng.uniform(edges[b], edges[b + 1], size=draws_per_bin)
-        if conditional:
-            y = labels.astype(np.int64).copy()
-            dropped = rng.random(draws_per_bin) < label_dropout
-            y[dropped] = model.conditioning.null_id
-        else:
-            y = None
+        x_star, eps, t, y = _draw_batch(model, dataset, rng, draws_per_bin,
+                                        edges[b], edges[b + 1], label_dropout)
         coef = schedule.coefficients(t)
         x_t = _interpolant_state(coef, x_star, eps)
         out = model.evaluate(x_t, t, y)

@@ -141,8 +141,6 @@ class SamplerResult:
     samples: np.ndarray
     #: Model function evaluations per trajectory.
     nfe: int
-    #: The uniform time grid the integrator walked (length steps + 1).
-    grid: np.ndarray
 
 
 def time_grid(spec: SamplerSpec) -> np.ndarray:
@@ -333,22 +331,12 @@ def _chunk_noise(seed: int, lo: int, hi: int, rows: int, dim: int) -> np.ndarray
     return out
 
 
-def _model_dimension(model: FieldModel) -> int:
-    dim = getattr(model, "dimension", None)
-    if dim is None:
-        gmm = getattr(model, "gmm", None)
-        dim = getattr(gmm, "dimension", None)
-    if dim is None:
-        raise ConfigError("model does not expose its data dimension")
-    return int(dim)
-
-
 def _check_finite(x: np.ndarray, step: int) -> None:
     if not np.isfinite(x).all():
         raise NonFiniteError("sampler state became non-finite", step=step)
 
 
-def _integrate(model: FieldModel, spec: SamplerSpec, grid: np.ndarray, n_samples: int,
+def _integrate(model: FieldModel, spec: SamplerSpec, n_samples: int,
                y, chunk_size: int | None, step, final_step=None,
                noise_rows: int = 1) -> SamplerResult:
     """The loop both integrators share.
@@ -370,7 +358,7 @@ def _integrate(model: FieldModel, spec: SamplerSpec, grid: np.ndarray, n_samples
         chunk = int(chunk_size)
     else:
         raise ConfigError(f"chunk_size must be None or a positive integer, got {chunk_size!r}")
-    dim = _model_dimension(model)
+    dim = model.dimension
     field = _CountingField(model, spec, y)
     outputs = []
     for lo in range(0, n_samples, chunk):
@@ -383,7 +371,7 @@ def _integrate(model: FieldModel, spec: SamplerSpec, grid: np.ndarray, n_samples
             x = final_step(field, x)
             _check_finite(x, spec.steps)
         outputs.append(x)
-    return SamplerResult(np.concatenate(outputs, axis=0), field.calls // len(outputs), grid)
+    return SamplerResult(np.concatenate(outputs, axis=0), field.calls // len(outputs))
 
 
 def _require_kind(spec: SamplerSpec, kind: SamplerKind, entry: str) -> None:
@@ -412,7 +400,7 @@ def heun_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
         slope_next = field.velocity(predicted, float(grid[i + 1]))
         return x + 0.5 * dt * (slope_here + slope_next)
 
-    return _integrate(model, spec, grid, n_samples, y, chunk_size, step)
+    return _integrate(model, spec, n_samples, y, chunk_size, step)
 
 
 def euler_maruyama_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
@@ -451,5 +439,5 @@ def euler_maruyama_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
     def final_step(field: _CountingField, x: np.ndarray) -> np.ndarray:
         return x + (spec.last_step_to - spec.t_end) * drift(field, x, spec.steps)
 
-    return _integrate(model, spec, grid, n_samples, y, chunk_size, step,
+    return _integrate(model, spec, n_samples, y, chunk_size, step,
                       final_step if final else None, noise_rows=spec.steps + 1)

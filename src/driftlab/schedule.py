@@ -586,11 +586,6 @@ def parse_coefficient(text: str, schedule: InterpolantSchedule,
             eta = float(text[len("kl-eta:"):])
         except ValueError as exc:
             raise ConfigError(f"bad eta in {text!r}") from exc
-        if loss_profile is None:
-            raise MissingProfileError(
-                f"diffusion coefficient {text!r} requires a per-time loss "
-                f"profile (L_t); pass a profile file from a training run"
-            )
         try:
             return KLEtaCoefficient(schedule, loss_profile, eta)
         except DomainError as exc:

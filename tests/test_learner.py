@@ -281,6 +281,81 @@ def test_training_matches_manual_reference(linear, conditional):
     assert _bitwise_equal(result.curve, curve)
 
 
+def _reference_score_train(config, data):
+    """``_reference_train`` for the two score objectives: residual
+    ``sigma*f + eps``, weighted by ``lambda^2`` for weighted-score."""
+    dataset = as_dataset(data)
+    t_lo, t_hi = config.window()
+    weighted = config.objective is TrainObjective.WEIGHTED_SCORE
+    model = MLPField(dataset.dimension, config.schedule, prediction=Prediction.SCORE,
+                     widths=config.widths,
+                     num_classes=dataset.num_classes if config.conditional else None,
+                     seed=config.seed)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    moment1 = np.zeros_like(model.parameters)
+    moment2 = np.zeros_like(model.parameters)
+    curve = []
+    for step in range(config.steps):
+        x_star, labels = dataset.resample(rng, config.batch)
+        eps = rng.standard_normal(x_star.shape)
+        t = rng.uniform(t_lo, t_hi, size=config.batch)
+        y = None
+        if config.conditional:
+            y = labels.astype(np.int64).copy()
+            y[rng.random(config.batch) < config.label_dropout] = \
+                model.conditioning.null_id
+        x_t = interpolate(config.schedule, x_star, eps, t)
+        sig = config.schedule.sigma(t)[:, None]
+        lam = config.schedule.lambda_weight(t)[:, None]
+        out, activations, used = _reference_forward(model, x_t, t, y)
+        residual = sig * out + eps
+        n = config.batch
+        if weighted:
+            curve.append((step, float(np.sum(lam * lam * residual * residual) / n)))
+            g = (2.0 / n) * lam * lam * sig * residual
+        else:
+            curve.append((step, float(np.sum(residual * residual) / n)))
+            g = (2.0 / n) * sig * residual
+        grad = _reference_backward(model, activations, used, g)
+        moment1 = config.beta1 * moment1 + (1.0 - config.beta1) * grad
+        moment2 = config.beta2 * moment2 + (1.0 - config.beta2) * grad * grad
+        hat1 = moment1 / (1.0 - config.beta1 ** (step + 1))
+        hat2 = moment2 / (1.0 - config.beta2 ** (step + 1))
+        model.parameters -= config.learning_rate * hat1 / (np.sqrt(hat2) + config.adam_eps)
+    return model.parameters, np.array(curve)
+
+
+@pytest.mark.parametrize("conditional", [False, True])
+@pytest.mark.parametrize("objective", ["score", "weighted-score"])
+def test_score_training_matches_manual_reference(linear, objective, conditional):
+    # A batch that is not a power of two, so that 2/n is inexact and the
+    # order of the gradient's products shows in its bits.
+    config = TrainConfig(objective=objective, schedule=linear, steps=3, batch=30, seed=6,
+                         conditional=conditional, label_dropout=0.3,
+                         profile_bins=1, profile_draws=10)
+    data = get_preset("grid-9")
+    result = train(config, data)
+    parameters, curve = _reference_score_train(config, data)
+    assert _bitwise_equal(result.model.parameters, parameters)
+    assert _bitwise_equal(result.curve, curve)
+
+
+@pytest.mark.parametrize("objective,conditional", [("velocity", False), ("score", True)])
+def test_training_profile_is_the_seeded_profile_of_the_trained_model(
+        linear, objective, conditional):
+    config = TrainConfig(objective=objective, schedule=linear, steps=4, batch=32,
+                         seed=8, conditional=conditional, label_dropout=0.3,
+                         profile_bins=4, profile_draws=50)
+    data = get_preset("grid-9")
+    result = train(config, data)
+    profile = estimate_loss_profile(result.model, data, bins=config.profile_bins,
+                                    draws_per_bin=config.profile_draws,
+                                    window=config.window(), seed=config.seed,
+                                    label_dropout=config.label_dropout)
+    assert _bitwise_equal(result.profile.edges, profile.edges)
+    assert _bitwise_equal(result.profile.values, profile.values)
+
+
 # ---------------------------------------------------------------------------
 # Objectives: finite-difference oracle and exact baselines
 # ---------------------------------------------------------------------------
