@@ -200,6 +200,7 @@ def _echo_config(out: str, merged: dict) -> None:
 
 
 def _resolve_dataset(spec_text: str) -> ToyDataset:
+    """The dataset named by ``--dataset`` or ``--reference``: a preset or a samples file."""
     if spec_text in PRESET_NAMES:
         return ToyDataset(gmm=get_preset(spec_text))
     if os.path.isfile(spec_text):
@@ -363,13 +364,16 @@ def _cmd_sample(merged: dict) -> int:
 # eval
 # ---------------------------------------------------------------------------
 
+#: The metrics eval may name and every sweep cell reports, in report order.
+_METRICS = ("energy", "ks", "occupancy")
+
 _EVAL_OPTIONS = {
     **_OUT,
     "samples": (None, _text, "samples file to evaluate"),
     "reference": (None, _text, "preset name (exact draws) or samples file"),
     "n_reference": (None, int),
     "seed": (0, _count),
-    "metrics": ("energy,ks,occupancy", _text, "comma list: energy,ks,occupancy"),
+    "metrics": (",".join(_METRICS), _text, f"comma list: {','.join(_METRICS)}"),
     "permutations": (0, _count, "permutation count for the energy-distance test"),
 }
 
@@ -377,7 +381,8 @@ _EVAL_OPTIONS = {
 def _score(report: MetricReport, wanted, samples: np.ndarray, reference: np.ndarray,
            gmm, permutations: int, seed: int) -> None:
     """Add the wanted metrics of samples against a reference to a report."""
-    if "energy" in wanted:
+    energy, ks, occupancy = (name in wanted for name in _METRICS)
+    if energy:
         if permutations > 0:
             stat, p_value = energy_distance_permutation_test(
                 samples, reference, n_permutations=permutations, seed=seed)
@@ -385,9 +390,9 @@ def _score(report: MetricReport, wanted, samples: np.ndarray, reference: np.ndar
             report.set("energy_p_value", p_value)
         else:
             report.set("energy_distance", energy_distance(samples, reference))
-    if "ks" in wanted:
+    if ks:
         report.set("ks", ks_per_axis(samples, reference))
-    if "occupancy" in wanted:
+    if occupancy:
         if gmm is None:
             raise ConfigError(
                 "occupancy requires a preset reference (needs component means)"
@@ -403,22 +408,16 @@ def _cmd_eval(merged: dict) -> int:
         raise ConfigError("--reference is required (preset name or samples file)")
     seed = merged["seed"]
     samples, _, meta = read_samples(merged["samples"])
-    reference_spec = merged["reference"]
-    gmm = None
-    if reference_spec in PRESET_NAMES:
-        gmm = get_preset(reference_spec)
+    dataset = _resolve_dataset(merged["reference"])
+    gmm, reference = dataset.gmm, dataset.samples
+    if gmm is not None:
         n_ref = merged["n_reference"] or samples.shape[0]
         reference, _ = draw(gmm, n_ref, seed=seed, with_labels=False)
-    elif os.path.isfile(reference_spec):
-        reference, _, _ = read_samples(reference_spec)
-    else:
-        raise ConfigError(f"reference not found: {reference_spec!r}")
     wanted = [m.strip() for m in merged["metrics"].split(",") if m.strip()]
-    known = {"energy", "ks", "occupancy"}
-    bad = set(wanted) - known
+    bad = set(wanted) - set(_METRICS)
     if bad:
         raise ConfigError(f"unknown metrics: {', '.join(sorted(bad))} "
-                          f"(choose from {', '.join(sorted(known))})")
+                          f"(choose from {', '.join(_METRICS)})")
     report = MetricReport()
     report.set("n_samples", samples.shape[0])
     report.set("n_reference", reference.shape[0])
@@ -489,7 +488,7 @@ def _run_cell(config: dict, key: str, schedule_name: str, sampler_name: str,
     report.set("status", "ok")
     report.set("seed", cell_seed)
     report.set("nfe", result.nfe)
-    _score(report, ("energy", "ks", "occupancy"), result.samples, reference,
+    _score(report, _METRICS, result.samples, reference,
            model.gmm, config["permutations"], cell_seed)
     return report
 

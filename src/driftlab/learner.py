@@ -36,6 +36,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .field import (
     _velocity_from_score,
     interpolate,
 )
-from .schedule import InterpolantSchedule, schedule_from_config
+from .schedule import InterpolantSchedule, _match_shape, schedule_from_config
 from .toybox import as_dataset, atomic_write_text
 
 __all__ = [
@@ -125,16 +126,18 @@ class MLPField(FieldModel):
 
     ``num_classes=None`` builds an unconditional model; otherwise the input
     gains a learned embedding row per class plus one for the null token.
+    The time features and the embedding width are the module constants.
     """
+
+    time_feature_count = TIME_FEATURE_COUNT
+    time_freq_min = TIME_FREQ_MIN
+    time_freq_max = TIME_FREQ_MAX
+    class_embed_dim = CLASS_EMBED_DIM
 
     def __init__(self, dimension: int, schedule: InterpolantSchedule,
                  prediction: Prediction = Prediction.VELOCITY,
                  widths: tuple[int, ...] = DEFAULT_WIDTHS,
                  num_classes: int | None = None,
-                 time_feature_count: int = TIME_FEATURE_COUNT,
-                 time_freq_min: float = TIME_FREQ_MIN,
-                 time_freq_max: float = TIME_FREQ_MAX,
-                 class_embed_dim: int = CLASS_EMBED_DIM,
                  seed: int = 0,
                  parameters: np.ndarray | None = None) -> None:
         dimension = int(dimension)
@@ -147,12 +150,7 @@ class MLPField(FieldModel):
         self.schedule = schedule
         self.prediction = Prediction(prediction)
         self.widths = widths
-        self.time_feature_count = int(time_feature_count)
-        self.time_freq_min = float(time_freq_min)
-        self.time_freq_max = float(time_freq_max)
-        self.class_embed_dim = int(class_embed_dim)
-        self._freqs = np.geomspace(self.time_freq_min, self.time_freq_max,
-                                   self.time_feature_count)
+        self._freqs = np.geomspace(TIME_FREQ_MIN, TIME_FREQ_MAX, TIME_FEATURE_COUNT)
         if num_classes is not None and int(num_classes) < 1:
             raise ConfigError(f"num_classes must be None or >= 1, got {num_classes!r}")
         self.conditioning = None if num_classes is None else Conditioning(int(num_classes))
@@ -474,9 +472,6 @@ class TrainConfig:
     steps: int
     batch: int = 256
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     label_dropout: float = 0.1
     t_lo: float | None = None
     t_hi: float | None = None
@@ -485,6 +480,10 @@ class TrainConfig:
     widths: tuple[int, ...] = DEFAULT_WIDTHS
     profile_bins: int = 50
     profile_draws: int = 2000
+    #: Adam's moment decays and denominator offset.
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", TrainObjective(self.objective))
@@ -533,11 +532,7 @@ def train(config: TrainConfig, data) -> TrainResult:
     """
     dataset = as_dataset(data)
     t_lo, t_hi = config.window()
-    num_classes = None
-    if config.conditional:
-        num_classes = dataset.num_classes
-        if num_classes is None:
-            raise ConfigError("conditional training requires labeled data")
+    num_classes = _class_count(dataset) if config.conditional else None
     model = MLPField(
         dimension=dataset.dimension,
         schedule=config.schedule,
@@ -585,6 +580,14 @@ def train(config: TrainConfig, data) -> TrainResult:
         label_dropout=config.label_dropout,
     )
     return TrainResult(model=model, curve=curve, profile=profile)
+
+
+def _class_count(dataset) -> int:
+    """The class count of a dataset that a conditional model can learn from."""
+    num_classes = dataset.num_classes
+    if num_classes is None:
+        raise ConfigError("conditional training requires labeled data")
+    return num_classes
 
 
 def _draw_batch(model: FieldModel, dataset, rng: np.random.Generator, n: int,
@@ -654,8 +657,7 @@ class LossProfile:
         clipped = np.clip(arr, self.edges[0], self.edges[-1])
         index = np.clip(np.searchsorted(self.edges, clipped, side="right") - 1,
                         0, self.values.shape[0] - 1)
-        out = self.values[index]
-        return float(out) if np.ndim(t) == 0 else out
+        return _match_shape(self.values[index], t)
 
     def save(self, path: str) -> None:
         """Write the profile as plain text, atomically; byte-stable."""
@@ -713,6 +715,8 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
         raise ConfigError(f"a loss profile needs at least one bin and one draw per bin, "
                           f"got bins={bins!r}, draws_per_bin={draws_per_bin!r}")
     dataset = as_dataset(data)
+    if model.conditioning is not None:  # its batches draw labels
+        _class_count(dataset)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(2,)))
     schedule = model.schedule
     if window is None:
@@ -749,6 +753,9 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "driftlab-checkpoint"
+#: The time-feature config and embedding width every checkpoint records.
+_FIXED_INPUTS = ({"count": TIME_FEATURE_COUNT, "freq_min": TIME_FREQ_MIN,
+                  "freq_max": TIME_FREQ_MAX}, CLASS_EMBED_DIM)
 
 
 def save_checkpoint(model: MLPField, path: str) -> None:
@@ -788,17 +795,14 @@ def load_checkpoint(path: str) -> MLPField:
         raise ConfigError(f"{path}: unrecognized checkpoint format/version")
     try:
         arch = payload["architecture"]
-        time_cfg = arch.get("time_features", {})
+        if (arch.get("time_features"), arch.get("class_embed_dim")) != _FIXED_INPUTS:
+            raise ConfigError(f"{path}: unsupported time features or class embedding width")
         return MLPField(
             dimension=arch["dimension"],
             schedule=schedule_from_config(arch["schedule"]),
             prediction=Prediction(arch["prediction"]),
             widths=tuple(arch["widths"]),
             num_classes=arch.get("num_classes"),
-            time_feature_count=time_cfg.get("count", TIME_FEATURE_COUNT),
-            time_freq_min=time_cfg.get("freq_min", TIME_FREQ_MIN),
-            time_freq_max=time_cfg.get("freq_max", TIME_FREQ_MAX),
-            class_embed_dim=arch.get("class_embed_dim", CLASS_EMBED_DIM),
             parameters=np.asarray(payload["parameters"], dtype=np.float64),
         )
     except KeyError as exc:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SingularityError
 from .field import FieldModel, GaussianMixture, Prediction, interpolate
-from .schedule import DiffusionCoefficient, InterpolantSchedule
+from .schedule import DiffusionCoefficient, InterpolantSchedule, _match_shape
 from .toybox import as_dataset
 
 __all__ = [
@@ -48,6 +48,17 @@ def _as_matrix(name: str, value: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} contains non-finite values")
     return arr
+
+
+def _sample_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two sample sets as finite (n, d) and (m, d) matrices of the same d."""
+    aa = _as_matrix("a", a)
+    bb = _as_matrix("b", b)
+    if aa.shape[1] != bb.shape[1]:
+        raise DomainError(
+            f"dimension mismatch: a has d={aa.shape[1]}, b has d={bb.shape[1]}"
+        )
+    return aa, bb
 
 
 def _mean_cross_distance_1d(a: np.ndarray, b: np.ndarray) -> float:
@@ -153,20 +164,13 @@ def _split_statistics(pooled: np.ndarray, n: int, orders: list) -> np.ndarray:
     return 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
 
 
-def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Energy distance ``2 E|a-b| - E|a-a'| - E|b-b'|`` between sample sets.
+def _sorted_split_statistics(pooled: np.ndarray, n: int, orders: list) -> np.ndarray:
+    """Energy distance of every split of 1-D ``pooled``, each on the sorted path."""
+    return np.array([_energy(pooled[order[:n]], pooled[order[n:]]) for order in orders])
 
-    All three expectations are means over all pairs including the diagonal
-    (V-statistic), which makes the value exactly 0 when the multisets are
-    identical and nonnegative up to rounding in general.  One-dimensional
-    inputs take an O(n log n) sorted path.
-    """
-    aa = _as_matrix("a", a)
-    bb = _as_matrix("b", b)
-    if aa.shape[1] != bb.shape[1]:
-        raise DomainError(
-            f"dimension mismatch: a has d={aa.shape[1]}, b has d={bb.shape[1]}"
-        )
+
+def _energy(aa: np.ndarray, bb: np.ndarray) -> float:
+    """:func:`energy_distance` of a checked pair (see :func:`_sample_pair`)."""
     if aa.shape[1] == 1:
         av = aa[:, 0]
         bv = bb[:, 0]
@@ -178,6 +182,17 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
             - _mean_cross_distance(bb, bb))
 
 
+def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Energy distance ``2 E|a-b| - E|a-a'| - E|b-b'|`` between sample sets.
+
+    All three expectations are means over all pairs including the diagonal
+    (V-statistic), which makes the value exactly 0 when the multisets are
+    identical and nonnegative up to rounding in general.  One-dimensional
+    inputs take an O(n log n) sorted path.
+    """
+    return _energy(*_sample_pair(a, b))
+
+
 def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
                                      n_permutations: int = 200,
                                      seed: int = 0) -> tuple[float, float]:
@@ -186,46 +201,35 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
     Returns ``(observed statistic, p-value)`` with the add-one rule
     ``p = (1 + #{permuted >= observed}) / (n_permutations + 1)``, so p is
     never exactly 0 and is uniform on its support under the null.
-    One-dimensional inputs score each split on the sorted path; in higher
-    dimensions the splits are scored together from one pass over the pooled
-    distances per block of splits, equal to a per-split
-    :func:`energy_distance` up to rounding.
+    Splits are drawn and scored a block at a time.  One-dimensional inputs
+    score one split per block on the sorted path; in higher dimensions a
+    block's splits are scored together from one pass over the pooled
+    distances, equal to a per-split :func:`energy_distance` up to rounding.
     """
-    aa = _as_matrix("a", a)
-    bb = _as_matrix("b", b)
-    if aa.shape[1] != bb.shape[1]:
-        raise DomainError("dimension mismatch between sample sets")
-    if int(n_permutations) <= 0:
+    aa, bb = _sample_pair(a, b)
+    count = int(n_permutations)
+    if count <= 0:
         raise ConfigError("n_permutations must be positive")
     observed = energy_distance(aa, bb)
     pooled = np.concatenate([aa, bb], axis=0)
-    n = aa.shape[0]
+    n, size = aa.shape[0], pooled.shape[0]
+    if pooled.shape[1] == 1:
+        width, score = 1, _sorted_split_statistics
+    else:
+        # The block width bounds the (pooled points × splits) split matrix.
+        width, score = max(1, _SPLIT_BUDGET // size), _split_statistics
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     exceed = 0
-    if pooled.shape[1] == 1:
-        for _ in range(int(n_permutations)):
-            order = rng.permutation(pooled.shape[0])
-            stat = energy_distance(pooled[order[:n]], pooled[order[n:]])
-            if stat >= observed:
-                exceed += 1
-    else:
-        # Splits are drawn and scored a block at a time to bound the split matrix.
-        width = max(1, _SPLIT_BUDGET // pooled.shape[0])
-        for lo in range(0, int(n_permutations), width):
-            orders = [rng.permutation(pooled.shape[0])
-                      for _ in range(min(width, int(n_permutations) - lo))]
-            exceed += int(np.count_nonzero(
-                _split_statistics(pooled, n, orders) >= observed))
+    for lo in range(0, count, width):
+        orders = [rng.permutation(size) for _ in range(min(width, count - lo))]
+        exceed += int(np.count_nonzero(score(pooled, n, orders) >= observed))
     p_value = (1.0 + exceed) / (float(n_permutations) + 1.0)
     return observed, p_value
 
 
 def ks_per_axis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Two-sample Kolmogorov–Smirnov statistic per coordinate axis; shape (d,)."""
-    aa = _as_matrix("a", a)
-    bb = _as_matrix("b", b)
-    if aa.shape[1] != bb.shape[1]:
-        raise DomainError("dimension mismatch between sample sets")
+    aa, bb = _sample_pair(a, b)
     out = np.empty(aa.shape[1])
     for axis in range(aa.shape[1]):
         xs = np.sort(aa[:, axis])
@@ -312,6 +316,13 @@ def _lambda_sigma(schedule: InterpolantSchedule, t) -> np.ndarray:
     return coef.lambda_weight * coef.sigma + 0.0
 
 
+def _eta(eta) -> float:
+    """The cost weight eta as a float; a negative or NaN weight is refused."""
+    if not (float(eta) >= 0.0):
+        raise DomainError("eta must be nonnegative")
+    return float(eta)
+
+
 def kl_integrand(w_value, loss_value, t, schedule: InterpolantSchedule):
     """Pointwise KL-bound integrand ``(L/w) (1 + w / (2 lambda sigma))²``.
 
@@ -330,9 +341,7 @@ def kl_integrand(w_value, loss_value, t, schedule: InterpolantSchedule):
                          (loss / np.where(w > 0.0, w, 1.0))
                          * (1.0 + w / (2.0 * a)) ** 2,
                          np.inf)
-    if np.ndim(w_value) == 0 and np.ndim(loss_value) == 0 and np.ndim(t) == 0:
-        return float(value)
-    return value
+    return _match_shape(value, w_value, loss_value, t)
 
 
 def kl_cost_integrand(w_value, loss_value, t, schedule: InterpolantSchedule,
@@ -341,16 +350,13 @@ def kl_cost_integrand(w_value, loss_value, t, schedule: InterpolantSchedule,
 
     The leading 2 normalizes the pointwise minimum to the closed form
     returned by :func:`kl_cost_minimum`; the minimizing w is unaffected and
-    equals :func:`kl_cost_minimizer`.
+    equals :func:`kl_cost_minimizer`.  Its ``eta`` is twice the ``eta`` of
+    :func:`kl_bound` and of the ``kl-eta:<eta>`` coefficient.
     """
-    if not (float(eta) >= 0.0):
-        raise DomainError("eta must be nonnegative")
+    eta = _eta(eta)
     base = kl_integrand(w_value, loss_value, t, schedule)
     w = np.asarray(w_value, dtype=np.float64)
-    value = 2.0 * (base + float(eta) * w)
-    if np.ndim(w_value) == 0 and np.ndim(loss_value) == 0 and np.ndim(t) == 0:
-        return float(value)
-    return value
+    return _match_shape(2.0 * (base + eta * w), w_value, loss_value, t)
 
 
 def kl_cost_minimizer(loss_value, t, schedule: InterpolantSchedule, eta: float):
@@ -358,36 +364,33 @@ def kl_cost_minimizer(loss_value, t, schedule: InterpolantSchedule, eta: float):
     ``2 lambda sigma sqrt(L / (L + 4 eta lambda² sigma²))``.
 
     Reduces to ``2 lambda sigma`` (the `kl` coefficient) at ``eta = 0``.
+    Its ``eta`` is twice that of :func:`kl_bound`: ``kl-eta:<eta>`` is this
+    minimizer at ``2 eta``.
     """
-    if not (float(eta) >= 0.0):
-        raise DomainError("eta must be nonnegative")
+    eta = _eta(eta)
     loss = np.asarray(loss_value, dtype=np.float64)
     a = _lambda_sigma(schedule, t)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(loss > 0.0,
-                         np.sqrt(loss / (loss + 4.0 * float(eta) * a * a)), 0.0)
-    value = 2.0 * a * ratio
-    if np.ndim(loss_value) == 0 and np.ndim(t) == 0:
-        return float(value)
-    return value
+                         np.sqrt(loss / (loss + 4.0 * eta * a * a)), 0.0)
+    return _match_shape(2.0 * a * ratio, loss_value, t)
 
 
 def kl_cost_minimum(loss_value, t, schedule: InterpolantSchedule, eta: float):
     """Closed-form minimum of the cost-augmented integrand:
-    ``(2 L / (lambda sigma)) (1 + sqrt((L + 4 eta lambda² sigma²) / L))``."""
-    if not (float(eta) >= 0.0):
-        raise DomainError("eta must be nonnegative")
+    ``(2 L / (lambda sigma)) (1 + sqrt((L + 4 eta lambda² sigma²) / L))``.
+
+    Its ``eta`` is twice that of :func:`kl_bound` and ``kl-eta:<eta>``."""
+    eta = _eta(eta)
     loss = np.asarray(loss_value, dtype=np.float64)
     a = _lambda_sigma(schedule, t)
     # A subnormal t gives a subnormal a, and 2 L / a overflows to inf.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         root = np.where(loss > 0.0,
-                        np.sqrt((loss + 4.0 * float(eta) * a * a)
+                        np.sqrt((loss + 4.0 * eta * a * a)
                                 / np.where(loss > 0.0, loss, 1.0)), 1.0)
         value = np.where(loss > 0.0, (2.0 * loss / a) * (1.0 + root), 0.0)
-    if np.ndim(loss_value) == 0 and np.ndim(t) == 0:
-        return float(value)
-    return value
+    return _match_shape(value, loss_value, t)
 
 
 def kl_bound(profile, schedule: InterpolantSchedule,
@@ -426,9 +429,7 @@ def kl_bound(profile, schedule: InterpolantSchedule,
         return float(np.inf)
     value = 0.5 * float(np.trapezoid(integrand, grid))
     if eta is not None:
-        if not (float(eta) >= 0.0):
-            raise DomainError("eta must be nonnegative")
-        value += float(eta) * float(np.trapezoid(w, grid))
+        value += _eta(eta) * float(np.trapezoid(w, grid))
     return value
 
 
@@ -458,35 +459,28 @@ class MetricReport:
         self.entries[name] = value
 
     @staticmethod
-    def _format_value(value) -> str:
+    def _plain(value):
+        """The JSON value of an entry: a str, bool, int, float or list of floats."""
         if isinstance(value, str):
             return value
         if isinstance(value, (bool, np.bool_)):
-            return str(bool(value)).lower()
+            return bool(value)
         if isinstance(value, (int, np.integer)):
-            return str(int(value))
+            return int(value)
         if isinstance(value, (float, np.floating)):
-            return repr(float(value))
-        arr = np.asarray(value)
-        return " ".join(repr(float(v)) for v in arr.ravel())
+            return float(value)
+        return [float(v) for v in np.asarray(value).ravel()]
 
     def to_text(self) -> str:
         lines = [f"note {self.NOTE}"]
         for name, value in self.entries.items():
-            lines.append(f"{name} {self._format_value(value)}")
+            value = self._plain(value)
+            text = (" ".join(map(repr, value)) if isinstance(value, list)
+                    else json.dumps(value) if isinstance(value, bool) else str(value))
+            lines.append(f"{name} {text}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         payload = {"note": self.NOTE}
-        for name, value in self.entries.items():
-            if isinstance(value, str):
-                payload[name] = value
-            elif isinstance(value, (bool, np.bool_)):
-                payload[name] = bool(value)
-            elif isinstance(value, (int, np.integer)):
-                payload[name] = int(value)
-            elif isinstance(value, (float, np.floating)):
-                payload[name] = float(value)
-            else:
-                payload[name] = [float(v) for v in np.asarray(value).ravel()]
+        payload.update((name, self._plain(value)) for name, value in self.entries.items())
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -81,11 +81,12 @@ def _prepare_time(t: float | np.ndarray) -> np.ndarray:
     return arr
 
 
-def _match_shape(value: np.ndarray, t: float | np.ndarray) -> float | np.ndarray:
-    """Return a python float for scalar time input, an ndarray otherwise."""
-    if np.ndim(t) == 0:
-        return float(value)
-    return value
+def _match_shape(value: np.ndarray, *inputs) -> float | np.ndarray:
+    """Return a python float when every input is a scalar, an ndarray otherwise."""
+    for arg in inputs:
+        if np.ndim(arg) != 0:
+            return value
+    return float(value)
 
 
 class InterpolantSchedule(ABC):

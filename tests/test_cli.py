@@ -303,6 +303,17 @@ def test_unconditional_training_ignores_the_labels_of_a_file(tmp_path):
                  *TRAIN_FAST]) == 0
 
 
+def test_checkpoint_with_other_time_features_exits_with_usage_code(tmp_path, capsys):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(MLPField(1, make_schedule("linear"), widths=(4,)), str(path))
+    payload = json.loads(path.read_text())
+    payload["architecture"]["time_features"]["freq_max"] = 500.0
+    path.write_text(json.dumps(payload))
+    assert main(["sample", "--checkpoint", str(path), "--n", "2", "--steps", "3",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert "time features" in capsys.readouterr().err
+
+
 TINY_SAMPLES = "# d=1 n=2 seed=0\n0.5\n-0.5\n"
 
 NOT_A_FILE = {

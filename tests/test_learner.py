@@ -612,6 +612,14 @@ def test_conditional_training_requires_labels(linear, rng):
         train(config, unlabeled)
 
 
+def test_conditional_profile_requires_labels(linear, rng):
+    # A conditional model's profile draws labels, which unlabeled data lacks.
+    model = MLPField(2, linear, widths=(4,), num_classes=3)
+    unlabeled = ToyDataset(samples=rng.standard_normal((32, 2)))
+    with pytest.raises(ConfigError, match="requires labeled data"):
+        estimate_loss_profile(model, unlabeled, bins=2, draws_per_bin=8)
+
+
 def test_mlp_refuses_fewer_than_one_class(linear):
     for num_classes in (0, -1):
         with pytest.raises(ConfigError):
@@ -714,9 +722,11 @@ def test_loss_profile_file_round_trip_is_exact(tmp_path):
     assert np.array_equal(loaded.edges, profile.edges)
     assert np.array_equal(loaded.values, profile.values)
     profile.save(path)  # re-save is byte-identical
-    first = open(path).read()
+    with open(path) as handle:
+        first = handle.read()
     profile.save(path)
-    assert open(path).read() == first
+    with open(path) as handle:
+        assert handle.read() == first
 
 
 def test_loss_profile_load_errors(tmp_path):
@@ -796,9 +806,11 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, gvp):
     x = np.linspace(-1, 1, 10).reshape(5, 2)
     assert np.array_equal(loaded.evaluate(x, 0.37, y=2),
                           model.evaluate(x, 0.37, y=2))
-    first = open(path, "rb").read()
+    with open(path, "rb") as handle:
+        first = handle.read()
     save_checkpoint(loaded, path)
-    assert open(path, "rb").read() == first
+    with open(path, "rb") as handle:
+        assert handle.read() == first
 
 
 def test_checkpoint_load_errors(tmp_path):

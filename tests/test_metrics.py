@@ -185,6 +185,22 @@ def test_one_pass_permutation_statistics_match_a_direct_loop(
     assert len(p_values) > 2
 
 
+@pytest.mark.parametrize("n, m", [(40, 40), (37, 55)])
+def test_one_dimensional_permutation_pvalues_match_a_direct_loop(rng, n, m):
+    permutations = 80
+    p_values = set()
+    for seed in range(6):
+        a = rng.standard_normal((n, 1))
+        b = rng.standard_normal((m, 1)) + 0.15 * seed
+        observed, p = energy_distance_permutation_test(
+            a, b, n_permutations=permutations, seed=seed)
+        direct = _direct_permutation_statistics(a, b, permutations, seed)
+        assert observed == energy_distance(a, b)
+        assert p == (1 + np.count_nonzero(direct >= observed)) / (permutations + 1)
+        p_values.add(p)
+    assert len(p_values) > 2
+
+
 def test_one_pass_permutation_statistics_keep_their_precision_beside_a_far_point(rng):
     # The far point sets the grid the pooled distances are sliced on, and
     # the distances between the two tight clusters all round the same way.
@@ -374,6 +390,20 @@ def test_regularized_coefficient_beats_unregularized_on_the_full_objective(linea
         doubled = lambda w: kl_cost_integrand(w, loss, t, linear, eta)
         w_doubled = kl_cost_minimizer(loss, t, linear, eta)
         assert doubled(w_doubled) <= doubled(w_plain) + 1e-12
+
+
+def test_kl_eta_coefficient_is_the_cost_minimizer_at_twice_its_eta(all_schedules):
+    # kl_bound and kl-eta weigh the cost as eta ∫ w; kl_cost_* double the
+    # whole integrand, so their eta is twice as large.
+    profile = LossProfile(np.linspace(0.05, 0.95, 5), np.array([0.7, 0.2, 0.05, 0.4]))
+    t = np.linspace(0.06, 0.94, 23)
+    for schedule in all_schedules:
+        for eta in (0.1, 0.8, 3.0):
+            coefficient = KLEtaCoefficient(schedule, profile, eta)(t)
+            minimizer = kl_cost_minimizer(profile(t), t, schedule, 2.0 * eta)
+            assert np.allclose(coefficient, minimizer, rtol=1e-12, atol=0.0)
+            same_eta = kl_cost_minimizer(profile(t), t, schedule, eta)
+            assert not np.allclose(coefficient, same_eta, rtol=1e-3, atol=0.0)
 
 
 def test_bound_integral_matches_antiderivative(linear):

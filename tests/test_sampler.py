@@ -86,6 +86,16 @@ def test_spec_validation(linear):
             None, SamplerSpec(kind="em", t_start=1.0, t_end=0.1, steps=2), 1)
 
 
+def test_each_sampler_refuses_the_other_kind_of_spec(score_model):
+    heun = SamplerSpec(kind="heun", t_start=1.0, t_end=0.1, steps=2)
+    em = SamplerSpec(kind="em", t_start=1.0, t_end=0.1, steps=2,
+                     diffusion=ZeroCoefficient())
+    with pytest.raises(ConfigError):
+        heun_sample(score_model, em, 1)
+    with pytest.raises(ConfigError):
+        euler_maruyama_sample(score_model, heun, 1)
+
+
 def test_negative_seed_is_a_config_error():
     # SeedSequence takes no negative entropy; the spec refuses it up front.
     with pytest.raises(ConfigError):
