@@ -208,8 +208,8 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
     """
     aa, bb = _sample_pair(a, b)
     count = int(n_permutations)
-    if count <= 0:
-        raise ConfigError("n_permutations must be positive")
+    if count <= 0 or count != n_permutations:
+        raise ConfigError(f"n_permutations must be a positive integer, got {n_permutations!r}")
     observed = energy_distance(aa, bb)
     pooled = np.concatenate([aa, bb], axis=0)
     n, size = aa.shape[0], pooled.shape[0]
@@ -223,7 +223,7 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
     for lo in range(0, count, width):
         orders = [rng.permutation(size) for _ in range(min(width, count - lo))]
         exceed += int(np.count_nonzero(score(pooled, n, orders) >= observed))
-    p_value = (1.0 + exceed) / (float(n_permutations) + 1.0)
+    p_value = (1.0 + exceed) / (count + 1.0)
     return observed, p_value
 
 
@@ -418,6 +418,8 @@ def kl_bound(profile, schedule: InterpolantSchedule,
         raise ConfigError(f"window [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
     if int(grid_points) < 2:
         raise ConfigError("grid_points must be at least 2")
+    if eta is not None:
+        eta = _eta(eta)
     grid = np.linspace(lo, hi, int(grid_points))
     loss = np.asarray(profile(grid), dtype=np.float64)
     try:
@@ -429,7 +431,7 @@ def kl_bound(profile, schedule: InterpolantSchedule,
         return float(np.inf)
     value = 0.5 * float(np.trapezoid(integrand, grid))
     if eta is not None:
-        value += _eta(eta) * float(np.trapezoid(w, grid))
+        value += eta * float(np.trapezoid(w, grid))
     return value
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -111,15 +112,16 @@ def get_preset(name: str) -> GaussianMixture:
     return builder()
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     """Write a text file atomically: a temp file in the same directory, then
-    a rename, so readers never see a partial file."""
+    a rename, so readers never see a partial file.  ``text`` is one string
+    or an iterable of pieces written in order."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

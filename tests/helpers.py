@@ -8,6 +8,8 @@ check rather than the code agreeing with itself.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -60,3 +62,19 @@ def mixture_stats_1d(weights, means, variances) -> tuple[float, float]:
     mean = float(np.sum(weights * means))
     second = float(np.sum(weights * (variances + means**2)))
     return mean, second - mean**2
+
+
+def tracemalloc_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes allocated through Python's allocators while
+    ``fn(*args, **kwargs)`` runs, above what was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()

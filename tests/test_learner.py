@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +40,7 @@ from driftlab import (
 from driftlab.learner import _EVAL_BLOCK_VALUES
 from driftlab.toybox import as_dataset
 
-from helpers import relative_error
+from helpers import relative_error, tracemalloc_peak
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +241,8 @@ def test_evaluate_memory_does_not_grow_with_rows(linear):
     rows = _block_rows(model)
     inputs = {n: np.linspace(-3.0, 3.0, 2 * n).reshape(n, 2) for n in (rows, 32 * rows)}
 
-    def traced_peak(n):
-        tracemalloc.start()
-        try:
-            model.evaluate(inputs[n], 0.37)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    one_block, many_blocks = traced_peak(rows), traced_peak(32 * rows)
+    one_block, many_blocks = (tracemalloc_peak(model.evaluate, inputs[n], 0.37)
+                              for n in (rows, 32 * rows))
     output_bytes = inputs[32 * rows].nbytes
     assert many_blocks <= one_block + output_bytes + 16_384, (one_block, many_blocks)
 
@@ -811,6 +803,20 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path, gvp):
     save_checkpoint(loaded, path)
     with open(path, "rb") as handle:
         assert handle.read() == first
+
+
+def test_checkpoint_is_written_in_bounded_pieces(tmp_path, linear):
+    # The default network's 37,505 parameters encoded as one string peaked at
+    # about 5 MB; written a piece at a time, the file keeps the same bytes.
+    model = MLPField(1, linear, seed=3)
+    path = str(tmp_path / "model.json")
+    peak = tracemalloc_peak(save_checkpoint, model, path)
+    payload = {"format": "driftlab-checkpoint", "version": 1,
+               "architecture": model.to_config(),
+               "parameters": model.parameters.tolist()}
+    with open(path, "r") as handle:
+        assert handle.read() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert peak < 2_500_000, peak
 
 
 def test_checkpoint_load_errors(tmp_path):

@@ -127,6 +127,22 @@ def test_permutation_test_pvalues_are_uniform_under_the_null_in_2d(rng):
     assert ks_statistic_uniform(np.array(p_values)) < 1.628 / math.sqrt(200)
 
 
+@pytest.mark.parametrize("count", [2.5, 0, -3, "3"])
+def test_permutation_count_must_be_a_positive_integer(rng, count):
+    # A fractional count would put p off its (1 + k) / (P + 1) support.
+    a, b = rng.standard_normal((8, 1)), rng.standard_normal((8, 1))
+    with pytest.raises(ConfigError, match="n_permutations"):
+        energy_distance_permutation_test(a, b, n_permutations=count)
+
+
+def test_integral_permutation_counts_agree(rng):
+    a, b = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
+    expected = energy_distance_permutation_test(a, b, n_permutations=7, seed=1)
+    for count in (np.int64(7), 7.0):
+        assert energy_distance_permutation_test(a, b, n_permutations=count,
+                                                seed=1) == expected
+
+
 def _mean_pooled_distance(pooled):
     diff = pooled[:, None, :] - pooled[None, :, :]
     return float(np.mean(np.sqrt(np.sum(diff * diff, axis=2))))
@@ -434,6 +450,15 @@ def test_bound_is_infinite_when_the_integrand_is_singular(linear):
     finite = kl_bound(profile, linear, SigmaCoefficient(linear))
     assert np.isfinite(finite)
     assert finite > 0.0
+
+
+def test_bound_refuses_a_negative_eta_with_any_coefficient(linear):
+    # eta is checked before the integrand, so a singular one (w = 0) does
+    # not turn a refused weight into inf.
+    profile = LossProfile(np.array([0.1, 0.9]), np.array([0.5]))
+    for coefficient in (ZeroCoefficient(), SigmaCoefficient(linear)):
+        with pytest.raises(DomainError, match="eta"):
+            kl_bound(profile, linear, coefficient, eta=-1.0)
 
 
 def test_bound_window_defaults_to_the_profile_window(linear):

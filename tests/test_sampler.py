@@ -1,6 +1,8 @@
 """Integrators: grids, windows, NFE accounting, determinism, convergence."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -25,6 +27,8 @@ from driftlab import (
     time_grid,
     velocity_from_score,
 )
+import driftlab
+from driftlab import sampler
 from driftlab.field import FieldModel, gmm_marginal_score
 from driftlab.sampler import _chunk_noise, _stream_states
 from driftlab.schedule import (
@@ -35,7 +39,7 @@ from driftlab.schedule import (
     ZeroCoefficient,
 )
 
-from helpers import log_slope, relative_error
+from helpers import log_slope, relative_error, tracemalloc_peak
 
 
 @pytest.fixture
@@ -307,6 +311,83 @@ def test_batch_extension_is_prefix_stable(score_model, linear):
     small = euler_maruyama_sample(score_model, em_spec, 16)
     large = euler_maruyama_sample(score_model, em_spec, 48)
     assert np.array_equal(large.samples[:16], small.samples)
+
+
+def test_em_samples_do_not_depend_on_the_noise_block_width(score_model, linear,
+                                                            monkeypatch):
+    # Twelve noise rows (the initial state and eleven increments) for six
+    # one-dimensional trajectories, drawn in one block by default, then in
+    # blocks of 4 rows (the last ending at the final step's row), of 5, 5
+    # and 2, one row at a time, and in chunks whose widths differ.
+    spec = SamplerSpec(kind="em", t_start=0.999, t_end=0.04, steps=11,
+                       diffusion=SigmaCoefficient(linear), last_step_to=0.0, seed=12)
+    whole = euler_maruyama_sample(score_model, spec, 6)
+    monkeypatch.setattr(sampler, "_NOISE_BLOCK_MIN_ROWS", 1)
+    for values, chunk_size, width in ((24, None, 4), (30, None, 5), (1, None, 1),
+                                      (24, 4, 6), (8, 3, 2)):
+        monkeypatch.setattr(sampler, "_NOISE_BLOCK_VALUES", values)
+        first = min(chunk_size or 6, 6)
+        assert sampler._NoiseStream(12, 0, first, 12, 1).buffer.shape[1] == width
+        result = euler_maruyama_sample(score_model, spec, 6, chunk_size=chunk_size)
+        assert np.array_equal(result.samples, whole.samples), (values, chunk_size)
+        assert result.nfe == whole.nfe
+
+
+def test_noise_rows_are_read_in_order(monkeypatch):
+    monkeypatch.setattr(sampler, "_NOISE_BLOCK_MIN_ROWS", 2)
+    monkeypatch.setattr(sampler, "_NOISE_BLOCK_VALUES", 1)
+    stream = sampler._NoiseStream(3, 0, 4, 5, 2)
+    expected = _chunk_noise(3, 0, 4, 5, 2)
+    for index in range(5):
+        assert np.array_equal(stream.row(index), expected[:, index])
+        assert np.array_equal(stream.row(index), expected[:, index])
+    for index in (0, 3, 5):
+        with pytest.raises(IndexError):
+            stream.row(index)
+
+
+def test_initial_state_outlives_its_noise_block(score_model, linear, monkeypatch):
+    # One-row blocks: the step reads the next increment, which refills the
+    # buffer that drew the initial state, before it reads the state.
+    monkeypatch.setattr(sampler, "_NOISE_BLOCK_MIN_ROWS", 1)
+    monkeypatch.setattr(sampler, "_NOISE_BLOCK_VALUES", 1)
+    spec = SamplerSpec(kind="em", t_start=0.999, t_end=0.04, steps=3,
+                       diffusion=SigmaCoefficient(linear), seed=2)
+
+    def step(field, x, i, noise):
+        increment = noise.row(i + 1)
+        return x + increment
+
+    result = sampler._integrate(score_model, spec, 4, None, None, step, noise_rows=4)
+    noise = _chunk_noise(2, 0, 4, 4, 1)
+    assert np.array_equal(result.samples,
+                          noise[:, 0] + noise[:, 1] + noise[:, 2] + noise[:, 3])
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # The stream seeding imports numpy.random on first use; loading it with
+    # the package would add about 2.6 MB of RSS to every command.
+    source = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    script = "import sys, driftlab.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.strip() == "False"
+
+
+def test_em_memory_does_not_grow_with_the_step_count(linear):
+    # Noise is drawn a block of steps at a time; the whole run's noise
+    # would be 16 MB at 1,000 steps against 0.8 MB at 50.
+    model = AnalyticMixtureField(GaussianMixture([1.0], [[0.0]], [np.ones(1)]), linear,
+                                 prediction=Prediction.SCORE)
+
+    def peak(steps):
+        spec = SamplerSpec(kind="em", t_start=0.999, t_end=0.04, steps=steps,
+                           diffusion=SigmaCoefficient(linear), seed=6)
+        return tracemalloc_peak(euler_maruyama_sample, model, spec, 2048)
+
+    assert peak(1000) <= 1.5 * peak(50)
 
 
 def _chunk_specs(linear):
