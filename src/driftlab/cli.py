@@ -102,9 +102,20 @@ def _flag(value):
     return value
 
 
+def _int(value):
+    """An integer: a JSON integer or integral number, or a flag string such as
+    ``"12"``.  A boolean or a fraction is refused, not truncated."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer")
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError("expected an integer")
+    return number
+
+
 def _count(value):
     """A non-negative integer."""
-    count = int(value)
+    count = _int(value)
     if count < 0:
         raise ValueError("must not be negative")
     return count
@@ -227,16 +238,16 @@ _TRAIN_OPTIONS = {
                 f"preset ({', '.join(PRESET_NAMES)}) or samples file"),
     "objective": ("velocity", tuple(o.value for o in TrainObjective)),
     **_SCHEDULE,
-    "steps": (5000, int),
-    "batch": (256, int),
+    "steps": (5000, _int),
+    "batch": (256, _int),
     "lr": (1e-4, _real),
     "label_dropout": (0.1, _real),
     "conditional": (False, _flag, "train a class-conditional model"),
     "seed": (0, _count),
     "t_lo": (None, _real),
     "t_hi": (None, _real),
-    "profile_bins": (50, int),
-    "profile_draws": (2000, int),
+    "profile_bins": (50, _int),
+    "profile_draws": (2000, _int),
 }
 
 
@@ -281,12 +292,12 @@ _SAMPLE_OPTIONS = {
     "prediction": ("score", _PREDICTIONS, "field type for --analytic (default score)"),
     **_SCHEDULE,
     "sampler": ("heun", _SAMPLERS),
-    "steps": (250, int),
-    "n": (10000, int),
+    "steps": (250, _int),
+    "n": (10000, _int),
     "seed": (0, _count),
     "w": (None, _text, f"diffusion coefficient for em: {COEFFICIENT_FORMS}"),
     "zeta": (None, _real, "guidance strength (needs --label)"),
-    "label": (None, int, "class label to condition/guide on"),
+    "label": (None, _int, "class label to condition/guide on"),
     **_WINDOW,
     "profile": (None, _text, "loss-profile file (required by --w kl-eta:<eta>)"),
 }
@@ -371,7 +382,7 @@ _EVAL_OPTIONS = {
     **_OUT,
     "samples": (None, _text, "samples file to evaluate"),
     "reference": (None, _text, "preset name (exact draws) or samples file"),
-    "n_reference": (None, int),
+    "n_reference": (None, _int),
     "seed": (0, _count),
     "metrics": (",".join(_METRICS), _text, f"comma list: {','.join(_METRICS)}"),
     "permutations": (0, _count, "permutation count for the energy-distance test"),
@@ -445,9 +456,9 @@ _SWEEP_OPTIONS = {
     # Checked per cell: a kl-eta coefficient fails there for want of a profile.
     "coefficients": (["sigma"], _list_of(_text)),
     "zetas": ([], _list_of(_real)),
-    "steps": ([250], _list_of(int)),
-    "n": (4096, int),
-    "seed": (0, int),
+    "steps": ([250], _list_of(_int)),
+    "n": (4096, _int),
+    "seed": (0, _int),
     **_BETA,
     **_WINDOW,
     "permutations": (0, _count),
@@ -585,21 +596,18 @@ def _cmd_info(merged: dict) -> int:
     coefficient = None if merged["w"] is None else parse_coefficient(merged["w"], schedule)
     grid = np.linspace(merged["t_start"], merged["t_end"], merged["points"])
     columns = ["t", "alpha", "sigma", "alpha_dot", "sigma_dot", "lambda", "w_kl"]
+    functions = [schedule.alpha, schedule.sigma, schedule.alpha_dot,
+                 schedule.sigma_dot, schedule.lambda_weight, schedule.w_kl]
     if coefficient is not None:
         columns.append("w")
+        functions.append(coefficient)
     print(" ".join(columns))
     for t in grid:
         t = float(t)
         row = [f"{t:.6g}"]
-        for fn in (schedule.alpha, schedule.sigma, schedule.alpha_dot,
-                   schedule.sigma_dot, schedule.lambda_weight, schedule.w_kl):
+        for fn in functions:
             try:
                 row.append(f"{float(fn(t)):.10g}")
-            except SingularityError:
-                row.append("singular")
-        if coefficient is not None:
-            try:
-                row.append(f"{float(coefficient(t)):.10g}")
             except SingularityError:
                 row.append("singular")
         print(" ".join(row))

@@ -679,6 +679,7 @@ class LossProfile:
             header = handle.readline()
             if not header.startswith("# loss-profile"):
                 raise ConfigError(f"{path}: not a loss-profile file")
+            fields = dict(item.split("=", 1) for item in header.split() if "=" in item)
             for line in handle:
                 line = line.strip()
                 if not line:
@@ -690,10 +691,16 @@ class LossProfile:
                         f"{path}: profile line needs three numbers: {line!r}") from None
                 if not edges:
                     edges.append(lo)
+                elif lo != edges[-1]:
+                    raise ConfigError(f"{path}: profile row starts at {lo!r}, "
+                                      f"not where the row before ends ({edges[-1]!r})")
                 edges.append(hi)
                 values.append(value)
         if not values:
             raise ConfigError(f"{path}: empty loss profile")
+        if fields.get("bins", str(len(values))) != str(len(values)):
+            raise ConfigError(f"{path}: header says bins={fields['bins']}, "
+                              f"but the file has {len(values)} rows")
         return cls(np.asarray(edges), np.asarray(values))
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SingularityError
 from .field import FieldModel, GaussianMixture, Prediction, interpolate
-from .schedule import DiffusionCoefficient, InterpolantSchedule, _match_shape
+from .schedule import (DiffusionCoefficient, InterpolantSchedule, _loss_values,
+                       _match_shape, _nonnegative, _regularized_w)
 from .toybox import as_dataset
 
 __all__ = [
@@ -207,8 +208,11 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
     distances, equal to a per-split :func:`energy_distance` up to rounding.
     """
     aa, bb = _sample_pair(a, b)
-    count = int(n_permutations)
-    if count <= 0 or count != n_permutations:
+    try:
+        count = int(n_permutations)
+    except (TypeError, ValueError, OverflowError):
+        count = 0
+    if count <= 0 or count != n_permutations or isinstance(n_permutations, (bool, np.bool_)):
         raise ConfigError(f"n_permutations must be a positive integer, got {n_permutations!r}")
     observed = energy_distance(aa, bb)
     pooled = np.concatenate([aa, bb], axis=0)
@@ -309,18 +313,11 @@ def path_length(field: FieldModel, data, n_mc: int = 10_000,
 # ---------------------------------------------------------------------------
 
 
-def _lambda_sigma(schedule: InterpolantSchedule, t) -> np.ndarray:
-    """``lambda(t) * sigma(t)``; ``+ 0.0`` turns the -0.0 that t = -0.0 gives
-    on linear and gvp into +0.0, so that t = -0.0 and t = 0.0 agree."""
+def _w_kl(schedule: InterpolantSchedule, t) -> np.ndarray:
+    """``2.0 * (lambda * sigma + 0.0)``: ``(2 lambda) * sigma`` rounds otherwise
+    where lambda*sigma is subnormal, and + 0.0 makes t = -0.0 give +0.0."""
     coef = schedule.coefficients(t)
-    return coef.lambda_weight * coef.sigma + 0.0
-
-
-def _eta(eta) -> float:
-    """The cost weight eta as a float; a negative or NaN weight is refused."""
-    if not (float(eta) >= 0.0):
-        raise DomainError("eta must be nonnegative")
-    return float(eta)
+    return 2.0 * (coef.lambda_weight * coef.sigma + 0.0)
 
 
 def kl_integrand(w_value, loss_value, t, schedule: InterpolantSchedule):
@@ -332,14 +329,13 @@ def kl_integrand(w_value, loss_value, t, schedule: InterpolantSchedule):
     ``2 L / (lambda sigma)``.
     """
     w = np.asarray(w_value, dtype=np.float64)
-    loss = np.asarray(loss_value, dtype=np.float64)
-    if np.any(w < 0.0) or np.any(loss < 0.0):
-        raise DomainError("w and loss values must be nonnegative")
-    a = _lambda_sigma(schedule, t)
+    loss = _loss_values(loss_value)
+    if np.any(w < 0.0):
+        raise DomainError("w values must be nonnegative")
+    w_kl = _w_kl(schedule, t)
     with np.errstate(divide="ignore"):
         value = np.where(w > 0.0,
-                         (loss / np.where(w > 0.0, w, 1.0))
-                         * (1.0 + w / (2.0 * a)) ** 2,
+                         (loss / np.where(w > 0.0, w, 1.0)) * (1.0 + w / w_kl) ** 2,
                          np.inf)
     return _match_shape(value, w_value, loss_value, t)
 
@@ -353,7 +349,7 @@ def kl_cost_integrand(w_value, loss_value, t, schedule: InterpolantSchedule,
     equals :func:`kl_cost_minimizer`.  Its ``eta`` is twice the ``eta`` of
     :func:`kl_bound` and of the ``kl-eta:<eta>`` coefficient.
     """
-    eta = _eta(eta)
+    eta = _nonnegative("eta", eta)
     base = kl_integrand(w_value, loss_value, t, schedule)
     w = np.asarray(w_value, dtype=np.float64)
     return _match_shape(2.0 * (base + eta * w), w_value, loss_value, t)
@@ -365,15 +361,11 @@ def kl_cost_minimizer(loss_value, t, schedule: InterpolantSchedule, eta: float):
 
     Reduces to ``2 lambda sigma`` (the `kl` coefficient) at ``eta = 0``.
     Its ``eta`` is twice that of :func:`kl_bound`: ``kl-eta:<eta>`` is this
-    minimizer at ``2 eta``.
+    minimizer at ``2 eta``, and both are one computation.
     """
-    eta = _eta(eta)
-    loss = np.asarray(loss_value, dtype=np.float64)
-    a = _lambda_sigma(schedule, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(loss > 0.0,
-                         np.sqrt(loss / (loss + 4.0 * eta * a * a)), 0.0)
-    return _match_shape(2.0 * a * ratio, loss_value, t)
+    eta = _nonnegative("eta", eta)
+    w = _regularized_w(schedule.coefficients(t), loss_value, 0.5 * eta)
+    return _match_shape(w, loss_value, t)
 
 
 def kl_cost_minimum(loss_value, t, schedule: InterpolantSchedule, eta: float):
@@ -381,14 +373,12 @@ def kl_cost_minimum(loss_value, t, schedule: InterpolantSchedule, eta: float):
     ``(2 L / (lambda sigma)) (1 + sqrt((L + 4 eta lambda² sigma²) / L))``.
 
     Its ``eta`` is twice that of :func:`kl_bound` and ``kl-eta:<eta>``."""
-    eta = _eta(eta)
-    loss = np.asarray(loss_value, dtype=np.float64)
-    a = _lambda_sigma(schedule, t)
+    eta = _nonnegative("eta", eta)
+    loss = _loss_values(loss_value)
+    a = 0.5 * _w_kl(schedule, t)  # lambda*sigma exactly: w_kl is its double
     # A subnormal t gives a subnormal a, and 2 L / a overflows to inf.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        root = np.where(loss > 0.0,
-                        np.sqrt((loss + 4.0 * eta * a * a)
-                                / np.where(loss > 0.0, loss, 1.0)), 1.0)
+        root = np.sqrt((loss + 4.0 * eta * a * a) / np.where(loss > 0.0, loss, 1.0))
         value = np.where(loss > 0.0, (2.0 * loss / a) * (1.0 + root), 0.0)
     return _match_shape(value, loss_value, t)
 
@@ -419,9 +409,9 @@ def kl_bound(profile, schedule: InterpolantSchedule,
     if int(grid_points) < 2:
         raise ConfigError("grid_points must be at least 2")
     if eta is not None:
-        eta = _eta(eta)
+        eta = _nonnegative("eta", eta)
     grid = np.linspace(lo, hi, int(grid_points))
-    loss = np.asarray(profile(grid), dtype=np.float64)
+    loss = _loss_values(profile(grid))
     try:
         w = np.asarray(diffusion(grid), dtype=np.float64)
         integrand = kl_integrand(w, loss, grid, schedule)

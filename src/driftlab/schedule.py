@@ -81,6 +81,14 @@ def _prepare_time(t: float | np.ndarray) -> np.ndarray:
     return arr
 
 
+def _nonnegative(name: str, value) -> float:
+    """``value`` as a float, refused unless it is finite and ``>= 0``."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _match_shape(value: np.ndarray, *inputs) -> float | np.ndarray:
     """Return a python float when every input is a scalar, an ndarray otherwise."""
     for arg in inputs:
@@ -321,16 +329,10 @@ class SBDMVPSchedule(InterpolantSchedule):
     name = "sbdm-vp"
 
     def __init__(self, beta_min: float = 0.1, beta_max: float = 20.0) -> None:
-        beta_min = float(beta_min)
-        beta_max = float(beta_max)
-        if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
-            raise DomainError("beta_min and beta_max must be finite")
-        if beta_min < 0.0 or beta_max < 0.0:
-            raise DomainError("beta_min and beta_max must be nonnegative")
-        if beta_min == 0.0 and beta_max == 0.0:
+        self.beta_min = _nonnegative("beta_min", beta_min)
+        self.beta_max = _nonnegative("beta_max", beta_max)
+        if self.beta_min == 0.0 and self.beta_max == 0.0:
             raise DomainError("beta must not vanish identically")
-        self.beta_min = beta_min
-        self.beta_max = beta_max
 
     def beta(self, t: float | np.ndarray) -> float | np.ndarray:
         """Instantaneous rate beta(t) = beta_min + t*(beta_max - beta_min)."""
@@ -440,29 +442,24 @@ class DiffusionCoefficient(ABC):
         return f"{type(self).__name__}({self.spec!r})"
 
 
-class ZeroCoefficient(DiffusionCoefficient):
-    """w(t) = 0: degenerates the stochastic sampler to a first-order ODE step."""
-
-    spec = "zero"
-
-    def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
-        arr = _prepare_time(t)
-        return _match_shape(np.zeros_like(arr), t)
-
-
 class ConstantCoefficient(DiffusionCoefficient):
     """w(t) = level for a fixed nonnegative level."""
 
     def __init__(self, level: float) -> None:
-        level = float(level)
-        if not math.isfinite(level) or level < 0.0:
-            raise DomainError(f"constant diffusion level must be >= 0, got {level!r}")
-        self.level = level
-        self.spec = f"const:{level!r}"
+        self.level = _nonnegative("constant diffusion level", level)
+        self.spec = f"const:{self.level!r}"
 
     def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
         arr = _prepare_time(t)
         return _match_shape(np.full_like(arr, self.level), t)
+
+
+class ZeroCoefficient(ConstantCoefficient):
+    """w(t) = 0: degenerates the stochastic sampler to a first-order ODE step."""
+
+    def __init__(self) -> None:
+        super().__init__(0.0)
+        self.spec = "zero"
 
 
 class SigmaCoefficient(DiffusionCoefficient):
@@ -506,18 +503,16 @@ class KLEtaCoefficient(DiffusionCoefficient):
     """The integration-cost-regularized variant of :class:`KLCoefficient`.
 
     ``w(t) = w_kl(t) * sqrt(L(t) / (L(t) + 2*eta*w_kl(t)^2))`` for a per-time
-    loss profile ``L`` and cost weight ``eta >= 0``.  Shrinks w_kl where the
-    field is accurate (small L) or where w_kl itself is large; approaches
-    ``sqrt(L/(2*eta))`` as w_kl grows, and reduces to w_kl exactly at
-    ``eta = 0``.
+    loss profile ``L`` and cost weight ``eta >= 0``: by construction
+    ``metrics.kl_cost_minimizer`` at ``2*eta``.  Shrinks w_kl where the field
+    is accurate (small L) or where w_kl itself is large; approaches
+    ``sqrt(L/(2*eta))`` as w_kl grows, and is w_kl exactly at ``eta = 0``.
     """
 
     def __init__(self, schedule: InterpolantSchedule,
                  loss_profile: Callable[[np.ndarray], np.ndarray],
                  eta: float) -> None:
-        eta = float(eta)
-        if not math.isfinite(eta) or eta < 0.0:
-            raise DomainError(f"eta must be >= 0, got {eta!r}")
+        self.eta = _nonnegative("eta", eta)
         if loss_profile is None:
             raise MissingProfileError(
                 "kl-eta requires a per-time loss profile (L_t); "
@@ -525,31 +520,36 @@ class KLEtaCoefficient(DiffusionCoefficient):
             )
         self.schedule = schedule
         self.loss_profile = loss_profile
-        self.eta = eta
-        self.spec = f"kl-eta:{eta!r}"
+        self.spec = f"kl-eta:{self.eta!r}"
 
     def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
         coef = self.schedule.coefficients(t)
-        if self.eta == 0.0:
-            return _match_shape(coef.w_kl, t)
-        sig, alp = coef.sigma, coef.alpha
-        # alpha*sigma_dot - alpha_dot*sigma, positive on the interior.
-        pos = -coef.conversion_denominator
-        loss = np.asarray(self.loss_profile(coef.t), dtype=np.float64)
-        if np.any(loss < 0.0) or not np.all(np.isfinite(loss)):
-            raise DomainError("loss profile values must be finite and nonnegative")
-        # Algebraically w_kl*sqrt(L/(L + 2*eta*w_kl^2)).  Evaluated through
-        # 1/w_kl = alpha/(2*sigma*(alpha*sigma_dot - alpha_dot*sigma)), which
-        # stays finite as alpha -> 0, so the coefficient reaches its
-        # sqrt(L/(2*eta)) limit there instead of inheriting w_kl's divergence.
-        safe_sig = np.where(sig > 0.0, sig, 1.0)
-        inv_w_kl = alp / (2.0 * safe_sig * pos)
-        value = np.where(
-            sig > 0.0,
-            np.sqrt(loss / (loss * inv_w_kl * inv_w_kl + 2.0 * self.eta)),
-            0.0,
-        )
-        return _match_shape(value, t)
+        return _match_shape(_regularized_w(coef, self.loss_profile(coef.t), self.eta), t)
+
+
+def _loss_values(loss) -> np.ndarray:
+    """Loss values as a float64 array, refused unless finite and ``>= 0``."""
+    loss = np.asarray(loss, dtype=np.float64)
+    if np.any(loss < 0.0) or not np.all(np.isfinite(loss)):
+        raise DomainError("loss profile values must be finite and nonnegative")
+    return loss
+
+
+def _regularized_w(coef: Coefficients, loss, eta: float) -> np.ndarray:
+    """The w of :class:`KLEtaCoefficient` at loss values ``L`` and a checked
+    ``eta``; 0 where sigma(t) = 0, L = 0 or ``L/w_kl^2`` overflows."""
+    loss = _loss_values(loss)
+    if eta == 0.0:
+        return coef.w_kl * np.ones_like(loss)  # the product by 1.0 keeps every bit
+    sig = coef.sigma
+    # alpha*sigma_dot - alpha_dot*sigma, positive on the interior.
+    pos = -coef.conversion_denominator
+    # Through 1/w_kl, which stays finite as alpha -> 0, so the value reaches
+    # its sqrt(L/(2*eta)) limit there instead of inheriting w_kl's divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_w_kl = coef.alpha / (2.0 * np.where(sig > 0.0, sig, 1.0) * pos)
+        value = np.sqrt(loss / (loss * inv_w_kl * inv_w_kl + 2.0 * eta))
+    return np.where((sig > 0.0) & (loss > 0.0), value, 0.0)
 
 
 #: Human-readable summary of the accepted coefficient spellings.
@@ -573,22 +573,16 @@ def parse_coefficient(text: str, schedule: InterpolantSchedule,
         return SineSquaredCoefficient()
     if text == "kl":
         return KLCoefficient(schedule)
-    if text.startswith("const:"):
+    prefix, colon, number = text.partition(":")
+    if colon and prefix in ("const", "kl-eta"):
         try:
-            level = float(text[len("const:"):])
+            value = float(number)
         except ValueError as exc:
-            raise ConfigError(f"bad constant diffusion level in {text!r}") from exc
+            raise ConfigError(f"bad {prefix} value in {text!r}") from exc
         try:
-            return ConstantCoefficient(level)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-    if text.startswith("kl-eta:"):
-        try:
-            eta = float(text[len("kl-eta:"):])
-        except ValueError as exc:
-            raise ConfigError(f"bad eta in {text!r}") from exc
-        try:
-            return KLEtaCoefficient(schedule, loss_profile, eta)
+            if prefix == "const":
+                return ConstantCoefficient(value)
+            return KLEtaCoefficient(schedule, loss_profile, value)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
     raise ConfigError(

@@ -278,6 +278,41 @@ def test_config_values_of_the_wrong_type_exit_with_usage_code(tmp_path, capsys, 
     assert not (tmp_path / f"{command}-out").exists()
 
 
+NOT_INTEGERS = {
+    "sample-all-three": ("sample", b'{"n": 2.7, "steps": true, "seed": 1.9}', "'steps'"),
+    "sample-n-fraction": ("sample", b'{"n": 2.7}', "'n'"),
+    "sample-steps-bool": ("sample", b'{"steps": true}', "'steps'"),
+    "sample-seed-fraction": ("sample", b'{"seed": 1.9}', "'seed'"),
+    "train-batch-bool": ("train", b'{"batch": false}', "'batch'"),
+    "eval-permutations-bool": ("eval", b'{"permutations": true}', "'permutations'"),
+    "sweep-steps-fraction": ("sweep", b'{"steps": [4.5]}', "'steps'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGERS))
+def test_integer_keys_refuse_booleans_and_fractions(tmp_path, capsys, case):
+    # Neither truncated nor read as 0 or 1: README promises exit 2.
+    command, content, named = NOT_INTEGERS[case]
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    argv = [command, "--config", str(path)]
+    if command == "sample":
+        argv += ["--analytic", "two-gauss-1d"]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / f"{command}-out").exists()
+
+
+def test_integer_keys_take_integral_numbers_and_flag_strings(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"n": 3.0, "seed": 2}')
+    out = tmp_path / "out"
+    assert main(["sample", "--analytic", "two-gauss-1d", "--config", str(path),
+                 "--steps", "4", "--out", str(out)]) == 0
+    echo = json.loads((out / "config.echo.json").read_text())
+    assert (echo["n"], echo["steps"], echo["seed"]) == (3, 4, 2)
+
+
 UNUSABLE_DATASETS = {
     "header-only": ("# d=1 n=0 seed=0\n", []),
     "header-only-labeled": ("# d=1 n=0 seed=0 labels=1\n", ["--conditional"]),

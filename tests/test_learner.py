@@ -736,6 +736,21 @@ def test_loss_profile_load_errors(tmp_path):
         LossProfile.load(str(empty))
 
 
+def test_loss_profile_load_refuses_a_gap_between_rows(tmp_path):
+    # Read as edges [0, 0.5, 1], this file would lose its 0.5-0.7 gap.
+    path = tmp_path / "gap.txt"
+    path.write_text("# loss-profile bins=2 t_lo=0.0 t_hi=1.0\n0.0 0.5 1.0\n0.7 1.0 2.0\n")
+    with pytest.raises(ConfigError, match="gap.txt"):
+        LossProfile.load(str(path))
+
+
+def test_loss_profile_load_refuses_a_header_bin_count_the_rows_disagree_with(tmp_path):
+    path = tmp_path / "count.txt"
+    path.write_text("# loss-profile bins=3 t_lo=0.0 t_hi=1.0\n0.0 0.5 1.0\n0.5 1.0 2.0\n")
+    with pytest.raises(ConfigError, match="count.txt"):
+        LossProfile.load(str(path))
+
+
 def test_profile_of_exact_field_matches_closed_form(linear):
     # For a single centered Gaussian with variance s2, the exact per-time
     # loss of the exact velocity field is the conditional variance

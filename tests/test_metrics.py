@@ -135,6 +135,16 @@ def test_permutation_count_must_be_a_positive_integer(rng, count):
         energy_distance_permutation_test(a, b, n_permutations=count)
 
 
+@pytest.mark.parametrize("count", [float("nan"), float("inf"), float("-inf"), None,
+                                   True, False, np.True_])
+def test_permutation_count_must_be_a_number_and_not_a_bool(rng, count):
+    # Neither a raw ValueError/OverflowError/TypeError from int() nor a
+    # boolean read as one permutation.
+    a, b = rng.standard_normal((4, 1)), rng.standard_normal((4, 1))
+    with pytest.raises(ConfigError, match="n_permutations"):
+        energy_distance_permutation_test(a, b, n_permutations=count)
+
+
 def test_integral_permutation_counts_agree(rng):
     a, b = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
     expected = energy_distance_permutation_test(a, b, n_permutations=7, seed=1)
@@ -390,6 +400,19 @@ def test_cost_minimum_at_zero_and_subnormal_times(name):
         assert np.array_equal(both, [math.inf, math.inf])
 
 
+def test_kl_functions_double_lambda_sigma_after_rounding_it():
+    # Where lambda*sigma is subnormal (gvp, t = 1e-323), 2.0 * (lambda*sigma)
+    # and w_kl = (2 lambda) * sigma are different doubles; the bound's
+    # integrand and cost minimum use the first.
+    gvp = make_schedule("gvp")
+    t = 1e-323
+    a = gvp.lambda_weight(t) * gvp.sigma(t)
+    assert 2.0 * a != gvp.w_kl(t)
+    w, loss = 1e-320, 1e-310
+    assert kl_integrand(w, loss, t, gvp) == (loss / w) * (1.0 + w / (2.0 * a)) ** 2
+    assert kl_cost_minimum(loss, t, gvp, 0.0) == (2.0 * loss / a) * 2.0
+
+
 def test_regularized_coefficient_beats_unregularized_on_the_full_objective(linear):
     # Under both normalizations of the bound-plus-cost objective, the
     # eta-aware coefficient must not lose to the plain KL minimizer.
@@ -420,6 +443,53 @@ def test_kl_eta_coefficient_is_the_cost_minimizer_at_twice_its_eta(all_schedules
             assert np.allclose(coefficient, minimizer, rtol=1e-12, atol=0.0)
             same_eta = kl_cost_minimizer(profile(t), t, schedule, eta)
             assert not np.allclose(coefficient, same_eta, rtol=1e-3, atol=0.0)
+
+
+def test_kl_eta_coefficient_and_cost_minimizer_are_one_computation(all_schedules):
+    # Bit for bit at every eta, including alpha(t) = 0 (t = 1 on linear and
+    # gvp), sigma(t) = 0 (t = 0) and a zero-loss bin.  sbdm-vp refuses
+    # sigma_dot, and so both, at t = 0.
+    profile = LossProfile(np.linspace(0.0, 1.0, 5), np.array([0.7, 0.0, 0.05, 0.4]))
+    for schedule in all_schedules:
+        t = np.linspace(0.01 if schedule.name == "sbdm-vp" else 0.0, 1.0, 41)
+        for eta in (0.3, 2.0):
+            coefficient = KLEtaCoefficient(schedule, profile, eta)
+            minimizer = kl_cost_minimizer(profile(t), t, schedule, 2.0 * eta)
+            assert np.array_equal(coefficient(t), minimizer)
+            assert np.all(minimizer[(t > 0.25) & (t < 0.5)] == 0.0)  # the zero-loss bin
+            if schedule.name != "sbdm-vp":  # alpha(1) = 0: the sqrt(L/(2 eta)) limit
+                assert coefficient(1.0) == math.sqrt(0.4 / (2.0 * eta))
+                assert kl_cost_minimizer(0.4, 1.0, schedule, 2.0 * eta) == coefficient(1.0)
+        below = t[t < 1.0]  # w_kl is singular at alpha(t) = 0
+        at_zero = kl_cost_minimizer(profile(below), below, schedule, 0.0)
+        assert np.array_equal(KLEtaCoefficient(schedule, profile, 0.0)(below), at_zero)
+        assert np.array_equal(at_zero, schedule.w_kl(below))  # L = 0 included
+
+
+def test_an_infinite_eta_is_refused_everywhere(linear):
+    profile = LossProfile(np.array([0.1, 0.9]), np.array([0.5]))
+    inf = float("inf")
+    calls = [
+        lambda: KLEtaCoefficient(linear, profile, inf),
+        lambda: kl_bound(profile, linear, SigmaCoefficient(linear), eta=inf),
+        lambda: kl_bound(profile, linear, ZeroCoefficient(), eta=inf),
+        lambda: kl_cost_integrand(0.5, 0.5, 0.5, linear, inf),
+        lambda: kl_cost_minimizer(0.5, 0.5, linear, inf),
+        lambda: kl_cost_minimum(0.5, 0.5, linear, inf),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="eta"):
+            call()
+
+
+def test_bound_refuses_a_nan_profile_value_as_kl_eta_does(linear):
+    nan_profile = lambda t: np.full_like(np.asarray(t, dtype=np.float64), np.nan)
+    with pytest.raises(DomainError, match="loss"):
+        KLEtaCoefficient(linear, nan_profile, 0.5)(0.5)
+    # Refused before the integrand, so a singular one does not turn it into inf.
+    for coefficient in (SigmaCoefficient(linear), ZeroCoefficient()):
+        with pytest.raises(DomainError, match="loss"):
+            kl_bound(nan_profile, linear, coefficient, window=(0.1, 0.9))
 
 
 def test_bound_integral_matches_antiderivative(linear):

@@ -1,0 +1,144 @@
+"""Run a fixed list of driftlab CLI commands in two checkouts and list every
+output file whose bytes differ.
+
+Usage, from the root of a checkout::
+
+    git archive --format=tar <parent> | (mkdir -p ../parent && tar -x -C ../parent)
+    python3 tools/compare_outputs.py ../parent . [--work DIR]
+
+Each checkout runs the same commands with its own ``src`` first on
+``PYTHONPATH``, in its own empty work directory, with relative paths only,
+so the outputs of equal code are equal byte for byte.  The commands train a
+small velocity model, sample it and the exact field with both samplers and
+several diffusion coefficients (``kl-eta`` with the trained profile among
+them), evaluate, tabulate ``info`` and run a sweep with a ``kl-eta`` cell.
+Each command's exit code, standard output and standard error are kept as
+files beside its outputs and compared with them.
+
+Exits 0 when every file is byte-identical, 1 otherwise.  Uses the standard
+library only; the package is run, not imported.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+PROFILE = "train/profile.txt"
+CHECKPOINT = "train/checkpoint.json"
+SAMPLE_FAST = ["--steps", "40", "--n", "256", "--seed", "5"]
+
+#: (name, argv): run in order; later commands read earlier outputs.
+COMMANDS = [
+    ("train", ["train", "--dataset", "two-gauss-1d", "--steps", "300", "--batch", "64",
+               "--profile-bins", "8", "--profile-draws", "200", "--seed", "3",
+               "--out", "train"]),
+    ("sample-model-em-kl-eta", ["sample", "--checkpoint", CHECKPOINT, "--sampler", "em",
+                                "--w", "kl-eta:0.5", "--profile", PROFILE,
+                                *SAMPLE_FAST, "--out", "sample-model-em-kl-eta"]),
+    ("sample-exact-em-kl-eta-0", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                                  "--w", "kl-eta:0", "--profile", PROFILE,
+                                  *SAMPLE_FAST, "--out", "sample-exact-em-kl-eta-0"]),
+    ("sample-model-heun", ["sample", "--checkpoint", CHECKPOINT, *SAMPLE_FAST,
+                           "--out", "sample-model-heun"]),
+    ("sample-exact-em-kl-eta", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                                "--w", "kl-eta:2", "--profile", PROFILE,
+                                *SAMPLE_FAST, "--out", "sample-exact-em-kl-eta"]),
+    ("sample-exact-em-kl", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                            "--w", "kl", *SAMPLE_FAST, "--out", "sample-exact-em-kl"]),
+    ("sample-exact-em-const", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                               "--w", "const:0.5", *SAMPLE_FAST,
+                               "--out", "sample-exact-em-const"]),
+    ("sample-vp-em-kl-eta", ["sample", "--analytic", "two-gauss-1d", "--schedule", "sbdm-vp",
+                             "--sampler", "em", "--w", "kl-eta:0.5", "--profile", PROFILE,
+                             *SAMPLE_FAST, "--out", "sample-vp-em-kl-eta"]),
+    ("eval", ["eval", "--samples", "sample-model-em-kl-eta/samples.txt",
+              "--reference", "two-gauss-1d", "--permutations", "20", "--out", "eval"]),
+    ("info-kl", ["info", "--w", "kl", "--points", "11"]),
+    ("info-gvp-kl", ["info", "--schedule", "gvp", "--w", "kl", "--points", "11"]),
+    ("info-const", ["info", "--w", "const:0.5", "--points", "5"]),
+    ("sweep", ["sweep", "--config", "sweep.json", "--out", "sweep"]),
+]
+
+SWEEP_CONFIG = {
+    "dataset": "two-gauss-1d",
+    "schedules": ["linear", "gvp", "sbdm-vp"],
+    "samplers": ["heun", "em"],
+    "coefficients": ["sigma", "kl", "const:0.5", "kl-eta:0.5"],
+    "steps": [20],
+    "n": 128,
+    "permutations": 20,
+    "seed": 11,
+}
+
+
+def run_commands(checkout: str, workdir: str) -> None:
+    """Run every command with ``checkout``'s package, outputs under ``workdir``."""
+    os.makedirs(workdir)
+    with open(os.path.join(workdir, "sweep.json"), "w") as handle:
+        json.dump(SWEEP_CONFIG, handle, sort_keys=True)
+    env = dict(os.environ)
+    env.pop("DRIFTLAB_OUTPUT_ROOT", None)
+    src = os.path.join(os.path.abspath(checkout), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    logs = os.path.join(workdir, "logs")
+    os.makedirs(logs)
+    for name, argv in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "driftlab.cli", *argv], cwd=workdir,
+                              env=env, capture_output=True)
+        for suffix, content in (("exit", b"%d\n" % done.returncode),
+                                ("stdout", done.stdout), ("stderr", done.stderr)):
+            with open(os.path.join(logs, f"{name}.{suffix}"), "wb") as handle:
+                handle.write(content)
+
+
+def tree_files(root: str) -> set[str]:
+    """Every file under ``root``, as a path relative to it."""
+    return {os.path.relpath(os.path.join(folder, name), root)
+            for folder, _, names in os.walk(root) for name in names}
+
+
+def differing_files(left: str, right: str) -> list[str]:
+    """Relative paths present in one tree only or with different bytes."""
+    differ = []
+    for path in sorted(tree_files(left) | tree_files(right)):
+        a, b = os.path.join(left, path), os.path.join(right, path)
+        if not (os.path.isfile(a) and os.path.isfile(b)):
+            differ.append(f"{path} (only in {'the first' if os.path.isfile(a) else 'the second'})")
+            continue
+        with open(a, "rb") as ha, open(b, "rb") as hb:
+            if ha.read() != hb.read():
+                differ.append(path)
+    return differ
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("first", help="checkout to compare from (e.g. the parent)")
+    parser.add_argument("second", help="checkout to compare with (e.g. the change)")
+    parser.add_argument("--work", help="directory that keeps both runs' outputs "
+                        "(default: a temporary directory, removed at the end)")
+    args = parser.parse_args(argv)
+    work = args.work or tempfile.mkdtemp(prefix="driftlab-compare-")
+    runs = [os.path.join(work, "first"), os.path.join(work, "second")]
+    try:
+        for checkout, workdir in zip((args.first, args.second), runs):
+            run_commands(checkout, workdir)
+        differ = differing_files(*runs)
+        count = len(tree_files(runs[0]) | tree_files(runs[1]))
+    finally:
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
+    for path in differ:
+        print(f"differs: {path}")
+    print(f"{count - len(differ)} of {count} files byte-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
