@@ -70,6 +70,7 @@ from .toybox import (
     atomic_write_text,
     draw,
     get_preset,
+    read_json,
     read_samples,
     write_samples,
 )
@@ -162,13 +163,7 @@ _WINDOW = {"t_start": (None, _real), "t_end": (None, _real),
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: invalid JSON config: {exc}") from exc
+    payload = read_json(path, "config file")
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     return payload

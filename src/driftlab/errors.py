@@ -7,6 +7,10 @@ The CLI maps these onto process exit codes: configuration and usage problems
 
 from __future__ import annotations
 
+import numbers
+
+import numpy as np
+
 
 class DriftlabError(Exception):
     """Base class for all errors raised by driftlab."""
@@ -60,3 +64,22 @@ class NonFiniteError(DriftlabError, ArithmeticError):
         super().__init__(message)
         self.step = step
         self.t_bin = t_bin
+
+
+def _count(name: str, value, minimum: int = 1, error: type = ConfigError) -> int:
+    """``value`` as an int of at least ``minimum``, else ``error`` naming it.
+    Integral numbers pass (``7``, ``np.int64(7)``, ``7.0``); a bool (numpy's
+    too), string, None, NaN, infinity or fraction is refused, not truncated."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if int(value) == value >= minimum:
+                return int(value)
+        except (ValueError, OverflowError):  # NaN and the infinities
+            pass
+    raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _rng(seed, *spawn_key: int) -> np.random.Generator:
+    """``default_rng(SeedSequence(seed, spawn_key=spawn_key))`` of a seed >= 0."""
+    return np.random.default_rng(
+        np.random.SeedSequence(_count("seed", seed, minimum=0), spawn_key=spawn_key))

@@ -41,7 +41,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NonFiniteError, UnconditionalModelError
+from .errors import (ConfigError, DomainError, NonFiniteError, UnconditionalModelError,
+                     _count, _rng)
 from .field import (
     Conditioning,
     FieldModel,
@@ -52,8 +53,8 @@ from .field import (
     _velocity_from_score,
     interpolate,
 )
-from .schedule import InterpolantSchedule, _match_shape, schedule_from_config
-from .toybox import as_dataset, atomic_write_text
+from .schedule import InterpolantSchedule, _match_shape, _window, schedule_from_config
+from .toybox import as_dataset, atomic_write_text, read_json
 
 __all__ = [
     "TIME_FEATURE_COUNT",
@@ -95,6 +96,11 @@ DEFAULT_WIDTHS = (128, 128, 128)
 #: ~198,900 minor faults, ~193,000 with 1,024-row blocks and ~300 with 512-
 #: or 256-row blocks, whose memory the allocator keeps and reuses.
 _EVAL_BLOCK_VALUES = 32768
+#: A weight gradient sums ``h.T @ g`` over blocks of this many batch rows, in
+#: order.  OpenBLAS rounds one product over 600 or 1,000 rows differently at
+#: 1 and 2 threads; products over at most 512 rows agreed at every shape
+#: tried.  A batch of at most one block keeps its one product.
+_GRAD_BLOCK_ROWS = 256
 
 
 def time_features(t: float | np.ndarray, count: int = TIME_FEATURE_COUNT,
@@ -141,20 +147,17 @@ class MLPField(FieldModel):
                  num_classes: int | None = None,
                  seed: int = 0,
                  parameters: np.ndarray | None = None) -> None:
-        dimension = int(dimension)
-        if dimension <= 0:
-            raise ConfigError("dimension must be positive")
-        widths = tuple(int(w) for w in widths)
-        if not widths or any(w <= 0 for w in widths):
+        dimension = _count("dimension", dimension)
+        widths = tuple(_count("widths", w) for w in widths)
+        if not widths:
             raise ConfigError("widths must be a nonempty tuple of positive ints")
         self.dimension = dimension
         self.schedule = schedule
         self.prediction = Prediction(prediction)
         self.widths = widths
         self._freqs = np.geomspace(TIME_FREQ_MIN, TIME_FREQ_MAX, TIME_FEATURE_COUNT)
-        if num_classes is not None and int(num_classes) < 1:
-            raise ConfigError(f"num_classes must be None or >= 1, got {num_classes!r}")
-        self.conditioning = None if num_classes is None else Conditioning(int(num_classes))
+        self.conditioning = (None if num_classes is None
+                             else Conditioning(_count("num_classes", num_classes)))
         input_dim = dimension + 2 * self.time_feature_count
         if self.conditioning is not None:
             input_dim += self.class_embed_dim
@@ -177,7 +180,7 @@ class MLPField(FieldModel):
             self.parameters = params
         else:
             self.parameters = np.zeros(total)
-            rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+            rng = _rng(seed)
             index = 0
             for fan_in, fan_out in zip(self._layer_dims[:-1], self._layer_dims[1:]):
                 w = rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
@@ -298,9 +301,10 @@ class MLPField(FieldModel):
     def backward(self, cache: dict, grad_output: np.ndarray) -> np.ndarray:
         """Reverse-mode accumulation of ``d(sum(output * grad_output))/d params``.
 
-        Matrix products go to BLAS: the gradient is bit-reproducible at a
-        fixed BLAS thread count, and pinned across 1 and 2 threads only at
-        the tested shapes.
+        Each weight gradient is a sum of BLAS products over blocks of
+        ``_GRAD_BLOCK_ROWS`` batch rows, added in order (one product for a
+        batch of at most one block), so it is the same at 1 and 2 BLAS threads
+        at every shape tested.
         """
         grad = np.zeros_like(self.parameters)
         activations = cache["activations"]
@@ -312,7 +316,11 @@ class MLPField(FieldModel):
             w, _ = layers[layer]
             h_in = activations[layer]
             lo, mid, hi = self._offsets[2 * layer:2 * layer + 3]
-            np.matmul(h_in.T, g, out=grad[lo:mid].reshape(w.shape))
+            weight_grad = grad[lo:mid].reshape(w.shape)
+            np.matmul(h_in[:_GRAD_BLOCK_ROWS].T, g[:_GRAD_BLOCK_ROWS], out=weight_grad)
+            for start in range(_GRAD_BLOCK_ROWS, g.shape[0], _GRAD_BLOCK_ROWS):
+                stop = start + _GRAD_BLOCK_ROWS
+                weight_grad += h_in[start:stop].T @ g[start:stop]
             np.sum(g, axis=0, out=grad[mid:hi])
             if layer > 0:
                 slope = np.square(h_in)  # tanh'(pre) = 1 - tanh(pre)^2
@@ -488,27 +496,19 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "objective", TrainObjective(self.objective))
-        if int(self.steps) <= 0 or int(self.batch) <= 0:
-            raise ConfigError("steps and batch must be positive")
-        object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "batch", int(self.batch))
+        for name in ("steps", "batch", "profile_bins", "profile_draws"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _count("seed", self.seed, minimum=0))
         if not (self.learning_rate > 0.0):
             raise ConfigError("learning_rate must be positive")
         if not (0.0 <= self.label_dropout <= 1.0):
             raise ConfigError("label_dropout must lie in [0, 1]")
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if int(self.profile_bins) <= 0 or int(self.profile_draws) <= 0:
-            raise ConfigError("profile_bins and profile_draws must be positive")
+        object.__setattr__(self, "widths", tuple(self.widths))
 
     def window(self) -> tuple[float, float]:
         lo, hi = default_time_window(self.objective, self.schedule)
-        if self.t_lo is not None:
-            lo = float(self.t_lo)
-        if self.t_hi is not None:
-            hi = float(self.t_hi)
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ConfigError(f"time window [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
-        return lo, hi
+        return _window(lo if self.t_lo is None else self.t_lo,
+                       hi if self.t_hi is None else self.t_hi)
 
 
 @dataclass
@@ -543,7 +543,7 @@ def train(config: TrainConfig, data) -> TrainResult:
         seed=config.seed,
     )
     loss_fn = _LOSS_FOR[config.objective]
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    rng = _rng(config.seed, 1)
     moment1 = np.zeros_like(model.parameters)
     moment2 = np.zeros_like(model.parameters)
     scratch = np.empty_like(model.parameters)
@@ -646,6 +646,7 @@ class LossProfile:
             raise ConfigError("profile edges must be strictly increasing")
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
             raise ConfigError("profile values must be finite and nonnegative")
+        _window(edges[0], edges[-1])
         self.edges = edges
         self.values = values
 
@@ -701,6 +702,13 @@ class LossProfile:
         if fields.get("bins", str(len(values))) != str(len(values)):
             raise ConfigError(f"{path}: header says bins={fields['bins']}, "
                               f"but the file has {len(values)} rows")
+        try:
+            window = _window(fields.get("t_lo"), fields.get("t_hi"))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: header {exc}") from None
+        if window != (edges[0], edges[-1]):
+            raise ConfigError(f"{path}: header window {window!r} is not the rows' "
+                              f"({edges[0]!r}, {edges[-1]!r})")
         return cls(np.asarray(edges), np.asarray(values))
 
 
@@ -719,24 +727,19 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
     ``SeedSequence(seed, spawn_key=(2,))``, which is the stream :func:`train`
     gives its profile.
     """
-    if bins < 1 or draws_per_bin < 1:
-        raise ConfigError(f"a loss profile needs at least one bin and one draw per bin, "
-                          f"got bins={bins!r}, draws_per_bin={draws_per_bin!r}")
+    bins = _count("bins", bins)
+    draws_per_bin = _count("draws_per_bin", draws_per_bin)
+    lo, hi = (0.0, 1.0) if window is None else _window(*window)
     dataset = as_dataset(data)
     if model.conditioning is not None:  # its batches draw labels
         _class_count(dataset)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(2,)))
+    rng = _rng(seed, 2)
     schedule = model.schedule
-    if window is None:
-        lo, hi = 0.0, 1.0
-    else:
-        lo, hi = float(window[0]), float(window[1])
     if model.prediction is Prediction.SCORE:
         hi = min(hi, 1.0 - 1e-5)
         if schedule.name == "sbdm-vp":
             lo = max(lo, 1e-5)
-    if not lo < hi:
-        raise ConfigError(f"profile window [{lo}, {hi}] is empty")
+    _window(lo, hi)  # the clipping may empty it
     edges = np.linspace(lo, hi, bins + 1)
     values = np.empty(bins)
     for b in range(bins):
@@ -799,13 +802,7 @@ def save_checkpoint(model: MLPField, path: str) -> None:
 
 def load_checkpoint(path: str) -> MLPField:
     """Rebuild a model from :func:`save_checkpoint` output, bit-exactly."""
-    if not os.path.isfile(path):
-        raise ConfigError(f"checkpoint not found: {path}")
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"{path}: not a valid checkpoint: {exc}") from exc
+    payload = read_json(path, "checkpoint")
     if (not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT
             or payload.get("version") != 1):
         raise ConfigError(f"{path}: unrecognized checkpoint format/version")

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SingularityError
+from .errors import ConfigError, DomainError, SingularityError, _count, _rng
 from .field import FieldModel, GaussianMixture, Prediction, interpolate
 from .schedule import (DiffusionCoefficient, InterpolantSchedule, _loss_values,
-                       _match_shape, _nonnegative, _regularized_w)
+                       _match_shape, _nonnegative, _regularized_w, _window)
 from .toybox import as_dataset
 
 __all__ = [
@@ -208,12 +208,8 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
     distances, equal to a per-split :func:`energy_distance` up to rounding.
     """
     aa, bb = _sample_pair(a, b)
-    try:
-        count = int(n_permutations)
-    except (TypeError, ValueError, OverflowError):
-        count = 0
-    if count <= 0 or count != n_permutations or isinstance(n_permutations, (bool, np.bool_)):
-        raise ConfigError(f"n_permutations must be a positive integer, got {n_permutations!r}")
+    count = _count("n_permutations", n_permutations)
+    rng = _rng(seed)
     observed = energy_distance(aa, bb)
     pooled = np.concatenate([aa, bb], axis=0)
     n, size = aa.shape[0], pooled.shape[0]
@@ -222,7 +218,6 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
     else:
         # The block width bounds the (pooled points × splits) split matrix.
         width, score = max(1, _SPLIT_BUDGET // size), _split_statistics
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     exceed = 0
     for lo in range(0, count, width):
         orders = [rng.permutation(size) for _ in range(min(width, count - lo))]
@@ -286,13 +281,12 @@ def path_length(field: FieldModel, data, n_mc: int = 10_000,
     if field.prediction is not Prediction.VELOCITY:
         raise ConfigError("path_length requires a velocity-prediction field")
     dataset = as_dataset(data)
-    if int(n_mc) <= 0:
-        raise ConfigError("n_mc must be positive")
+    n_mc = _count("n_mc", n_mc)
     grid = DEFAULT_PATH_GRID if t_grid is None else np.asarray(t_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.shape[0] < 2 or not np.all(np.diff(grid) > 0):
         raise ConfigError("t_grid must be an increasing 1-D grid of length >= 2")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    x_star, _ = dataset.resample(rng, int(n_mc))
+    rng = _rng(seed)
+    x_star, _ = dataset.resample(rng, n_mc)
     eps = rng.standard_normal(x_star.shape)
     schedule = field.schedule
     speeds = np.empty((x_star.shape[0], grid.shape[0]))
@@ -397,20 +391,14 @@ def kl_bound(profile, schedule: InterpolantSchedule,
     integrated.  Returns ``inf`` when the integrand is singular anywhere on
     the window (e.g. ``w = 0``, or the window edge touches a refused time).
     """
+    window = getattr(profile, "window", None) if window is None else window
     if window is None:
-        if hasattr(profile, "window"):
-            lo, hi = profile.window
-        else:
-            raise ConfigError("window is required when the profile has none")
-    else:
-        lo, hi = float(window[0]), float(window[1])
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ConfigError(f"window [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
-    if int(grid_points) < 2:
-        raise ConfigError("grid_points must be at least 2")
+        raise ConfigError("window is required when the profile has none")
+    lo, hi = _window(*window)
+    grid_points = _count("grid_points", grid_points, minimum=2)
     if eta is not None:
         eta = _nonnegative("eta", eta)
-    grid = np.linspace(lo, hi, int(grid_points))
+    grid = np.linspace(lo, hi, grid_points)
     loss = _loss_values(profile(grid))
     try:
         w = np.asarray(diffusion(grid), dtype=np.float64)

@@ -43,7 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NonFiniteError
+from .errors import ConfigError, DomainError, NonFiniteError, _count
 from .field import (
     FieldModel,
     Prediction,
@@ -109,10 +109,7 @@ class SamplerSpec:
                 f"t_start ({self.t_start!r}) must exceed t_end ({self.t_end!r}); "
                 f"sampling integrates from noise toward data"
             )
-        steps = int(self.steps)
-        if steps < 1:
-            raise ConfigError(f"steps must be a positive integer, got {self.steps!r}")
-        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "steps", _count("steps", self.steps))
         if self.last_step_to is not None:
             final = float(self.last_step_to)
             if not 0.0 <= final <= self.t_end:
@@ -132,10 +129,7 @@ class SamplerSpec:
                 raise ConfigError("the deterministic sampler takes no last_step_to")
         elif self.diffusion is None:
             raise ConfigError("the stochastic sampler requires a diffusion coefficient")
-        seed = int(self.seed)
-        if seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", _count("seed", self.seed, minimum=0))
 
 
 @dataclass(frozen=True)
@@ -302,7 +296,7 @@ def _seed_states(seed: int, lo: int, hi: int) -> Iterator[np.ndarray]:
     mixing in uint32 arithmetic over all indices at once (the seed words are
     shared; an index below 2**32 is one spawn word, a larger one two).
     """
-    seed_words = _words(int(seed))
+    seed_words = _words(seed)
     # With a spawn key, SeedSequence pads the run entropy to the pool size.
     seed_words += [0] * (_POOL_SIZE - len(seed_words))
     entropy = [np.array([word], dtype=np.uint32) for word in seed_words]
@@ -418,9 +412,7 @@ def _integrate(model: FieldModel, spec: SamplerSpec, n_samples: int,
     the same for every chunk.  ``chunk_size`` is ``None`` (DEFAULT_CHUNK) or
     a positive integer; anything else is a :class:`ConfigError`.
     """
-    n_samples = int(n_samples)
-    if n_samples <= 0:
-        raise DomainError(f"n_samples must be positive, got {n_samples}")
+    n_samples = _count("n_samples", n_samples, error=DomainError)
     if chunk_size is None:
         chunk = DEFAULT_CHUNK
     elif (isinstance(chunk_size, (int, np.integer)) and not isinstance(chunk_size, bool)

@@ -81,6 +81,18 @@ def _prepare_time(t: float | np.ndarray) -> np.ndarray:
     return arr
 
 
+def _window(lo, hi) -> tuple[float, float]:
+    """A time window ``(lo, hi)`` as floats, refused unless both are finite
+    and ``0 <= lo < hi <= 1``."""
+    try:
+        window = float(lo), float(hi)
+    except (TypeError, ValueError):
+        window = None
+    if window is None or not 0.0 <= window[0] < window[1] <= 1.0:  # NaN fails
+        raise ConfigError(f"time window [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
+    return window
+
+
 def _nonnegative(name: str, value) -> float:
     """``value`` as a float, refused unless it is finite and ``>= 0``."""
     value = float(value)
@@ -140,7 +152,7 @@ class InterpolantSchedule(ABC):
             bad = np.atleast_1d(t)[np.atleast_1d(mask)][0]
             raise SingularityError(
                 f"{op} is singular where {where} for the {self.name!r} schedule "
-                f"(t = {bad!r}); clip the time window instead"
+                f"(t = {float(bad)!r}); clip the time window instead"
             )
 
     # -- public accessors ------------------------------------------------------

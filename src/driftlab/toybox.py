@@ -29,6 +29,7 @@ integer label column when labels are declared.  Writes are atomic
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, _count, _rng
 from .field import GaussianMixture
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "ToyDataset",
     "write_samples",
     "read_samples",
+    "read_json",
 ]
 
 
@@ -146,11 +148,8 @@ def draw(gmm: GaussianMixture, n: int, seed: int,
     Picks components by their categorical weights, then draws from the chosen
     Gaussian.  Returns ``(samples (n, d), labels (n,) or None)``.
     """
-    n = int(n)
-    if n <= 0:
-        raise DomainError(f"sample count must be positive, got {n}")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    samples, labels = _ancestral(gmm, rng, n)
+    n = _count("n", n, error=DomainError)
+    samples, labels = _ancestral(gmm, _rng(seed), n)
     return samples, (labels if with_labels else None)
 
 
@@ -234,9 +233,9 @@ def write_samples(path: str, samples: np.ndarray, seed: int,
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim != 2:
         raise DomainError(f"samples must be (n, d), got shape {arr.shape}")
-    header = f"# d={arr.shape[1]} n={arr.shape[0]} seed={int(seed)}"
+    header = f"# d={arr.shape[1]} n={arr.shape[0]} seed={_count('seed', seed, minimum=0)}"
     if nfe is not None:
-        header += f" nfe={int(nfe)}"
+        header += f" nfe={_count('nfe', nfe, minimum=0)}"
     if labels is not None:
         labels = np.asarray(labels)
         if labels.shape != (arr.shape[0],):
@@ -304,3 +303,15 @@ def read_samples(path: str) -> tuple[np.ndarray, np.ndarray | None, dict]:
             f"{path}: {samples.shape[0]} rows, header says n={meta['n']}"
         )
     return samples, (np.asarray(labels, dtype=np.int64) if has_labels else None), meta
+
+
+def read_json(path: str, what: str):
+    """The JSON value of a UTF-8 file.  A missing file, undecodable bytes or
+    invalid JSON is a :class:`ConfigError` naming ``what`` and the path."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} not found: {path}")
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: invalid JSON {what}: {exc}") from exc

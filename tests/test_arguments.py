@@ -1,0 +1,153 @@
+"""One rule per kind of argument, at every public entry that takes one.
+
+Counts go through ``errors._count``: integral numbers are accepted, and
+bools, fractions, NaN, infinities, strings and None are refused.  Seeds are
+counts from 0 and become generators through ``errors._rng``.  Time windows go
+through ``schedule._window``: finite, with 0 <= lo < hi <= 1.
+"""
+
+import numpy as np
+import pytest
+
+from driftlab import (
+    AnalyticMixtureField,
+    ConfigError,
+    DomainError,
+    LossProfile,
+    MLPField,
+    SamplerSpec,
+    TrainConfig,
+    draw,
+    energy_distance_permutation_test,
+    estimate_loss_profile,
+    get_preset,
+    heun_sample,
+    kl_bound,
+    make_schedule,
+    parse_coefficient,
+    path_length,
+    train,
+)
+
+LINEAR = make_schedule("linear")
+ONE_D = get_preset("two-gauss-1d")
+
+
+def _sample(steps=3, seed=0, n_samples=4):
+    spec = SamplerSpec(kind="heun", t_start=1.0 - 1e-5, t_end=0.0, steps=steps, seed=seed)
+    return heun_sample(AnalyticMixtureField(ONE_D, LINEAR), spec, n_samples).samples
+
+
+def _model(dimension=1, widths=4, num_classes=None, seed=0):
+    return MLPField(dimension, LINEAR, widths=(widths,), num_classes=num_classes,
+                    seed=seed).parameters
+
+
+def _train(**counts):
+    arguments = dict(steps=2, batch=8, profile_bins=2, profile_draws=8, seed=0)
+    arguments.update(counts)
+    config = TrainConfig(objective="velocity", schedule=LINEAR, widths=(4,), **arguments)
+    result = train(config, ONE_D)
+    return np.concatenate([result.model.parameters, result.profile.values])
+
+
+def _profile(bins=2, draws_per_bin=8, seed=0):
+    return estimate_loss_profile(MLPField(1, LINEAR, widths=(4,)), ONE_D, bins=bins,
+                                 draws_per_bin=draws_per_bin, seed=seed).values
+
+
+def _permutations(n_permutations=7, seed=0):
+    pooled = np.linspace(-1.0, 1.0, 24).reshape(12, 2)
+    return energy_distance_permutation_test(pooled[:5], pooled[5:] ** 2,
+                                            n_permutations=n_permutations, seed=seed)
+
+
+def _path_length(n_mc=16, seed=0):
+    field = AnalyticMixtureField(ONE_D, LINEAR, prediction="velocity")
+    return path_length(field, ONE_D, n_mc=n_mc, seed=seed, t_grid=np.linspace(0.1, 0.9, 5))
+
+
+def _kl_bound(grid_points=9):
+    profile = LossProfile(np.array([0.1, 0.9]), np.array([0.5]))
+    return kl_bound(profile, LINEAR, parse_coefficient("sigma", LINEAR),
+                    grid_points=grid_points)
+
+
+def _draw(n=4, seed=0):
+    return draw(get_preset("grid-9"), n, seed)
+
+
+#: entry -> (call, argument, a valid value, the error a refused value raises)
+ENTRIES = {
+    "SamplerSpec-steps": (_sample, "steps", 3, ConfigError),
+    "SamplerSpec-seed": (_sample, "seed", 2, ConfigError),
+    "heun_sample-n_samples": (_sample, "n_samples", 4, DomainError),
+    "MLPField-dimension": (_model, "dimension", 2, ConfigError),
+    "MLPField-widths": (_model, "widths", 3, ConfigError),
+    "MLPField-num_classes": (_model, "num_classes", 3, ConfigError),
+    "MLPField-seed": (_model, "seed", 5, ConfigError),
+    "TrainConfig-steps": (_train, "steps", 3, ConfigError),
+    "TrainConfig-batch": (_train, "batch", 6, ConfigError),
+    "TrainConfig-profile_bins": (_train, "profile_bins", 3, ConfigError),
+    "TrainConfig-profile_draws": (_train, "profile_draws", 5, ConfigError),
+    "TrainConfig-seed": (_train, "seed", 4, ConfigError),
+    "estimate_loss_profile-bins": (_profile, "bins", 3, ConfigError),
+    "estimate_loss_profile-draws_per_bin": (_profile, "draws_per_bin", 5, ConfigError),
+    "estimate_loss_profile-seed": (_profile, "seed", 4, ConfigError),
+    "permutation_test-n_permutations": (_permutations, "n_permutations", 9, ConfigError),
+    "permutation_test-seed": (_permutations, "seed", 3, ConfigError),
+    "path_length-n_mc": (_path_length, "n_mc", 12, ConfigError),
+    "path_length-seed": (_path_length, "seed", 3, ConfigError),
+    "kl_bound-grid_points": (_kl_bound, "grid_points", 17, ConfigError),
+    "draw-n": (_draw, "n", 6, DomainError),
+    "draw-seed": (_draw, "seed", 8, ConfigError),
+}
+
+
+def _bytes(result) -> bytes:
+    parts = result if isinstance(result, tuple) else (result,)
+    return b"".join(np.asarray(part, dtype=np.float64).tobytes() for part in parts)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+@pytest.mark.parametrize("value", [2.5, True])
+def test_counts_and_seeds_refuse_fractions_and_booleans(entry, value):
+    # Neither truncated (2.5 -> 2) nor read as the count 1.
+    call, argument, _, error = ENTRIES[entry]
+    with pytest.raises(error, match=argument):
+        call(**{argument: value})
+
+
+@pytest.mark.parametrize("entry", sorted(name for name in ENTRIES if name.endswith("-seed")))
+def test_seeds_refuse_negative_values(entry):
+    # Not numpy's bare ValueError from SeedSequence.
+    call, argument, _, error = ENTRIES[entry]
+    with pytest.raises(error, match="seed"):
+        call(**{argument: -1})
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_integral_counts_and_seeds_give_the_same_bits(entry):
+    call, argument, value, _ = ENTRIES[entry]
+    expected = _bytes(call(**{argument: value}))
+    for same in (np.int64(value), float(value)):
+        assert _bytes(call(**{argument: same})) == expected
+
+
+BAD_WINDOWS = [(-0.5, 0.5), (0.5, 0.5), (0.6, 0.4), (0.2, 1.5),
+               (float("nan"), 0.5), (0.1, float("inf"))]
+
+
+@pytest.mark.parametrize("window", BAD_WINDOWS)
+def test_time_windows_are_refused_alike_everywhere(window):
+    lo, hi = window
+    profile = LossProfile(np.array([0.1, 0.9]), np.array([0.5]))
+    with pytest.raises(ConfigError):
+        TrainConfig(objective="velocity", schedule=LINEAR, steps=1, t_lo=lo, t_hi=hi).window()
+    with pytest.raises(ConfigError):
+        kl_bound(profile, LINEAR, parse_coefficient("sigma", LINEAR), window=window)
+    with pytest.raises(ConfigError):
+        estimate_loss_profile(MLPField(1, LINEAR, widths=(4,)), ONE_D, bins=2,
+                              draws_per_bin=4, window=window)
+    with pytest.raises(ConfigError):
+        LossProfile(np.array([lo, hi]), np.array([1.0]))

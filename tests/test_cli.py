@@ -160,6 +160,13 @@ def test_singular_window_exits_with_numerical_failure_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_singular_time_error_names_the_time_as_a_plain_number(capsys):
+    assert main(["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                 "--w", "kl", "--t-start", "1.0", "--steps", "5", "--n", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "(t = 1.0);" in err and "np.float64" not in err
+
+
 def test_sample_from_trained_checkpoint(tmp_path):
     out_train = tmp_path / "t"
     assert main(["train", "--out", str(out_train), *TRAIN_FAST]) == 0

@@ -550,6 +550,39 @@ def test_training_and_exact_field_do_not_depend_on_blas_threads(tmp_path):
         assert value.tobytes() == results["2"][name].tobytes(), name
 
 
+_BATCH_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from driftlab import TrainConfig, get_preset, make_schedule, train
+arrays = {}
+for batch in (300, 600):
+    config = TrainConfig(objective="velocity", schedule=make_schedule("linear"), steps=10,
+                         batch=batch, widths=(64, 64), seed=5, profile_bins=2,
+                         profile_draws=100)
+    arrays[f"batch-{batch}"] = train(config, get_preset("grid-9")).model.parameters
+np.savez(sys.argv[1], **arrays)
+"""
+
+
+def test_training_above_one_gradient_block_does_not_depend_on_blas_threads(tmp_path):
+    # One weight-gradient product over 600 rows rounded differently at 1 and
+    # 2 OpenBLAS threads; batches above one block sum it block by block.
+    source = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+    results = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [source, os.environ.get("PYTHONPATH")])))
+        path = tmp_path / f"threads-{threads}.npz"
+        subprocess.run([sys.executable, "-c", _BATCH_THREADS_SCRIPT, str(path)],
+                       env=env, check=True, timeout=300)
+        with np.load(path) as arrays:
+            results[threads] = {name: arrays[name] for name in arrays.files}
+    assert set(results["1"]) == {"batch-300", "batch-600"}
+    for name, value in results["1"].items():
+        assert value.tobytes() == results["2"][name].tobytes(), name
+
+
 _PERMUTATION_THREADS_SCRIPT = """
 import sys
 import numpy as np
@@ -741,6 +774,16 @@ def test_loss_profile_load_refuses_a_gap_between_rows(tmp_path):
     path = tmp_path / "gap.txt"
     path.write_text("# loss-profile bins=2 t_lo=0.0 t_hi=1.0\n0.0 0.5 1.0\n0.7 1.0 2.0\n")
     with pytest.raises(ConfigError, match="gap.txt"):
+        LossProfile.load(str(path))
+
+
+@pytest.mark.parametrize("header", ["bins=1 t_lo=0.3 t_hi=0.9", "bins=1 t_lo=0.0",
+                                    "bins=1 t_lo=1.0 t_hi=0.0", "bins=1 t_lo=0.0 t_hi=x"])
+def test_loss_profile_load_refuses_a_header_window_the_rows_disagree_with(tmp_path, header):
+    # Read from its rows alone, each file would load with the window (0, 1).
+    path = tmp_path / "window.txt"
+    path.write_text(f"# loss-profile {header}\n0.0 1.0 2.0\n")
+    with pytest.raises(ConfigError, match="window.txt"):
         LossProfile.load(str(path))
 
 

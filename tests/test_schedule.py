@@ -225,7 +225,7 @@ def test_array_accessors_are_their_coefficients_bitwise():
 
 def _singular_message(op, where, schedule, t):
     return (f"{op} is singular where {where} for the {schedule.name!r} schedule "
-            f"(t = {np.float64(t)!r}); clip the time window instead")
+            f"(t = {float(t)!r}); clip the time window instead")
 
 
 @pytest.mark.parametrize("read", ["accessor", "coefficients"])

@@ -9,9 +9,12 @@ Usage, from the root of a checkout::
 Each checkout runs the same commands with its own ``src`` first on
 ``PYTHONPATH``, in its own empty work directory, with relative paths only,
 so the outputs of equal code are equal byte for byte.  The commands train a
-small velocity model, sample it and the exact field with both samplers and
-several diffusion coefficients (``kl-eta`` with the trained profile among
-them), evaluate, tabulate ``info`` and run a sweep with a ``kl-eta`` cell.
+small velocity model and a class-conditional one, sample them (the second
+with guidance) and the exact field with both samplers and several diffusion
+coefficients (``kl-eta`` with the trained profile among them), evaluate
+against a preset and against a samples file, tabulate ``info``, and run a
+sweep with a ``kl-eta`` cell twice into one directory, so that the second
+run reuses its cells.
 Each command's exit code, standard output and standard error are kept as
 files beside its outputs and compared with them.
 
@@ -31,6 +34,7 @@ import tempfile
 
 PROFILE = "train/profile.txt"
 CHECKPOINT = "train/checkpoint.json"
+CONDITIONAL = "train-conditional/checkpoint.json"
 SAMPLE_FAST = ["--steps", "40", "--n", "256", "--seed", "5"]
 
 #: (name, argv): run in order; later commands read earlier outputs.
@@ -38,6 +42,10 @@ COMMANDS = [
     ("train", ["train", "--dataset", "two-gauss-1d", "--steps", "300", "--batch", "64",
                "--profile-bins", "8", "--profile-draws", "200", "--seed", "3",
                "--out", "train"]),
+    ("train-conditional", ["train", "--dataset", "grid-9", "--conditional",
+                           "--label-dropout", "0.3", "--steps", "200", "--batch", "128",
+                           "--profile-bins", "4", "--profile-draws", "100", "--seed", "4",
+                           "--out", "train-conditional"]),
     ("sample-model-em-kl-eta", ["sample", "--checkpoint", CHECKPOINT, "--sampler", "em",
                                 "--w", "kl-eta:0.5", "--profile", PROFILE,
                                 *SAMPLE_FAST, "--out", "sample-model-em-kl-eta"]),
@@ -57,12 +65,18 @@ COMMANDS = [
     ("sample-vp-em-kl-eta", ["sample", "--analytic", "two-gauss-1d", "--schedule", "sbdm-vp",
                              "--sampler", "em", "--w", "kl-eta:0.5", "--profile", PROFILE,
                              *SAMPLE_FAST, "--out", "sample-vp-em-kl-eta"]),
+    ("sample-guided-heun", ["sample", "--checkpoint", CONDITIONAL, "--zeta", "2",
+                            "--label", "1", *SAMPLE_FAST, "--out", "sample-guided-heun"]),
     ("eval", ["eval", "--samples", "sample-model-em-kl-eta/samples.txt",
               "--reference", "two-gauss-1d", "--permutations", "20", "--out", "eval"]),
+    ("eval-file", ["eval", "--samples", "sample-model-heun/samples.txt",
+                   "--reference", "sample-exact-em-kl/samples.txt", "--metrics", "energy,ks",
+                   "--permutations", "20", "--out", "eval-file"]),
     ("info-kl", ["info", "--w", "kl", "--points", "11"]),
     ("info-gvp-kl", ["info", "--schedule", "gvp", "--w", "kl", "--points", "11"]),
     ("info-const", ["info", "--w", "const:0.5", "--points", "5"]),
     ("sweep", ["sweep", "--config", "sweep.json", "--out", "sweep"]),
+    ("sweep-again", ["sweep", "--config", "sweep.json", "--out", "sweep"]),
 ]
 
 SWEEP_CONFIG = {
