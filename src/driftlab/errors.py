@@ -7,6 +7,7 @@ The CLI maps these onto process exit codes: configuration and usage problems
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -77,6 +78,40 @@ def _count(name: str, value, minimum: int = 1, error: type = ConfigError) -> int
         except (ValueError, OverflowError):  # NaN and the infinities
             pass
     raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
+          error: type = ConfigError) -> float:
+    """``value`` as a float in ``[lo, hi]``, else ``error`` naming it.  A real
+    number passes as ``float(value)`` (``1``, ``np.float64(1.0)``, ``1.0``); a
+    bool (numpy's too), string, None, NaN or infinity is refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value) and lo <= value <= hi:
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise error(f"{name} must be a finite number in [{lo!r}, {hi!r}], got {value!r}")
+
+
+def _window(lo, hi) -> tuple[float, float]:
+    """A time window ``(lo, hi)`` as floats, refused unless both are finite
+    and ``0 <= lo < hi <= 1``."""
+    try:
+        window = float(lo), float(hi)
+    except (TypeError, ValueError):
+        window = None
+    if window is None or not 0.0 <= window[0] < window[1] <= 1.0:  # NaN fails
+        raise ConfigError(f"time window [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
+    return window
+
+
+def _loss_values(loss, error: type = DomainError) -> np.ndarray:
+    """Loss values as a float64 array, refused unless finite and ``>= 0``."""
+    loss = np.asarray(loss, dtype=np.float64)
+    if np.any(loss < 0.0) or not np.all(np.isfinite(loss)):
+        raise error("loss profile values must be finite and nonnegative")
+    return loss
 
 
 def _rng(seed, *spawn_key: int) -> np.random.Generator:

@@ -27,12 +27,11 @@ read-only after construction and safe for concurrent use.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, UnconditionalModelError
+from .errors import DomainError, SingularityError, UnconditionalModelError, _real
 from .schedule import Coefficients, InterpolantSchedule
 
 __all__ = [
@@ -551,13 +550,16 @@ class Conditioning:
 
     def validate(self, y: int | np.ndarray) -> np.ndarray:
         arr = np.asarray(y)
-        if arr.dtype.kind not in "iu":  # not an integer dtype
-            arr = arr.astype(np.int64)
-        if (arr < 0).any() or (arr > self.null_id).any():
+        real = arr.dtype.kind in "biuf"
+        if real and ((arr < 0).any() or (arr > self.null_id).any()):
             raise DomainError(
                 f"label out of range: valid ids are 0..{self.num_classes - 1} "
                 f"plus the null token {self.null_id}"
             )
+        if arr.dtype.kind not in "iu":  # not an integer dtype
+            if not real or (arr != np.floor(arr)).any():  # a string, fraction or NaN
+                raise DomainError("class labels must be whole numbers")
+            arr = arr.astype(np.int64)
         return arr
 
 
@@ -669,9 +671,7 @@ def guided_field(model: FieldModel, zeta: float, x: np.ndarray, t,
         raise UnconditionalModelError(
             "guided evaluation requires a class-conditional model"
         )
-    zeta = float(zeta)
-    if not math.isfinite(zeta) or zeta < 0.0:
-        raise DomainError(f"guidance strength must be >= 0, got {zeta!r}")
+    zeta = _real("zeta", zeta, 0.0, error=DomainError)
     if y is None:
         raise DomainError("guided evaluation requires a real class label y")
     labels = model.conditioning.validate(y)

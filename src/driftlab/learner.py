@@ -42,7 +42,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (ConfigError, DomainError, NonFiniteError, UnconditionalModelError,
-                     _count, _rng)
+                     _count, _loss_values, _real, _rng, _window)
 from .field import (
     Conditioning,
     FieldModel,
@@ -53,7 +53,7 @@ from .field import (
     _velocity_from_score,
     interpolate,
 )
-from .schedule import InterpolantSchedule, _match_shape, _window, schedule_from_config
+from .schedule import InterpolantSchedule, _match_shape, schedule_from_config
 from .toybox import as_dataset, atomic_write_text, read_json
 
 __all__ = [
@@ -499,10 +499,10 @@ class TrainConfig:
         for name in ("steps", "batch", "profile_bins", "profile_draws"):
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         object.__setattr__(self, "seed", _count("seed", self.seed, minimum=0))
-        if not (self.learning_rate > 0.0):
+        for name, hi in (("learning_rate", math.inf), ("label_dropout", 1.0)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, hi))
+        if self.learning_rate == 0.0:
             raise ConfigError("learning_rate must be positive")
-        if not (0.0 <= self.label_dropout <= 1.0):
-            raise ConfigError("label_dropout must lie in [0, 1]")
         object.__setattr__(self, "widths", tuple(self.widths))
 
     def window(self) -> tuple[float, float]:
@@ -636,18 +636,15 @@ class LossProfile:
     """
 
     def __init__(self, edges: np.ndarray, values: np.ndarray) -> None:
-        edges = np.asarray(edges, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
+        edges = np.asarray(edges)
+        values = _loss_values(values, error=ConfigError)
         if edges.ndim != 1 or values.ndim != 1 or edges.shape[0] != values.shape[0] + 1:
             raise ConfigError("profile needs bins+1 edges and bins values")
         if values.shape[0] == 0:
             raise ConfigError("profile needs at least one bin")
-        if not np.all(np.diff(edges) > 0):
-            raise ConfigError("profile edges must be strictly increasing")
-        if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-            raise ConfigError("profile values must be finite and nonnegative")
-        _window(edges[0], edges[-1])
-        self.edges = edges
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            _window(lo, hi)  # each bin is a window, so the edges increase within [0, 1]
+        self.edges = np.asarray(edges, dtype=np.float64)
         self.values = values
 
     @property
@@ -729,6 +726,7 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
     """
     bins = _count("bins", bins)
     draws_per_bin = _count("draws_per_bin", draws_per_bin)
+    label_dropout = _real("label_dropout", label_dropout, 0.0, 1.0)
     lo, hi = (0.0, 1.0) if window is None else _window(*window)
     dataset = as_dataset(data)
     if model.conditioning is not None:  # its batches draw labels

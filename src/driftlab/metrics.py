@@ -19,10 +19,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SingularityError, _count, _rng
+from .errors import (ConfigError, DomainError, SingularityError, _count, _loss_values,
+                     _real, _rng, _window)
 from .field import FieldModel, GaussianMixture, Prediction, interpolate
-from .schedule import (DiffusionCoefficient, InterpolantSchedule, _loss_values,
-                       _match_shape, _nonnegative, _regularized_w, _window)
+from .schedule import DiffusionCoefficient, InterpolantSchedule, _match_shape, _regularized_w
 from .toybox import as_dataset
 
 __all__ = [
@@ -343,7 +343,7 @@ def kl_cost_integrand(w_value, loss_value, t, schedule: InterpolantSchedule,
     equals :func:`kl_cost_minimizer`.  Its ``eta`` is twice the ``eta`` of
     :func:`kl_bound` and of the ``kl-eta:<eta>`` coefficient.
     """
-    eta = _nonnegative("eta", eta)
+    eta = _real("eta", eta, 0.0, error=DomainError)
     base = kl_integrand(w_value, loss_value, t, schedule)
     w = np.asarray(w_value, dtype=np.float64)
     return _match_shape(2.0 * (base + eta * w), w_value, loss_value, t)
@@ -357,7 +357,7 @@ def kl_cost_minimizer(loss_value, t, schedule: InterpolantSchedule, eta: float):
     Its ``eta`` is twice that of :func:`kl_bound`: ``kl-eta:<eta>`` is this
     minimizer at ``2 eta``, and both are one computation.
     """
-    eta = _nonnegative("eta", eta)
+    eta = _real("eta", eta, 0.0, error=DomainError)
     w = _regularized_w(schedule.coefficients(t), loss_value, 0.5 * eta)
     return _match_shape(w, loss_value, t)
 
@@ -367,7 +367,7 @@ def kl_cost_minimum(loss_value, t, schedule: InterpolantSchedule, eta: float):
     ``(2 L / (lambda sigma)) (1 + sqrt((L + 4 eta lambda² sigma²) / L))``.
 
     Its ``eta`` is twice that of :func:`kl_bound` and ``kl-eta:<eta>``."""
-    eta = _nonnegative("eta", eta)
+    eta = _real("eta", eta, 0.0, error=DomainError)
     loss = _loss_values(loss_value)
     a = 0.5 * _w_kl(schedule, t)  # lambda*sigma exactly: w_kl is its double
     # A subnormal t gives a subnormal a, and 2 L / a overflows to inf.
@@ -397,7 +397,7 @@ def kl_bound(profile, schedule: InterpolantSchedule,
     lo, hi = _window(*window)
     grid_points = _count("grid_points", grid_points, minimum=2)
     if eta is not None:
-        eta = _nonnegative("eta", eta)
+        eta = _real("eta", eta, 0.0, error=DomainError)
     grid = np.linspace(lo, hi, grid_points)
     loss = _loss_values(profile(grid))
     try:

@@ -43,7 +43,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NonFiniteError, _count
+from .errors import ConfigError, DomainError, NonFiniteError, _count, _real
 from .field import (
     FieldModel,
     Prediction,
@@ -100,28 +100,16 @@ class SamplerSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", SamplerKind(self.kind))
         for name in ("t_start", "t_end"):
-            value = float(getattr(self, name))
-            if not (0.0 <= value <= 1.0):
-                raise ConfigError(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, 1.0))
         if not self.t_start > self.t_end:
             raise ConfigError(
                 f"t_start ({self.t_start!r}) must exceed t_end ({self.t_end!r}); "
                 f"sampling integrates from noise toward data"
             )
         object.__setattr__(self, "steps", _count("steps", self.steps))
-        if self.last_step_to is not None:
-            final = float(self.last_step_to)
-            if not 0.0 <= final <= self.t_end:
-                raise ConfigError(
-                    f"last_step_to must lie in [0, t_end], got {final!r}"
-                )
-            object.__setattr__(self, "last_step_to", final)
-        if self.guidance_zeta is not None:
-            zeta = float(self.guidance_zeta)
-            if not math.isfinite(zeta) or zeta < 0.0:
-                raise ConfigError(f"guidance_zeta must be >= 0, got {zeta!r}")
-            object.__setattr__(self, "guidance_zeta", zeta)
+        for name, hi in (("last_step_to", self.t_end), ("guidance_zeta", math.inf)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, hi))
         if self.kind is SamplerKind.HEUN_ODE:
             if self.diffusion is not None:
                 raise ConfigError("the deterministic sampler takes no diffusion coefficient")

@@ -37,7 +37,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MissingProfileError, SingularityError
+from .errors import (ConfigError, DomainError, MissingProfileError, SingularityError,
+                     _loss_values, _real)
 
 __all__ = [
     "InterpolantSchedule",
@@ -79,26 +80,6 @@ def _prepare_time(t: float | np.ndarray) -> np.ndarray:
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise DomainError(f"time must lie in [0, 1], got {t!r}")
     return arr
-
-
-def _window(lo, hi) -> tuple[float, float]:
-    """A time window ``(lo, hi)`` as floats, refused unless both are finite
-    and ``0 <= lo < hi <= 1``."""
-    try:
-        window = float(lo), float(hi)
-    except (TypeError, ValueError):
-        window = None
-    if window is None or not 0.0 <= window[0] < window[1] <= 1.0:  # NaN fails
-        raise ConfigError(f"time window [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
-    return window
-
-
-def _nonnegative(name: str, value) -> float:
-    """``value`` as a float, refused unless it is finite and ``>= 0``."""
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
 
 
 def _match_shape(value: np.ndarray, *inputs) -> float | np.ndarray:
@@ -341,8 +322,8 @@ class SBDMVPSchedule(InterpolantSchedule):
     name = "sbdm-vp"
 
     def __init__(self, beta_min: float = 0.1, beta_max: float = 20.0) -> None:
-        self.beta_min = _nonnegative("beta_min", beta_min)
-        self.beta_max = _nonnegative("beta_max", beta_max)
+        self.beta_min = _real("beta_min", beta_min, 0.0, error=DomainError)
+        self.beta_max = _real("beta_max", beta_max, 0.0, error=DomainError)
         if self.beta_min == 0.0 and self.beta_max == 0.0:
             raise DomainError("beta must not vanish identically")
 
@@ -398,7 +379,7 @@ def make_schedule(kind: str, *, beta_min: float | None = None,
     if beta is not None:
         if beta_min is not None or beta_max is not None:
             raise ConfigError("pass either beta or (beta_min, beta_max), not both")
-        beta_min = beta_max = float(beta)
+        beta_min = beta_max = beta
     if kind == "linear" or kind == "gvp":
         if beta_min is not None or beta_max is not None:
             raise ConfigError(f"schedule {kind!r} takes no beta parameters")
@@ -458,7 +439,7 @@ class ConstantCoefficient(DiffusionCoefficient):
     """w(t) = level for a fixed nonnegative level."""
 
     def __init__(self, level: float) -> None:
-        self.level = _nonnegative("constant diffusion level", level)
+        self.level = _real("constant diffusion level", level, 0.0, error=DomainError)
         self.spec = f"const:{self.level!r}"
 
     def __call__(self, t: float | np.ndarray) -> float | np.ndarray:
@@ -524,7 +505,7 @@ class KLEtaCoefficient(DiffusionCoefficient):
     def __init__(self, schedule: InterpolantSchedule,
                  loss_profile: Callable[[np.ndarray], np.ndarray],
                  eta: float) -> None:
-        self.eta = _nonnegative("eta", eta)
+        self.eta = _real("eta", eta, 0.0, error=DomainError)
         if loss_profile is None:
             raise MissingProfileError(
                 "kl-eta requires a per-time loss profile (L_t); "
@@ -539,17 +520,9 @@ class KLEtaCoefficient(DiffusionCoefficient):
         return _match_shape(_regularized_w(coef, self.loss_profile(coef.t), self.eta), t)
 
 
-def _loss_values(loss) -> np.ndarray:
-    """Loss values as a float64 array, refused unless finite and ``>= 0``."""
-    loss = np.asarray(loss, dtype=np.float64)
-    if np.any(loss < 0.0) or not np.all(np.isfinite(loss)):
-        raise DomainError("loss profile values must be finite and nonnegative")
-    return loss
-
-
 def _regularized_w(coef: Coefficients, loss, eta: float) -> np.ndarray:
     """The w of :class:`KLEtaCoefficient` at loss values ``L`` and a checked
-    ``eta``; 0 where sigma(t) = 0, L = 0 or ``L/w_kl^2`` overflows."""
+    ``eta``; 0 where sigma(t) = 0, L = 0 or 1/w_kl overflows (as at t = 5e-324)."""
     loss = _loss_values(loss)
     if eta == 0.0:
         return coef.w_kl * np.ones_like(loss)  # the product by 1.0 keeps every bit
@@ -560,7 +533,13 @@ def _regularized_w(coef: Coefficients, loss, eta: float) -> np.ndarray:
     # its sqrt(L/(2*eta)) limit there instead of inheriting w_kl's divergence.
     with np.errstate(over="ignore", invalid="ignore"):
         inv_w_kl = coef.alpha / (2.0 * np.where(sig > 0.0, sig, 1.0) * pos)
-        value = np.sqrt(loss / (loss * inv_w_kl * inv_w_kl + 2.0 * eta))
+        denominator = loss * inv_w_kl * inv_w_kl + 2.0 * eta
+        value = np.sqrt(loss / denominator)
+        # As w_kl -> 0, L/denominator loses bits, then underflows: divide roots.
+        huge = denominator > 2.0 ** 1000
+        if huge.any():
+            root = np.sqrt(loss)
+            value = np.where(huge, root / np.hypot(root * inv_w_kl, math.sqrt(2 * eta)), value)
     return np.where((sig > 0.0) & (loss > 0.0), value, 0.0)
 
 

@@ -3,8 +3,13 @@
 Counts go through ``errors._count``: integral numbers are accepted, and
 bools, fractions, NaN, infinities, strings and None are refused.  Seeds are
 counts from 0 and become generators through ``errors._rng``.  Time windows go
-through ``schedule._window``: finite, with 0 <= lo < hi <= 1.
+through ``errors._window``: finite, with 0 <= lo < hi <= 1.  Real numbers go
+through ``errors._real``: a finite number in the argument's range passes as a
+float, and bools, strings, None, NaN and infinities are refused.  Class labels
+are whole numbers: an integral float is the label, a fraction is refused.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -12,17 +17,25 @@ import pytest
 from driftlab import (
     AnalyticMixtureField,
     ConfigError,
+    ConstantCoefficient,
     DomainError,
+    KLEtaCoefficient,
     LossProfile,
     MLPField,
     SamplerSpec,
+    SBDMVPSchedule,
     TrainConfig,
     draw,
     energy_distance_permutation_test,
     estimate_loss_profile,
+    euler_maruyama_sample,
     get_preset,
+    guided_field,
     heun_sample,
     kl_bound,
+    kl_cost_integrand,
+    kl_cost_minimizer,
+    kl_cost_minimum,
     make_schedule,
     parse_coefficient,
     path_length,
@@ -104,6 +117,78 @@ ENTRIES = {
 }
 
 
+CONDITIONAL = AnalyticMixtureField(ONE_D, LINEAR, conditional=True)
+#: alpha > 0 on all of sbdm-vp's [0, 1], so a stochastic run may start at t = 1.
+VP_CONDITIONAL = AnalyticMixtureField(ONE_D, make_schedule("sbdm-vp"), conditional=True)
+GRID = np.linspace(0.1, 0.9, 5)
+
+
+def _guided_em(**reals):
+    # Every real of a spec applies: a stochastic, guided run with a final step.
+    arguments = dict(t_start=0.9, t_end=0.25, last_step_to=0.0, guidance_zeta=2.0)
+    arguments.update(reals)
+    spec = SamplerSpec(kind="em", steps=3, diffusion=ConstantCoefficient(0.5), seed=0,
+                       **arguments)
+    return euler_maruyama_sample(VP_CONDITIONAL, spec, 4, y=1).samples
+
+
+def _guided(zeta=2):
+    return guided_field(CONDITIONAL, zeta, np.linspace(-1.0, 1.0, 4)[:, None], 0.5, 1)
+
+
+def _conditional_profile(label_dropout=0.5):
+    model = MLPField(1, LINEAR, widths=(4,), num_classes=2)
+    return estimate_loss_profile(model, ONE_D, bins=2, draws_per_bin=8,
+                                 label_dropout=label_dropout).values
+
+
+def _vp(**betas):
+    return SBDMVPSchedule(**betas).alpha(GRID)
+
+
+def _profile_level(t):
+    return np.full_like(np.asarray(t, dtype=np.float64), 0.5)
+
+
+def _kl_eta(eta=1):
+    return KLEtaCoefficient(LINEAR, _profile_level, eta)(GRID)
+
+
+def _kl_bound_eta(eta=1):
+    profile = LossProfile(np.array([0.1, 0.9]), np.array([0.5]))
+    return kl_bound(profile, LINEAR, parse_coefficient("sigma", LINEAR), eta=eta)
+
+
+#: entry -> (call, argument, an integral valid value, a value out of range,
+#: the error a refused value raises)
+REALS = {
+    "SamplerSpec-t_start": (_guided_em, "t_start", 1, 1.5, ConfigError),
+    "SamplerSpec-t_end": (_guided_em, "t_end", 0, -0.5, ConfigError),
+    "SamplerSpec-last_step_to": (_guided_em, "last_step_to", 0, 0.5, ConfigError),
+    "SamplerSpec-guidance_zeta": (_guided_em, "guidance_zeta", 3, -1.0, ConfigError),
+    "guided_field-zeta": (_guided, "zeta", 3, -1.0, DomainError),
+    "TrainConfig-learning_rate": (_train, "learning_rate", 1, -1e-4, ConfigError),
+    "TrainConfig-label_dropout": (functools.partial(_train, conditional=True),
+                                  "label_dropout", 1, 1.5, ConfigError),
+    "estimate_loss_profile-label_dropout": (_conditional_profile, "label_dropout", 1,
+                                            2.0, ConfigError),
+    "SBDMVPSchedule-beta_min": (_vp, "beta_min", 1, -1.0, DomainError),
+    "SBDMVPSchedule-beta_max": (_vp, "beta_max", 1, -1.0, DomainError),
+    "ConstantCoefficient-level": (lambda level=1: ConstantCoefficient(level)(GRID),
+                                  "level", 1, -1.0, DomainError),
+    "KLEtaCoefficient-eta": (_kl_eta, "eta", 1, -1.0, DomainError),
+    "kl_cost_integrand-eta": (lambda eta=1: kl_cost_integrand(0.3, 0.5, GRID, LINEAR, eta),
+                              "eta", 1, -1.0, DomainError),
+    "kl_cost_minimizer-eta": (lambda eta=1: kl_cost_minimizer(0.5, GRID, LINEAR, eta),
+                              "eta", 1, -1.0, DomainError),
+    "kl_cost_minimum-eta": (lambda eta=1: kl_cost_minimum(0.5, GRID, LINEAR, eta),
+                            "eta", 1, -1.0, DomainError),
+    "kl_bound-eta": (_kl_bound_eta, "eta", 1, -1.0, DomainError),
+}
+#: Entries whose None means "not given", and so is not refused.
+OPTIONAL = {"SamplerSpec-last_step_to", "SamplerSpec-guidance_zeta", "kl_bound-eta"}
+
+
 def _bytes(result) -> bytes:
     parts = result if isinstance(result, tuple) else (result,)
     return b"".join(np.asarray(part, dtype=np.float64).tobytes() for part in parts)
@@ -151,3 +236,51 @@ def test_time_windows_are_refused_alike_everywhere(window):
                               draws_per_bin=4, window=window)
     with pytest.raises(ConfigError):
         LossProfile(np.array([lo, hi]), np.array([1.0]))
+
+
+REFUSED_REALS = [True, "0.5", None, float("nan"), float("inf"), float("-inf"),
+                 "out of range"]
+
+
+@pytest.mark.parametrize("entry,value", [
+    (entry, value) for entry in sorted(REALS) for value in REFUSED_REALS
+    if not (value is None and entry in OPTIONAL)])
+def test_reals_refuse_booleans_strings_none_and_non_finite_values(entry, value):
+    # Neither read as 1.0 (True), parsed ("0.5") nor compared as NaN.
+    call, argument, _, outside, error = REALS[entry]
+    value = outside if value == "out of range" else value
+    with pytest.raises(error, match=argument):
+        call(**{argument: value})
+
+
+@pytest.mark.parametrize("entry", sorted(REALS))
+def test_equal_reals_give_the_same_bits(entry):
+    call, argument, value, _, _ = REALS[entry]
+    expected = _bytes(call(**{argument: value}))
+    for same in (np.float64(value), float(value)):
+        assert _bytes(call(**{argument: same})) == expected
+
+
+def _labelled(model, y, dimension):
+    return model.evaluate(np.linspace(-1.0, 1.0, 2 * dimension).reshape(2, dimension),
+                          0.5, y)
+
+
+@pytest.mark.parametrize("label", [0.5, 1.7, np.array([1.0, 0.5]), float("nan"), "1",
+                                   np.array(["1", "0"])])
+def test_class_labels_refuse_fractions_and_non_numbers(label):
+    # In range, yet not a class: never truncated to one.
+    for model in (CONDITIONAL, MLPField(1, LINEAR, widths=(4,), num_classes=2)):
+        with pytest.raises(DomainError, match="whole numbers"):
+            _labelled(model, label, 1)
+    spec = SamplerSpec(kind="heun", t_start=0.9, t_end=0.1, steps=3)
+    with pytest.raises(DomainError, match="whole numbers"):
+        heun_sample(CONDITIONAL, spec, 2, y=label)
+
+
+def test_integral_float_labels_are_the_label():
+    spec = SamplerSpec(kind="heun", t_start=0.9, t_end=0.1, steps=3)
+    for model in (CONDITIONAL, MLPField(1, LINEAR, widths=(4,), num_classes=2)):
+        expected = heun_sample(model, spec, 2, y=1).samples.tobytes()
+        for same in (1.0, np.float64(1.0), np.array([1.0, 1.0]), True):
+            assert heun_sample(model, spec, 2, y=same).samples.tobytes() == expected

@@ -17,6 +17,7 @@ from driftlab import (
     SineSquaredCoefficient,
     SingularityError,
     ZeroCoefficient,
+    kl_cost_minimizer,
     make_schedule,
     parse_coefficient,
     schedule_from_config,
@@ -437,6 +438,26 @@ def test_cost_regularized_limits(linear):
     # Never exceeds the unregularized coefficient in the interior.
     t = np.linspace(0.05, 0.95, 19)
     assert np.all(coefficient(t) <= linear.w_kl(t) + 1e-12)
+
+
+def test_cost_regularized_matches_closed_form_as_w_kl_vanishes():
+    # Near t = 0, L/w_kl^2 overflows while w is still about w_kl; w_kl is
+    # 2t/(1-t) on linear and pi*tan(pi*t/2) on gvp.
+    closed = {"linear": lambda t: 2.0 * t / (1.0 - t),
+              "gvp": lambda t: math.pi * math.tan(0.5 * math.pi * t)}
+    level = 0.7
+    profile = lambda t: np.full_like(np.asarray(t, dtype=np.float64), level)
+    for name, w_kl in closed.items():
+        schedule = make_schedule(name)
+        for eta in (0.5, 4.0):
+            coefficient = KLEtaCoefficient(schedule, profile, eta)
+            for t in (1e-100, 1e-160, 1e-300, 0.25):
+                w = w_kl(t)
+                expected = w * math.sqrt(level / (level + 2.0 * eta * w * w))
+                assert coefficient(t) == pytest.approx(expected, rel=1e-14, abs=0.0), (name, t)
+                assert kl_cost_minimizer(level, t, schedule, 2.0 * eta) == coefficient(t)
+            # 1/w_kl itself overflows at the smallest subnormal.
+            assert coefficient(5e-324) == 0.0
 
 
 def test_cost_regularized_reduces_exactly_at_zero_cost(linear):

@@ -9,12 +9,13 @@ Usage, from the root of a checkout::
 Each checkout runs the same commands with its own ``src`` first on
 ``PYTHONPATH``, in its own empty work directory, with relative paths only,
 so the outputs of equal code are equal byte for byte.  The commands train a
-small velocity model and a class-conditional one, sample them (the second
-with guidance) and the exact field with both samplers and several diffusion
-coefficients (``kl-eta`` with the trained profile among them), evaluate
-against a preset and against a samples file, tabulate ``info``, and run a
-sweep with a ``kl-eta`` cell twice into one directory, so that the second
-run reuses its cells.
+small velocity model, a second one at a set learning rate and a
+class-conditional one, sample the first and the last (with guidance) and the
+exact field with both samplers and several diffusion coefficients (``kl-eta``
+with the trained profile among them), override the sampler's time window and
+sbdm-vp's beta rates, evaluate against a preset and against a samples file,
+tabulate ``info``, and run a sweep with a ``kl-eta`` cell twice into one
+directory, so that the second run reuses its cells.
 Each command's exit code, standard output and standard error are kept as
 files beside its outputs and compared with them.
 
@@ -42,6 +43,9 @@ COMMANDS = [
     ("train", ["train", "--dataset", "two-gauss-1d", "--steps", "300", "--batch", "64",
                "--profile-bins", "8", "--profile-draws", "200", "--seed", "3",
                "--out", "train"]),
+    ("train-lr", ["train", "--dataset", "two-gauss-1d", "--lr", "3e-3", "--steps", "100",
+                  "--batch", "32", "--profile-bins", "4", "--profile-draws", "50",
+                  "--seed", "6", "--out", "train-lr"]),
     ("train-conditional", ["train", "--dataset", "grid-9", "--conditional",
                            "--label-dropout", "0.3", "--steps", "200", "--batch", "128",
                            "--profile-bins", "4", "--profile-draws", "100", "--seed", "4",
@@ -65,6 +69,15 @@ COMMANDS = [
     ("sample-vp-em-kl-eta", ["sample", "--analytic", "two-gauss-1d", "--schedule", "sbdm-vp",
                              "--sampler", "em", "--w", "kl-eta:0.5", "--profile", PROFILE,
                              *SAMPLE_FAST, "--out", "sample-vp-em-kl-eta"]),
+    ("sample-vp-betas-em", ["sample", "--analytic", "two-gauss-1d", "--schedule", "sbdm-vp",
+                            "--beta-min", "0.5", "--beta-max", "12", "--sampler", "em",
+                            "--w", "sigma", *SAMPLE_FAST, "--out", "sample-vp-betas-em"]),
+    ("sample-window-em", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                          "--w", "const:0.5", "--t-start", "0.95", "--t-end", "0.05",
+                          "--last-step-to", "0.01", *SAMPLE_FAST,
+                          "--out", "sample-window-em"]),
+    ("sample-window-heun", ["sample", "--checkpoint", CHECKPOINT, "--t-start", "0.9",
+                            "--t-end", "0", *SAMPLE_FAST, "--out", "sample-window-heun"]),
     ("sample-guided-heun", ["sample", "--checkpoint", CONDITIONAL, "--zeta", "2",
                             "--label", "1", *SAMPLE_FAST, "--out", "sample-guided-heun"]),
     ("eval", ["eval", "--samples", "sample-model-em-kl-eta/samples.txt",
@@ -75,6 +88,9 @@ COMMANDS = [
     ("info-kl", ["info", "--w", "kl", "--points", "11"]),
     ("info-gvp-kl", ["info", "--schedule", "gvp", "--w", "kl", "--points", "11"]),
     ("info-const", ["info", "--w", "const:0.5", "--points", "5"]),
+    ("info-vp-betas", ["info", "--schedule", "sbdm-vp", "--beta-min", "0.5",
+                       "--beta-max", "12", "--w", "sigma", "--t-start", "0.1",
+                       "--points", "7"]),
     ("sweep", ["sweep", "--config", "sweep.json", "--out", "sweep"]),
     ("sweep-again", ["sweep", "--config", "sweep.json", "--out", "sweep"]),
 ]
