@@ -316,13 +316,6 @@ def _build_field(merged: dict):
 
 def _build_sampler_spec(merged: dict, model, schedule) -> SamplerSpec:
     stochastic = merged["sampler"] == "em"
-    # The exact velocity is the exact score converted pointwise, so it needs
-    # the score's window, clear of the conversion's singularity at alpha = 0.
-    prediction = (Prediction.SCORE if isinstance(model, AnalyticMixtureField)
-                  else model.prediction)
-    defaults = default_window(schedule, prediction, merged["sampler"])
-    t_start, t_end, last_step_to = (default if merged[key] is None else merged[key]
-                                    for key, default in zip(_WINDOW, defaults))
     diffusion = None
     if stochastic:
         profile = None if merged["profile"] is None else LossProfile.load(merged["profile"])
@@ -330,6 +323,13 @@ def _build_sampler_spec(merged: dict, model, schedule) -> SamplerSpec:
     elif merged["w"] is not None:
         raise ConfigError("--w applies only to the em sampler "
                           "(the probability-flow sampler is noiseless)")
+    # The exact velocity is the exact score converted pointwise, so it needs
+    # the score's window, clear of the conversion's singularity at alpha = 0.
+    prediction = (Prediction.SCORE if isinstance(model, AnalyticMixtureField)
+                  else model.prediction)
+    defaults = default_window(schedule, prediction, merged["sampler"], diffusion)
+    t_start, t_end, last_step_to = (default if merged[key] is None else merged[key]
+                                    for key, default in zip(_WINDOW, defaults))
     return SamplerSpec(
         kind=merged["sampler"],
         t_start=t_start,

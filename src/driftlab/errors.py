@@ -95,23 +95,24 @@ def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf,
 
 
 def _window(lo, hi) -> tuple[float, float]:
-    """A time window ``(lo, hi)`` as floats, refused unless both are finite
-    and ``0 <= lo < hi <= 1``."""
+    """A time window ``(lo, hi)`` as floats, refused unless both bounds pass
+    :func:`_real` in [0, 1] and ``lo < hi``."""
     try:
-        window = float(lo), float(hi)
-    except (TypeError, ValueError):
+        window = _real("lo", lo, 0.0, 1.0), _real("hi", hi, 0.0, 1.0)
+    except ConfigError:
         window = None
-    if window is None or not 0.0 <= window[0] < window[1] <= 1.0:  # NaN fails
+    if window is None or not window[0] < window[1]:
         raise ConfigError(f"time window [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
     return window
 
 
 def _loss_values(loss, error: type = DomainError) -> np.ndarray:
-    """Loss values as a float64 array, refused unless finite and ``>= 0``."""
-    loss = np.asarray(loss, dtype=np.float64)
-    if np.any(loss < 0.0) or not np.all(np.isfinite(loss)):
-        raise error("loss profile values must be finite and nonnegative")
-    return loss
+    """Loss values as a float64 array, refused unless real (not bools or
+    strings), finite and ``>= 0``."""
+    loss = np.asarray(loss)
+    if loss.dtype.kind not in "iuf" or np.any(loss < 0.0) or not np.all(np.isfinite(loss)):
+        raise error("loss profile values must be finite, nonnegative numbers")
+    return loss.astype(np.float64, copy=False)
 
 
 def _rng(seed, *spawn_key: int) -> np.random.Generator:

@@ -53,7 +53,7 @@ from .field import (
     _velocity_from_score,
     interpolate,
 )
-from .schedule import InterpolantSchedule, _match_shape, schedule_from_config
+from .schedule import InterpolantSchedule, _match_shape, _regular_window, schedule_from_config
 from .toybox import as_dataset, atomic_write_text, read_json
 
 __all__ = [
@@ -424,8 +424,8 @@ def loss_score_weighted(model: FieldModel, batch) -> tuple[float, np.ndarray | N
 
     Per sample this equals the velocity objective of the converted model, so
     minimizing it trains a score model toward the same optimum as velocity
-    regression.  Singular where ``alpha(t) = 0`` (and at ``t = 0`` for
-    sbdm-vp); keep the time window inside the regular region.
+    regression.  Singular wherever the schedule refuses lambda (where
+    ``alpha(t) = 0`` or sigma_dot is singular); keep the window regular.
     """
     if model.prediction is not Prediction.SCORE:
         raise ConfigError("loss_score_weighted requires a score-prediction model")
@@ -453,22 +453,17 @@ _PREDICTION_FOR = {
 }
 
 
+#: The schedule quantities each objective reads.
+_READS = {TrainObjective.VELOCITY: ("alpha_dot", "sigma_dot"), TrainObjective.SCORE: ("sigma",),
+          TrainObjective.WEIGHTED_SCORE: ("lambda_weight",)}
+
+
 def default_time_window(objective: TrainObjective,
                         schedule: InterpolantSchedule) -> tuple[float, float]:
-    """Default training-time window per objective and schedule.
-
-    Clips exactly the singular endpoints: sbdm-vp derivatives at ``t = 0``
-    for the velocity target, and ``alpha = 0`` at ``t = 1`` for the weighted
-    score objective on linear/gvp.  The plain score objective is regular on
-    all of [0, 1].
-    """
-    objective = TrainObjective(objective)
-    is_vp = schedule.name == "sbdm-vp"
-    if objective is TrainObjective.VELOCITY:
-        return (1e-5, 1.0) if is_vp else (0.0, 1.0)
-    if objective is TrainObjective.SCORE:
-        return (0.0, 1.0)
-    return (1e-5, 1.0) if is_vp else (0.0, 1.0 - 1e-5)
+    """[0, 1] with each end moved inward by 1e-5 where the schedule refuses
+    what the objective reads there: the velocity target's alpha_dot and
+    sigma_dot, the plain score objective's sigma, or lambda."""
+    return _regular_window(schedule, _READS[TrainObjective(objective)])
 
 
 @dataclass(frozen=True)
@@ -700,8 +695,10 @@ class LossProfile:
             raise ConfigError(f"{path}: header says bins={fields['bins']}, "
                               f"but the file has {len(values)} rows")
         try:
-            window = _window(fields.get("t_lo"), fields.get("t_hi"))
-        except ConfigError as exc:
+            window = _window(*(float(fields[key]) for key in ("t_lo", "t_hi")))
+        except KeyError as exc:
+            raise ConfigError(f"{path}: header has no {exc.args[0]}=") from None
+        except (ConfigError, ValueError) as exc:
             raise ConfigError(f"{path}: header {exc}") from None
         if window != (edges[0], edges[-1]):
             raise ConfigError(f"{path}: header window {window!r} is not the rows' "
@@ -717,10 +714,10 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
     """Monte-Carlo estimate of the per-time velocity loss L(t) on uniform bins.
 
     Score models are converted to velocity pointwise before measuring, so the
-    window is clipped to keep the conversion regular (``alpha > 0``; for
-    sbdm-vp also ``t > 0``).  Conditional models are evaluated with labels
-    dropped to the null token at ``label_dropout``, matching how they were
-    trained.  Batches are drawn as in training, from the stream
+    window is clipped to keep the conversion regular (``t <= 1 - 1e-5``, and
+    ``t >= 1e-5`` where lambda is refused at 0).  Conditional models use
+    labels dropped to the null token at ``label_dropout``, matching how they
+    were trained.  Batches are drawn as in training, from the stream
     ``SeedSequence(seed, spawn_key=(2,))``, which is the stream :func:`train`
     gives its profile.
     """
@@ -735,8 +732,7 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
     schedule = model.schedule
     if model.prediction is Prediction.SCORE:
         hi = min(hi, 1.0 - 1e-5)
-        if schedule.name == "sbdm-vp":
-            lo = max(lo, 1e-5)
+        lo = max(lo, _regular_window(schedule, ("lambda_weight",))[0])
     _window(lo, hi)  # the clipping may empty it
     edges = np.linspace(lo, hi, bins + 1)
     values = np.empty(bins)

@@ -51,7 +51,7 @@ from .field import (
     score_from_velocity,
     velocity_from_score,
 )
-from .schedule import DiffusionCoefficient, InterpolantSchedule
+from .schedule import DiffusionCoefficient, InterpolantSchedule, _regular_window, make_schedule
 
 __all__ = [
     "SamplerKind",
@@ -135,29 +135,22 @@ def time_grid(spec: SamplerSpec) -> np.ndarray:
 
 
 def default_window(schedule: InterpolantSchedule | str, prediction: Prediction | str,
-                   kind: SamplerKind | str) -> tuple[float, float, float | None]:
-    """Recommended ``(t_start, t_end, last_step_to)`` per schedule/prediction/kind.
-
-    The windows clip singular endpoints: velocity evaluation (or conversion
-    from score) needs ``alpha > 0``, the sbdm-vp schedule is singular at
-    ``t = 0``, and the stochastic sampler ends early at ``t = 0.04`` with a
-    final noiseless drift step down to ``t = 0``.  ``last_step_to`` is
-    ``None`` for the deterministic sampler.
-    """
-    name = schedule if isinstance(schedule, str) else schedule.name
-    if name not in ("linear", "gvp", "sbdm-vp"):
-        raise ConfigError(f"unknown schedule {name!r}")
-    prediction = Prediction(prediction)
-    kind = SamplerKind(kind)
-    if kind is SamplerKind.HEUN_ODE:
-        if name == "sbdm-vp":
-            return (1.0, 1e-5, None)
-        if prediction is Prediction.VELOCITY:
-            return (1.0, 0.0, None)
-        return (1.0 - 1e-5, 0.0, None)
-    if name == "sbdm-vp" or prediction is Prediction.VELOCITY:
-        return (1.0, 4e-2, 0.0)
-    return (1.0 - 1e-3, 4e-2, 0.0)
+                   kind: SamplerKind | str, diffusion: DiffusionCoefficient | None = None,
+                   ) -> tuple[float, float, float | None]:
+    """Recommended ``(t_start, t_end, last_step_to)``: [0, 1] with each end
+    moved inward where the schedule refuses what the run reads there, namely a
+    velocity model's alpha_dot and sigma_dot, a score model's lambda (its
+    conversion to velocity), and the stochastic sampler's ``diffusion`` when
+    given.  Heun moves a refused end by 1e-5 and has ``last_step_to = None``;
+    Euler-Maruyama starts 1e-3 below a refused ``t = 1`` and ends at
+    ``t = 0.04`` with a final noiseless drift step down to ``t = 0``."""
+    if isinstance(schedule, str):
+        schedule = make_schedule(schedule)
+    reads = (("alpha_dot", "sigma_dot") if Prediction(prediction) is Prediction.VELOCITY
+             else ("lambda_weight",))
+    if SamplerKind(kind) is SamplerKind.HEUN_ODE:
+        return (*reversed(_regular_window(schedule, reads)), None)
+    return (_regular_window(schedule, reads, (0.0, 1e-3), diffusion)[1], 4e-2, 0.0)
 
 
 class _CountingField:

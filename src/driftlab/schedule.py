@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from operator import attrgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -362,12 +363,12 @@ class SBDMVPSchedule(InterpolantSchedule):
         return f"SBDMVPSchedule(beta_min={self.beta_min!r}, beta_max={self.beta_max!r})"
 
 
-#: Valid schedule names for configs and the CLI.
-SCHEDULE_NAMES = ("linear", "gvp", "sbdm-vp")
+#: Every schedule class by its config/CLI name; the names are the valid ones.
+_SCHEDULES = {cls.name: cls for cls in (LinearSchedule, GVPSchedule, SBDMVPSchedule)}
+SCHEDULE_NAMES = tuple(_SCHEDULES)
 
 
-def make_schedule(kind: str, *, beta_min: float | None = None,
-                  beta_max: float | None = None,
+def make_schedule(kind: str, *, beta_min: float | None = None, beta_max: float | None = None,
                   beta: float | None = None) -> InterpolantSchedule:
     """Build a schedule from its config/CLI name.
 
@@ -380,23 +381,32 @@ def make_schedule(kind: str, *, beta_min: float | None = None,
         if beta_min is not None or beta_max is not None:
             raise ConfigError("pass either beta or (beta_min, beta_max), not both")
         beta_min = beta_max = beta
-    if kind == "linear" or kind == "gvp":
-        if beta_min is not None or beta_max is not None:
-            raise ConfigError(f"schedule {kind!r} takes no beta parameters")
-        return LinearSchedule() if kind == "linear" else GVPSchedule()
-    if kind == "sbdm-vp":
-        kwargs = {}
-        if beta_min is not None:
-            kwargs["beta_min"] = beta_min
-        if beta_max is not None:
-            kwargs["beta_max"] = beta_max
+    if kind not in _SCHEDULES:
+        raise ConfigError(f"unknown schedule {kind!r}; valid names: {', '.join(SCHEDULE_NAMES)}")
+    betas = {key: value for key, value in (("beta_min", beta_min), ("beta_max", beta_max))
+             if value is not None}
+    if betas and _SCHEDULES[kind] is not SBDMVPSchedule:
+        raise ConfigError(f"schedule {kind!r} takes no beta parameters")
+    try:
+        return _SCHEDULES[kind](**betas)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _regular_window(schedule: InterpolantSchedule, reads: tuple[str, ...], margins=(1e-5, 1e-5),
+                    w: DiffusionCoefficient | None = None) -> tuple[float, float]:
+    """[0, 1] with each end moved inward by its margin where ``schedule``
+    raises :class:`SingularityError` for a quantity the caller reads there:
+    the :class:`Coefficients` attributes named in ``reads``, and ``w(t)``."""
+    def refused(t: float) -> bool:
         try:
-            return SBDMVPSchedule(**kwargs)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(
-        f"unknown schedule {kind!r}; valid names: {', '.join(SCHEDULE_NAMES)}"
-    )
+            attrgetter(*reads)(schedule.coefficients(t))
+            if w is not None:
+                w(t)
+        except SingularityError:
+            return True
+        return False
+    return (margins[0] if refused(0.0) else 0.0, 1.0 - margins[1] if refused(1.0) else 1.0)
 
 
 def schedule_from_config(config: Mapping) -> InterpolantSchedule:

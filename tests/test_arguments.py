@@ -3,7 +3,8 @@
 Counts go through ``errors._count``: integral numbers are accepted, and
 bools, fractions, NaN, infinities, strings and None are refused.  Seeds are
 counts from 0 and become generators through ``errors._rng``.  Time windows go
-through ``errors._window``: finite, with 0 <= lo < hi <= 1.  Real numbers go
+through ``errors._window``: two real numbers with 0 <= lo < hi <= 1.  Loss
+values go through ``errors._loss_values``: finite real numbers >= 0.  Real numbers go
 through ``errors._real``: a finite number in the argument's range passes as a
 float, and bools, strings, None, NaN and infinities are refused.  Class labels
 are whole numbers: an integral float is the label, a fraction is refused.
@@ -36,6 +37,7 @@ from driftlab import (
     kl_cost_integrand,
     kl_cost_minimizer,
     kl_cost_minimum,
+    kl_integrand,
     make_schedule,
     parse_coefficient,
     path_length,
@@ -236,6 +238,44 @@ def test_time_windows_are_refused_alike_everywhere(window):
                               draws_per_bin=4, window=window)
     with pytest.raises(ConfigError):
         LossProfile(np.array([lo, hi]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("window", [(False, True), ("0.2", "0.8"), (0.2, "0.8"),
+                                    (np.False_, np.True_)])
+def test_time_windows_refuse_booleans_and_strings(window):
+    # Neither read as (0.0, 1.0) nor parsed, as a real argument is not.
+    lo, hi = window
+    profile = LossProfile(np.array([0.1, 0.9]), np.array([0.5]))
+    with pytest.raises(ConfigError, match="time window"):
+        TrainConfig(objective="velocity", schedule=LINEAR, steps=1, t_lo=lo, t_hi=hi).window()
+    with pytest.raises(ConfigError, match="time window"):
+        kl_bound(profile, LINEAR, parse_coefficient("sigma", LINEAR), window=window)
+    with pytest.raises(ConfigError, match="time window"):
+        estimate_loss_profile(MLPField(1, LINEAR, widths=(4,)), ONE_D, bins=2,
+                              draws_per_bin=4, window=window)
+    with pytest.raises(ConfigError, match="time window"):
+        LossProfile(np.array([lo, hi], dtype=object), np.array([1.0]))
+
+
+NON_NUMERIC_LOSSES = ["a", np.array(["a"]), "0.5", True, np.array([True]), None]
+
+
+@pytest.mark.parametrize("loss", NON_NUMERIC_LOSSES)
+def test_loss_values_refuse_non_numbers(loss):
+    # Not numpy's bare ValueError or TypeError, nor "0.5" parsed or True read
+    # as 1.0: each entry raises the typed error it documents.
+    with pytest.raises(ConfigError, match="loss profile values"):
+        LossProfile(np.array([0.0, 1.0]), np.atleast_1d(loss))
+    calls = [lambda: kl_integrand(1.0, loss, 0.5, LINEAR),
+             lambda: kl_cost_integrand(1.0, loss, 0.5, LINEAR, 1.0),
+             lambda: kl_cost_minimizer(loss, 0.5, LINEAR, 1.0),
+             lambda: kl_cost_minimum(loss, 0.5, LINEAR, 1.0),
+             lambda: KLEtaCoefficient(LINEAR, lambda t: loss, 1.0)(0.5),
+             lambda: kl_bound(lambda t: loss, LINEAR, parse_coefficient("sigma", LINEAR),
+                              window=(0.1, 0.9))]
+    for call in calls:
+        with pytest.raises(DomainError, match="loss profile values"):
+            call()
 
 
 REFUSED_REALS = [True, "0.5", None, float("nan"), float("inf"), float("-inf"),

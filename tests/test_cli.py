@@ -209,6 +209,26 @@ def test_analytic_velocity_field_gets_the_score_window(tmp_path, schedule, sampl
         assert runs["velocity"][0] == runs["score"][0]
 
 
+@pytest.mark.parametrize("w,t_start", [("kl", 1.0 - 1e-3), ("kl-eta:0", 1.0 - 1e-3),
+                                       ("sigma", 1.0), ("kl-eta:0.5", 1.0)])
+def test_em_window_of_a_velocity_checkpoint_steps_off_a_refused_coefficient(tmp_path, w,
+                                                                            t_start):
+    # A velocity model reads nothing singular at t = 1 on the linear schedule,
+    # but w_kl (kl, and kl-eta at eta = 0) is singular there, where alpha = 0.
+    checkpoint, profile = tmp_path / "checkpoint.json", tmp_path / "profile.txt"
+    save_checkpoint(MLPField(1, make_schedule("linear"), widths=(4,)), str(checkpoint))
+    LossProfile(np.array([0.0, 1.0]), np.array([0.5])).save(str(profile))
+    argv = ["sample", "--checkpoint", str(checkpoint), "--sampler", "em", "--w", w,
+            *(["--profile", str(profile)] if w.startswith("kl-eta") else []),
+            "--steps", "5", "--n", "4"]
+    assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+    echo = json.loads((tmp_path / "default" / "config.echo.json").read_text())
+    assert (echo["t_start"], echo["t_end"], echo["last_step_to"]) == (t_start, 0.04, 0.0)
+    assert main([*argv, "--t-start", repr(t_start), "--out", str(tmp_path / "explicit")]) == 0
+    assert read_bytes(tmp_path / "default" / "samples.txt") \
+        == read_bytes(tmp_path / "explicit" / "samples.txt")
+
+
 MALFORMED_FILES = {
     "header-value": ("samples", b"# d=x n=1 seed=0\n0.5\n"),
     "row": ("samples", b"# d=1 n=1 seed=0\nabc\n"),

@@ -787,6 +787,16 @@ def test_loss_profile_load_refuses_a_header_window_the_rows_disagree_with(tmp_pa
         LossProfile.load(str(path))
 
 
+def test_loss_profile_load_parses_the_header_window(tmp_path):
+    # The header's bounds are text; they are read as numbers before the check.
+    path = tmp_path / "window.txt"
+    path.write_text("# loss-profile bins=1 t_lo=1e-5 t_hi=0.5\n1e-05 0.5 2.0\n")
+    assert LossProfile.load(str(path)).window == (1e-5, 0.5)
+    path.write_text("# loss-profile bins=1 t_lo=1e-5\n1e-05 0.5 2.0\n")
+    with pytest.raises(ConfigError, match="window.txt: header has no t_hi="):
+        LossProfile.load(str(path))
+
+
 def test_loss_profile_load_refuses_a_header_bin_count_the_rows_disagree_with(tmp_path):
     path = tmp_path / "count.txt"
     path.write_text("# loss-profile bins=3 t_lo=0.0 t_hi=1.0\n0.0 0.5 1.0\n0.5 1.0 2.0\n")

@@ -14,11 +14,13 @@ from driftlab import (
     ConfigError,
     DomainError,
     GaussianMixture,
+    InterpolantSchedule,
     MLPField,
     NonFiniteError,
     Prediction,
     SamplerSpec,
     SingularityError,
+    default_time_window,
     default_window,
     euler_maruyama_sample,
     get_preset,
@@ -128,6 +130,53 @@ def test_default_window_table():
         assert default_window(schedule, prediction, kind) == expected
     with pytest.raises(ConfigError):
         default_window("nope", "score", "em")
+
+
+class _SqrtSchedule(InterpolantSchedule):
+    """alpha = 1 - t, sigma = sqrt(t): in no registry, and its sigma_dot is
+    refused where sigma(t) = 0."""
+
+    name = "sqrt"
+
+    def _alpha(self, t):
+        return 1.0 - t
+
+    def _sigma(self, t):
+        return np.sqrt(t)
+
+    def _alpha_dot(self, t, alpha, sigma):
+        return np.full_like(t, -1.0)
+
+    def _sigma_dot(self, t, alpha, sigma):
+        if np.any(sigma == 0.0):
+            raise SingularityError("sigma_dot is singular where sigma(t) = 0")
+        return 0.5 / sigma
+
+
+def test_default_windows_follow_the_refusals_of_an_unregistered_schedule():
+    # No table names this schedule: each end moves inward exactly where it
+    # refuses what the run or the objective reads (lambda at both ends,
+    # sigma_dot at t = 0, w_kl at t = 1).
+    sqrt = _SqrtSchedule()
+    assert default_window(sqrt, "velocity", "heun") == (1.0, 1e-5, None)
+    assert default_window(sqrt, "score", "heun") == (1.0 - 1e-5, 1e-5, None)
+    assert default_window(sqrt, "velocity", "em") == (1.0, 4e-2, 0.0)
+    assert default_window(sqrt, "score", "em") == (1.0 - 1e-3, 4e-2, 0.0)
+    assert default_window(sqrt, "velocity", "em", KLCoefficient(sqrt)) \
+        == (1.0 - 1e-3, 4e-2, 0.0)
+    assert default_window(sqrt, "velocity", "em", SigmaCoefficient(sqrt)) \
+        == (1.0, 4e-2, 0.0)
+    assert default_time_window("velocity", sqrt) == (1e-5, 1.0)
+    assert default_time_window("score", sqrt) == (0.0, 1.0)
+    assert default_time_window("weighted-score", sqrt) == (1e-5, 1.0 - 1e-5)
+    # The exact field integrates over its default window without a refusal.
+    field = AnalyticMixtureField(get_preset("two-gauss-1d"), sqrt)
+    for kind, diffusion in (("heun", None), ("em", KLCoefficient(sqrt))):
+        t_start, t_end, last = default_window(sqrt, "score", kind, diffusion)
+        spec = SamplerSpec(kind=kind, t_start=t_start, t_end=t_end, steps=20,
+                           diffusion=diffusion, last_step_to=last)
+        samples = (heun_sample if kind == "heun" else euler_maruyama_sample)(field, spec, 16)
+        assert np.all(np.isfinite(samples.samples))
 
 
 # ---------------------------------------------------------------------------

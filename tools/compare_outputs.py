@@ -9,9 +9,11 @@ Usage, from the root of a checkout::
 Each checkout runs the same commands with its own ``src`` first on
 ``PYTHONPATH``, in its own empty work directory, with relative paths only,
 so the outputs of equal code are equal byte for byte.  The commands train a
-small velocity model, a second one at a set learning rate and a
-class-conditional one, sample the first and the last (with guidance) and the
-exact field with both samplers and several diffusion coefficients (``kl-eta``
+small velocity model, a second one at a set learning rate, a
+class-conditional one, a score model on gvp and weighted-score models on
+sbdm-vp and linear, sample the first (with ``kl`` among others), the last
+(with guidance), the score models in their default windows and the exact
+field with both samplers and several diffusion coefficients (``kl-eta``
 with the trained profile among them), override the sampler's time window and
 sbdm-vp's beta rates, evaluate against a preset and against a samples file,
 tabulate ``info``, and run a sweep with a ``kl-eta`` cell twice into one
@@ -34,6 +36,12 @@ import sys
 import tempfile
 
 PROFILE = "train/profile.txt"
+TRAIN_SMALL = ["--dataset", "two-gauss-1d", "--steps", "60", "--batch", "32",
+               "--profile-bins", "4", "--profile-draws", "50"]
+#: (output name, objective, schedule) of the score models sampled in their
+#: default windows.
+SCORE_MODELS = [("score-gvp", "score", "gvp"), ("weighted-vp", "weighted-score", "sbdm-vp"),
+                ("weighted-linear", "weighted-score", "linear")]
 CHECKPOINT = "train/checkpoint.json"
 CONDITIONAL = "train-conditional/checkpoint.json"
 SAMPLE_FAST = ["--steps", "40", "--n", "256", "--seed", "5"]
@@ -50,6 +58,15 @@ COMMANDS = [
                            "--label-dropout", "0.3", "--steps", "200", "--batch", "128",
                            "--profile-bins", "4", "--profile-draws", "100", "--seed", "4",
                            "--out", "train-conditional"]),
+    *((f"train-{name}", ["train", *TRAIN_SMALL, "--objective", objective, "--schedule",
+                         schedule, "--seed", "8", "--out", f"train-{name}"])
+      for name, objective, schedule in SCORE_MODELS),
+    *((f"sample-{name}-{sampler}", ["sample", "--checkpoint", f"train-{name}/checkpoint.json",
+                                    "--sampler", sampler, *SAMPLE_FAST,
+                                    "--out", f"sample-{name}-{sampler}"])
+      for name, _, _ in SCORE_MODELS for sampler in ("heun", "em")),
+    ("sample-model-em-kl", ["sample", "--checkpoint", CHECKPOINT, "--sampler", "em",
+                            "--w", "kl", *SAMPLE_FAST, "--out", "sample-model-em-kl"]),
     ("sample-model-em-kl-eta", ["sample", "--checkpoint", CHECKPOINT, "--sampler", "em",
                                 "--w", "kl-eta:0.5", "--profile", PROFILE,
                                 *SAMPLE_FAST, "--out", "sample-model-em-kl-eta"]),
