@@ -106,13 +106,13 @@ def _window(lo, hi) -> tuple[float, float]:
     return window
 
 
-def _loss_values(loss, error: type = DomainError) -> np.ndarray:
-    """Loss values as a float64 array, refused unless real (not bools or
-    strings), finite and ``>= 0``."""
-    loss = np.asarray(loss)
-    if loss.dtype.kind not in "iuf" or np.any(loss < 0.0) or not np.all(np.isfinite(loss)):
-        raise error("loss profile values must be finite, nonnegative numbers")
-    return loss.astype(np.float64, copy=False)
+def _nonnegative_values(values, name: str, error: type = DomainError) -> np.ndarray:
+    """Loss values or diffusion-coefficient values as a float64 array, refused
+    unless real (not bools or strings), finite and ``>= 0``."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf" or np.any(values < 0.0) or not np.all(np.isfinite(values)):
+        raise error(f"{name} must be finite, nonnegative numbers")
+    return values.astype(np.float64, copy=False)
 
 
 def _rng(seed, *spawn_key: int) -> np.random.Generator:

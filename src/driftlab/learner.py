@@ -42,7 +42,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import (ConfigError, DomainError, NonFiniteError, UnconditionalModelError,
-                     _count, _loss_values, _real, _rng, _window)
+                     _count, _nonnegative_values, _real, _rng, _window)
 from .field import (
     Conditioning,
     FieldModel,
@@ -94,7 +94,9 @@ DEFAULT_WIDTHS = (128, 128, 128)
 #: OS, so a one-pass call at n = 2,048 (6.5 MB of activations) page-faulted
 #: them all in again on every call: the learned-1d `sample` command took
 #: ~198,900 minor faults, ~193,000 with 1,024-row blocks and ~300 with 512-
-#: or 256-row blocks, whose memory the allocator keeps and reuses.
+#: or 256-row blocks, whose memory the allocator keeps and reuses.  `train`
+#: allocates its step memory once per run (`_StepBuffers`): fresh arrays on
+#: every step cost ~123,400 minor faults per learned-1d `train` command.
 _EVAL_BLOCK_VALUES = 32768
 #: A weight gradient sums ``h.T @ g`` over blocks of this many batch rows, in
 #: order.  OpenBLAS rounds one product over 600 or 1,000 rows differently at
@@ -234,7 +236,7 @@ class MLPField(FieldModel):
             raise DomainError(f"labels must be scalar or shape ({n},)")
         return labels.astype(np.int64)
 
-    def _forward(self, x: np.ndarray, t, y, want_cache: bool):
+    def _forward(self, x: np.ndarray, t, y, want_cache: bool, into=None):
         xx, was_vector = _as_batch(x)
         if xx.shape[1] != self.dimension:
             raise DomainError(
@@ -247,7 +249,7 @@ class MLPField(FieldModel):
         labels = self._labels_for(n, y)
         rows = max(1, _EVAL_BLOCK_VALUES // max(self._layer_dims))
         if want_cache or n <= rows:
-            out, activations = self._layer_stack(xx, t_arr, labels)
+            out, activations = self._layer_stack(xx, t_arr, labels, into=into)
             if want_cache:
                 return out, {"activations": activations, "labels": labels,
                              "was_vector": was_vector}
@@ -262,25 +264,28 @@ class MLPField(FieldModel):
         return out[0] if was_vector else out
 
     def _layer_stack(self, xx: np.ndarray, t_arr: np.ndarray,
-                     labels: np.ndarray | None, out: np.ndarray | None = None):
+                     labels: np.ndarray | None, out: np.ndarray | None = None,
+                     into: list[np.ndarray] | None = None):
         """Run the network on validated rows; returns ``(output, activations)``
-        and writes the output into ``out`` when it is given."""
+        and writes the output into ``out`` and each layer into its array in
+        ``into`` when they are given."""
+        into = into or [None] * len(self._layer_dims)
         # One input buffer [x | time features | embedding].
         d, width = self.dimension, 2 * self.time_feature_count
-        h = np.empty((xx.shape[0], self._layer_dims[0]))
+        h = np.empty((xx.shape[0], self._layer_dims[0])) if into[0] is None else into[0]
         h[:, :d] = xx
         _fill_time_features(h[:, d:d + width], t_arr.reshape(-1), self._freqs)
         if labels is not None:
             h[:, d + width:] = self._embedding()[labels]
         activations = [h]
         layers = self._weights()
-        for w, b in layers[:-1]:
-            h = np.matmul(h, w)
+        for (w, b), dest in zip(layers[:-1], into[1:]):
+            h = np.matmul(h, w, out=dest)
             h += b
             np.tanh(h, out=h)
             activations.append(h)
         w_last, b_last = layers[-1]
-        out = np.matmul(h, w_last, out=out)
+        out = np.matmul(h, w_last, out=into[-1] if out is None else out)
         out += b_last
         return out, activations
 
@@ -294,19 +299,22 @@ class MLPField(FieldModel):
         """
         return self._forward(x, t, y, want_cache=False)
 
-    def forward_with_cache(self, x: np.ndarray, t, y=None):
-        """Forward pass returning ``(output, cache)`` for :meth:`backward`."""
-        return self._forward(x, t, y, want_cache=True)
+    def forward_with_cache(self, x: np.ndarray, t, y=None, *, buffers=None):
+        """Forward pass returning ``(output, cache)`` for :meth:`backward`, into
+        ``buffers`` when given."""
+        return self._forward(x, t, y, want_cache=True, into=buffers and buffers.activations)
 
-    def backward(self, cache: dict, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, cache: dict, grad_output: np.ndarray, *, buffers=None) -> np.ndarray:
         """Reverse-mode accumulation of ``d(sum(output * grad_output))/d params``.
 
         Each weight gradient is a sum of BLAS products over blocks of
         ``_GRAD_BLOCK_ROWS`` batch rows, added in order (one product for a
         batch of at most one block), so it is the same at 1 and 2 BLAS threads
-        at every shape tested.
+        at every shape tested.  The gradient is written into ``buffers`` when
+        given, else fresh.
         """
-        grad = np.zeros_like(self.parameters)
+        step = _StepBuffers() if buffers is None else buffers
+        grad = np.empty_like(self.parameters) if step.grad is None else step.grad
         activations = cache["activations"]
         layers = self._weights()
         g = np.asarray(grad_output, dtype=np.float64)
@@ -318,18 +326,19 @@ class MLPField(FieldModel):
             lo, mid, hi = self._offsets[2 * layer:2 * layer + 3]
             weight_grad = grad[lo:mid].reshape(w.shape)
             np.matmul(h_in[:_GRAD_BLOCK_ROWS].T, g[:_GRAD_BLOCK_ROWS], out=weight_grad)
+            block = _leading(step.block, w.shape)
             for start in range(_GRAD_BLOCK_ROWS, g.shape[0], _GRAD_BLOCK_ROWS):
                 stop = start + _GRAD_BLOCK_ROWS
-                weight_grad += h_in[start:stop].T @ g[start:stop]
+                weight_grad += np.matmul(h_in[start:stop].T, g[start:stop], out=block)
             np.sum(g, axis=0, out=grad[mid:hi])
+            if layer > 0 or self.conditioning is not None:  # at layer 0 only the embedding needs it
+                g = np.matmul(g, w.T, out=_leading(step.scratch[layer % 2], h_in.shape))
             if layer > 0:
-                slope = np.square(h_in)  # tanh'(pre) = 1 - tanh(pre)^2
-                g = np.matmul(g, w.T)
-                g *= np.subtract(1.0, slope, out=slope)
-            elif self.conditioning is not None:  # only the embedding needs it
-                g = np.matmul(g, w.T)
+                slope = np.square(h_in, out=_leading(step.scratch[2], h_in.shape))
+                g *= np.subtract(1.0, slope, out=slope)  # tanh'(pre) = 1 - tanh(pre)^2
         if self.conditioning is not None:
             g_table = grad[self._offsets[-2]:].reshape(-1, self.class_embed_dim)
+            g_table[...] = 0.0
             np.add.at(g_table, cache["labels"], g[:, -self.class_embed_dim:])
         return grad
 
@@ -351,12 +360,38 @@ class MLPField(FieldModel):
         }
 
 
+@dataclass
+class _StepBuffers:
+    """The memory of one training step, allocated once per run by :func:`train`:
+    an array per layer; two back-propagated signals (used in turn) and the tanh
+    slope, flat at the widest layer; a weight-gradient block product for batches
+    over one block; the flat gradient.  The defaults leave every array fresh."""
+
+    activations: list | None = None
+    scratch: tuple = (None, None, None)
+    block: np.ndarray | None = None
+    grad: np.ndarray | None = None
+
+    @classmethod
+    def for_batch(cls, model: MLPField, rows: int) -> "_StepBuffers":
+        dims = model._layer_dims
+        return cls([np.empty((rows, width)) for width in dims],
+                   tuple(np.empty(rows * max(dims)) for _ in range(3)),
+                   np.empty(max(dims) ** 2) if rows > _GRAD_BLOCK_ROWS else None,
+                   np.empty_like(model.parameters))
+
+
+def _leading(flat: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray | None:
+    """A flat buffer's leading values as a contiguous array, or None (fresh)."""
+    return None if flat is None else flat[:shape[0] * shape[1]].reshape(shape)
+
+
 # ---------------------------------------------------------------------------
 # Objectives
 # ---------------------------------------------------------------------------
 
 
-def _regress(model: FieldModel, batch, residual) -> tuple[float, np.ndarray | None]:
+def _regress(model: FieldModel, batch, residual, buffers) -> tuple[float, np.ndarray | None]:
     """The regression all three objectives share.
 
     Validates ``batch = (x_star, eps, t, y)``, forms ``x_t`` from one
@@ -364,7 +399,8 @@ def _regress(model: FieldModel, batch, residual) -> tuple[float, np.ndarray | No
     x_star, eps, out, n)`` returns the per-element loss terms and the gradient
     with respect to the model output; the loss is their sum over the batch
     divided by n.  Returns ``(loss, flat gradient)``, the gradient ``None``
-    for models without parameters (analytic oracles).
+    for models without parameters (analytic oracles); an MLP runs in
+    ``buffers`` when given.
     """
     x_star, eps, t, y = batch
     x_star = np.asarray(x_star, dtype=np.float64)
@@ -375,13 +411,13 @@ def _regress(model: FieldModel, batch, residual) -> tuple[float, np.ndarray | No
     coef = model.schedule.coefficients(t)
     x_t = _interpolant_state(coef, x_star, eps)
     if isinstance(model, MLPField):
-        out, cache = model.forward_with_cache(x_t, t, y)
+        out, cache = model.forward_with_cache(x_t, t, y, buffers=buffers)
     else:
         out, cache = model.evaluate(x_t, t, y), None
     n = x_star.shape[0]
     terms, grad_out = residual(coef, x_star, eps, out, n)
     loss = float(np.sum(terms) / n)
-    return loss, None if cache is None else model.backward(cache, grad_out)
+    return loss, None if cache is None else model.backward(cache, grad_out, buffers=buffers)
 
 
 def _velocity_residual(coef, x_star, eps, out, n):
@@ -401,25 +437,27 @@ def _weighted_score_residual(coef, x_star, eps, out, n):
     return lam * lam * residual * residual, (2.0 / n) * lam * lam * sig * residual
 
 
-def loss_velocity(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
+def loss_velocity(model: FieldModel, batch, *, buffers=None) -> tuple[float, np.ndarray | None]:
     """Velocity regression: mean ``|f(x_t,t,y) - (alpha_dot x_star + sigma_dot eps)|^2``.
 
     Returns ``(loss, flat gradient)``; the gradient is ``None`` for models
-    without parameters (analytic oracles).
+    without parameters (analytic oracles), fresh unless written into
+    ``buffers``, the step memory of :func:`train`.
     """
     if model.prediction is not Prediction.VELOCITY:
         raise ConfigError("loss_velocity requires a velocity-prediction model")
-    return _regress(model, batch, _velocity_residual)
+    return _regress(model, batch, _velocity_residual, buffers)
 
 
-def loss_score(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
+def loss_score(model: FieldModel, batch, *, buffers=None) -> tuple[float, np.ndarray | None]:
     """Denoising score matching: mean ``|sigma(t) f(x_t,t,y) + eps|^2``."""
     if model.prediction is not Prediction.SCORE:
         raise ConfigError("loss_score requires a score-prediction model")
-    return _regress(model, batch, _score_residual)
+    return _regress(model, batch, _score_residual, buffers)
 
 
-def loss_score_weighted(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
+def loss_score_weighted(model: FieldModel, batch, *,
+                        buffers=None) -> tuple[float, np.ndarray | None]:
     """Weighted score matching: mean ``lambda(t)^2 |sigma(t) f + eps|^2``.
 
     Per sample this equals the velocity objective of the converted model, so
@@ -429,7 +467,7 @@ def loss_score_weighted(model: FieldModel, batch) -> tuple[float, np.ndarray | N
     """
     if model.prediction is not Prediction.SCORE:
         raise ConfigError("loss_score_weighted requires a score-prediction model")
-    return _regress(model, batch, _weighted_score_residual)
+    return _regress(model, batch, _weighted_score_residual, buffers)
 
 
 class TrainObjective(str, enum.Enum):
@@ -538,6 +576,7 @@ def train(config: TrainConfig, data) -> TrainResult:
         seed=config.seed,
     )
     loss_fn = _LOSS_FOR[config.objective]
+    buffers = _StepBuffers.for_batch(model, config.batch)
     rng = _rng(config.seed, 1)
     moment1 = np.zeros_like(model.parameters)
     moment2 = np.zeros_like(model.parameters)
@@ -546,7 +585,7 @@ def train(config: TrainConfig, data) -> TrainResult:
     for step in range(config.steps):
         batch = _draw_batch(model, dataset, rng, config.batch, t_lo, t_hi,
                             config.label_dropout)
-        loss, grad = loss_fn(model, batch)
+        loss, grad = loss_fn(model, batch, buffers=buffers)
         if not math.isfinite(loss):
             raise NonFiniteError(
                 "training loss became non-finite",
@@ -567,6 +606,7 @@ def train(config: TrainConfig, data) -> TrainResult:
         grad *= config.learning_rate
         model.parameters -= np.divide(grad, scratch, out=grad)
         curve[step] = (step, loss)
+    del buffers, grad  # before the loss profile: 0.9 MB less learned-1d peak RSS
     profile = estimate_loss_profile(
         model, dataset,
         bins=config.profile_bins,
@@ -632,7 +672,7 @@ class LossProfile:
 
     def __init__(self, edges: np.ndarray, values: np.ndarray) -> None:
         edges = np.asarray(edges)
-        values = _loss_values(values, error=ConfigError)
+        values = _nonnegative_values(values, "loss profile values", ConfigError)
         if edges.ndim != 1 or values.ndim != 1 or edges.shape[0] != values.shape[0] + 1:
             raise ConfigError("profile needs bins+1 edges and bins values")
         if values.shape[0] == 0:
@@ -758,10 +798,10 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_FORMAT = "driftlab-checkpoint"
-#: A checkpoint is written in pieces of this many JSON encoder chunks (about
-#: two per parameter).  Encoding the 37,505 parameters of the default network
-#: in one string peaked at about 5 MB.
-_CHECKPOINT_PIECE_CHUNKS = 4096
+#: A checkpoint's parameters are encoded and written this many at a time.
+#: Encoding the 37,505 parameters of the default network in one string peaked
+#: at about 5 MB, and a list of them as Python floats took 1.2 MB.
+_CHECKPOINT_BLOCK = 2048
 #: The time-feature config and embedding width every checkpoint records.
 _FIXED_INPUTS = ({"count": TIME_FEATURE_COUNT, "freq_min": TIME_FREQ_MIN,
                   "freq_max": TIME_FREQ_MAX}, CLASS_EMBED_DIM)
@@ -779,7 +819,7 @@ def save_checkpoint(model: MLPField, path: str) -> None:
     * ``parameters`` — the flat float64 vector as a JSON list, written with
       shortest-round-trip reprs so reloading is bit-exact.
 
-    Written atomically, a piece of the encoder's output at a time; identical
+    Written atomically, a block of parameters at a time; identical
     models produce byte-identical files, the bytes of
     ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``.
     """
@@ -787,11 +827,18 @@ def save_checkpoint(model: MLPField, path: str) -> None:
         "format": CHECKPOINT_FORMAT,
         "version": 1,
         "architecture": model.to_config(),
-        "parameters": [float(v) for v in model.parameters],
+        "parameters": [],
     }
-    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
-    pieces = iter(lambda: "".join(itertools.islice(chunks, _CHECKPOINT_PIECE_CHUNKS)), "")
-    atomic_write_text(path, itertools.chain(pieces, ["\n"]))
+    head, _, tail = json.dumps(payload, sort_keys=True, indent=2).partition('"parameters": []')
+    sep, values = ",\n    ", model.parameters  # indent=2's separator at the list's depth
+
+    def block(lo: int) -> str:  # json spells the non-finite floats NaN and [-]Infinity
+        text = sep.join(map(repr, values[lo:lo + _CHECKPOINT_BLOCK].tolist()))
+        return (sep if lo else "") + text.replace("nan", "NaN").replace("inf", "Infinity")
+
+    blocks = map(block, range(0, values.shape[0], _CHECKPOINT_BLOCK))
+    atomic_write_text(path, itertools.chain([head, '"parameters": [\n    '], blocks,
+                                            ["\n  ]", tail, "\n"]))
 
 
 def load_checkpoint(path: str) -> MLPField:

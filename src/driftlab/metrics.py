@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, SingularityError, _count, _loss_values,
+from .errors import (ConfigError, DomainError, SingularityError, _count, _nonnegative_values,
                      _real, _rng, _window)
 from .field import FieldModel, GaussianMixture, Prediction, interpolate
 from .schedule import DiffusionCoefficient, InterpolantSchedule, _match_shape, _regularized_w
@@ -322,10 +322,8 @@ def kl_integrand(w_value, loss_value, t, schedule: InterpolantSchedule):
     coefficient the `kl` diffusion preset evaluates — with minimum value
     ``2 L / (lambda sigma)``.
     """
-    w = np.asarray(w_value, dtype=np.float64)
-    loss = _loss_values(loss_value)
-    if np.any(w < 0.0):
-        raise DomainError("w values must be nonnegative")
+    w = _nonnegative_values(w_value, "w values")
+    loss = _nonnegative_values(loss_value, "loss profile values")
     w_kl = _w_kl(schedule, t)
     with np.errstate(divide="ignore"):
         value = np.where(w > 0.0,
@@ -344,8 +342,8 @@ def kl_cost_integrand(w_value, loss_value, t, schedule: InterpolantSchedule,
     :func:`kl_bound` and of the ``kl-eta:<eta>`` coefficient.
     """
     eta = _real("eta", eta, 0.0, error=DomainError)
-    base = kl_integrand(w_value, loss_value, t, schedule)
-    w = np.asarray(w_value, dtype=np.float64)
+    w = _nonnegative_values(w_value, "w values")
+    base = kl_integrand(w, loss_value, t, schedule)
     return _match_shape(2.0 * (base + eta * w), w_value, loss_value, t)
 
 
@@ -368,7 +366,7 @@ def kl_cost_minimum(loss_value, t, schedule: InterpolantSchedule, eta: float):
 
     Its ``eta`` is twice that of :func:`kl_bound` and ``kl-eta:<eta>``."""
     eta = _real("eta", eta, 0.0, error=DomainError)
-    loss = _loss_values(loss_value)
+    loss = _nonnegative_values(loss_value, "loss profile values")
     a = 0.5 * _w_kl(schedule, t)  # lambda*sigma exactly: w_kl is its double
     # A subnormal t gives a subnormal a, and 2 L / a overflows to inf.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -399,9 +397,9 @@ def kl_bound(profile, schedule: InterpolantSchedule,
     if eta is not None:
         eta = _real("eta", eta, 0.0, error=DomainError)
     grid = np.linspace(lo, hi, grid_points)
-    loss = _loss_values(profile(grid))
+    loss = _nonnegative_values(profile(grid), "loss profile values")
     try:
-        w = np.asarray(diffusion(grid), dtype=np.float64)
+        w = _nonnegative_values(diffusion(grid), "w values")
         integrand = kl_integrand(w, loss, grid, schedule)
     except SingularityError:
         return float(np.inf)

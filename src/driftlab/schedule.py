@@ -39,7 +39,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (ConfigError, DomainError, MissingProfileError, SingularityError,
-                     _loss_values, _real)
+                     _nonnegative_values, _real)
 
 __all__ = [
     "InterpolantSchedule",
@@ -533,7 +533,7 @@ class KLEtaCoefficient(DiffusionCoefficient):
 def _regularized_w(coef: Coefficients, loss, eta: float) -> np.ndarray:
     """The w of :class:`KLEtaCoefficient` at loss values ``L`` and a checked
     ``eta``; 0 where sigma(t) = 0, L = 0 or 1/w_kl overflows (as at t = 5e-324)."""
-    loss = _loss_values(loss)
+    loss = _nonnegative_values(loss, "loss profile values")
     if eta == 0.0:
         return coef.w_kl * np.ones_like(loss)  # the product by 1.0 keeps every bit
     sig = coef.sigma

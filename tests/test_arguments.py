@@ -4,7 +4,8 @@ Counts go through ``errors._count``: integral numbers are accepted, and
 bools, fractions, NaN, infinities, strings and None are refused.  Seeds are
 counts from 0 and become generators through ``errors._rng``.  Time windows go
 through ``errors._window``: two real numbers with 0 <= lo < hi <= 1.  Loss
-values go through ``errors._loss_values``: finite real numbers >= 0.  Real numbers go
+values and the values of a diffusion coefficient w go through
+``errors._nonnegative_values``: finite real numbers >= 0.  Real numbers go
 through ``errors._real``: a finite number in the argument's range passes as a
 float, and bools, strings, None, NaN and infinities are refused.  Class labels
 are whole numbers: an integral float is the label, a fraction is refused.
@@ -275,6 +276,18 @@ def test_loss_values_refuse_non_numbers(loss):
                               window=(0.1, 0.9))]
     for call in calls:
         with pytest.raises(DomainError, match="loss profile values"):
+            call()
+
+
+@pytest.mark.parametrize("w", ["a", True, "0.5"])
+def test_w_values_refuse_non_numbers(w):
+    # Not numpy's bare ValueError, nor True read as w = 1.0 or "0.5" parsed.
+    calls = [lambda: kl_integrand(w, 0.5, 0.5, LINEAR),
+             lambda: kl_cost_integrand(w, 0.5, 0.5, LINEAR, 1.0),
+             lambda: kl_bound(lambda t: 0.5 + 0.0 * t, LINEAR, lambda t: w,
+                              window=(0.1, 0.9))]
+    for call in calls:
+        with pytest.raises(DomainError, match="w values must be finite, nonnegative"):
             call()
 
 

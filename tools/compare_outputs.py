@@ -11,13 +11,16 @@ Each checkout runs the same commands with its own ``src`` first on
 so the outputs of equal code are equal byte for byte.  The commands train a
 small velocity model, a second one at a set learning rate, a
 class-conditional one, a score model on gvp and weighted-score models on
-sbdm-vp and linear, sample the first (with ``kl`` among others), the last
-(with guidance), the score models in their default windows and the exact
-field with both samplers and several diffusion coefficients (``kl-eta``
-with the trained profile among them), override the sampler's time window and
-sbdm-vp's beta rates, evaluate against a preset and against a samples file,
-tabulate ``info``, and run a sweep with a ``kl-eta`` cell twice into one
-directory, so that the second run reuses its cells.
+sbdm-vp and linear, a velocity model at the benchmark's shape (default
+widths, batch 256) and a class-conditional one at batch 300 (two
+weight-gradient blocks), sample the first (with ``kl`` among others), the
+batch-300 one, the last (with guidance), the score models in their default
+windows and the exact field with both samplers and several diffusion
+coefficients (``kl-eta`` with the trained profile among them), override the
+sampler's time window and sbdm-vp's beta rates, evaluate against a preset
+and against a samples file, tabulate ``info``, and run a sweep with a
+``kl-eta`` cell twice into one directory, so that the second run reuses its
+cells.
 Each command's exit code, standard output and standard error are kept as
 files beside its outputs and compared with them.
 
@@ -58,6 +61,16 @@ COMMANDS = [
                            "--label-dropout", "0.3", "--steps", "200", "--batch", "128",
                            "--profile-bins", "4", "--profile-draws", "100", "--seed", "4",
                            "--out", "train-conditional"]),
+    ("train-bench", ["train", "--dataset", "two-gauss-1d", "--objective", "velocity",
+                     "--steps", "100", "--batch", "256", "--profile-bins", "8",
+                     "--profile-draws", "200", "--seed", "12", "--out", "train-bench"]),
+    ("train-conditional-300", ["train", "--dataset", "grid-9", "--conditional",
+                               "--steps", "60", "--batch", "300", "--profile-bins", "4",
+                               "--profile-draws", "100", "--seed", "13",
+                               "--out", "train-conditional-300"]),
+    ("sample-conditional-300-heun", ["sample", "--checkpoint",
+                                     "train-conditional-300/checkpoint.json", "--label", "2",
+                                     *SAMPLE_FAST, "--out", "sample-conditional-300-heun"]),
     *((f"train-{name}", ["train", *TRAIN_SMALL, "--objective", objective, "--schedule",
                          schedule, "--seed", "8", "--out", f"train-{name}"])
       for name, objective, schedule in SCORE_MODELS),
