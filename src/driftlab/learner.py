@@ -32,6 +32,7 @@ the profile feeds the cost-regularized diffusion coefficient.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import math
@@ -88,15 +89,13 @@ CLASS_EMBED_DIM = 8
 #: Default hidden widths.
 DEFAULT_WIDTHS = (128, 128, 128)
 
-#: Evaluation without a cache runs the network over blocks of rows holding
-#: at most this many values in the widest layer: 256 rows at the default
-#: widths, 256 KB per activation.  glibc gives several freed MB back to the
-#: OS, so a one-pass call at n = 2,048 (6.5 MB of activations) page-faulted
-#: them all in again on every call: the learned-1d `sample` command took
-#: ~198,900 minor faults, ~193,000 with 1,024-row blocks and ~300 with 512-
-#: or 256-row blocks, whose memory the allocator keeps and reuses.  `train`
-#: allocates its step memory once per run (`_StepBuffers`): fresh arrays on
-#: every step cost ~123,400 minor faults per learned-1d `train` command.
+#: `evaluate` runs the network over blocks of rows holding at most this many
+#: values in the widest layer (256 rows, 256 KB per array at the default
+#: widths), every block in one array per layer allocated once per call.  One
+#: pass over 2,048 rows (6.5 MB) page-faulted all of it in again on every call
+#: (~198,900 minor faults per learned-1d `sample` command, ~300 in blocks), and
+#: fresh arrays per block cost `train`'s default loss profile ~38,500 in a
+#: fresh process, against ~8,300 now.
 _EVAL_BLOCK_VALUES = 32768
 #: A weight gradient sums ``h.T @ g`` over blocks of this many batch rows, in
 #: order.  OpenBLAS rounds one product over 600 or 1,000 rows differently at
@@ -236,7 +235,8 @@ class MLPField(FieldModel):
             raise DomainError(f"labels must be scalar or shape ({n},)")
         return labels.astype(np.int64)
 
-    def _forward(self, x: np.ndarray, t, y, want_cache: bool, into=None):
+    def _inputs(self, x: np.ndarray, t, y):
+        """A call's validated ``(rows, was_vector, t, labels)``."""
         xx, was_vector = _as_batch(x)
         if xx.shape[1] != self.dimension:
             raise DomainError(
@@ -246,63 +246,58 @@ class MLPField(FieldModel):
         t_arr = np.asarray(t, dtype=np.float64)
         if t_arr.ndim != 0 and t_arr.shape != (n,):
             raise DomainError(f"t must be scalar or shape ({n},)")
-        labels = self._labels_for(n, y)
-        rows = max(1, _EVAL_BLOCK_VALUES // max(self._layer_dims))
-        if want_cache or n <= rows:
-            out, activations = self._layer_stack(xx, t_arr, labels, into=into)
-            if want_cache:
-                return out, {"activations": activations, "labels": labels,
-                             "was_vector": was_vector}
-        else:
-            out = np.empty((n, self.dimension))
-            for lo in range(0, n, rows):
-                block = slice(lo, lo + rows)
-                self._layer_stack(xx[block],
-                                  t_arr if t_arr.ndim == 0 else t_arr[block],
-                                  None if labels is None else labels[block],
-                                  out=out[block])
-        return out[0] if was_vector else out
+        return xx, was_vector, t_arr, self._labels_for(n, y)
 
-    def _layer_stack(self, xx: np.ndarray, t_arr: np.ndarray,
-                     labels: np.ndarray | None, out: np.ndarray | None = None,
-                     into: list[np.ndarray] | None = None):
-        """Run the network on validated rows; returns ``(output, activations)``
-        and writes the output into ``out`` and each layer into its array in
-        ``into`` when they are given."""
-        into = into or [None] * len(self._layer_dims)
-        # One input buffer [x | time features | embedding].
+    def _forward(self, xx: np.ndarray, t_arr: np.ndarray, labels: np.ndarray | None,
+                 layers: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+        """Run the network on validated rows into ``out``, a block at a time of
+        as many rows as the arrays in ``layers`` (input and hidden layers)
+        hold, each layer into the leading rows of its array; returns ``out``."""
+        n, rows, t_rows = xx.shape[0], layers[0].shape[0], t_arr.reshape(-1)
         d, width = self.dimension, 2 * self.time_feature_count
-        h = np.empty((xx.shape[0], self._layer_dims[0])) if into[0] is None else into[0]
-        h[:, :d] = xx
-        _fill_time_features(h[:, d:d + width], t_arr.reshape(-1), self._freqs)
-        if labels is not None:
-            h[:, d + width:] = self._embedding()[labels]
-        activations = [h]
-        layers = self._weights()
-        for (w, b), dest in zip(layers[:-1], into[1:]):
-            h = np.matmul(h, w, out=dest)
-            h += b
-            np.tanh(h, out=h)
-            activations.append(h)
-        w_last, b_last = layers[-1]
-        out = np.matmul(h, w_last, out=into[-1] if out is None else out)
-        out += b_last
-        return out, activations
+        *hidden, (w_last, b_last) = self._weights()
+        table = self._embedding()
+        for lo in range(0, n, max(1, rows)):  # zero rows run no block
+            block = slice(lo, min(n, lo + rows))
+            # One input buffer [x | time features | embedding].
+            h = layers[0][:block.stop - lo]
+            h[:, :d] = xx[block]
+            _fill_time_features(h[:, d:d + width], t_rows if t_arr.ndim == 0 else t_rows[block],
+                                self._freqs)
+            if labels is not None:
+                h[:, d + width:] = table[labels[block]]
+            for (w, b), dest in zip(hidden, layers[1:]):
+                h = np.matmul(h, w, out=dest[:h.shape[0]])
+                h += b
+                np.tanh(h, out=h)
+            h = np.matmul(h, w_last, out=out[block])
+            h += b_last
+        return out
 
     def evaluate(self, x: np.ndarray, t, y=None) -> np.ndarray:
         """Deterministic forward pass; same shape as ``x``.
 
-        Runs over blocks of rows (``_EVAL_BLOCK_VALUES``) into one output, so
-        its memory beyond the output does not grow with n.  Up to one block
-        the bits are those of :meth:`forward_with_cache`; beyond it they agree
-        to rounding.
+        Runs over blocks of rows (``_EVAL_BLOCK_VALUES``) in one array per
+        layer, allocated once per call, into one output, so its memory beyond
+        the output does not grow with n.  Each block has the bits that
+        :meth:`forward_with_cache` gives its rows alone.
         """
-        return self._forward(x, t, y, want_cache=False)
+        xx, was_vector, t_arr, labels = self._inputs(x, t, y)
+        n = xx.shape[0]
+        rows = min(n, max(1, _EVAL_BLOCK_VALUES // max(self._layer_dims)))
+        out = self._forward(xx, t_arr, labels,
+                            [np.empty((rows, width)) for width in self._layer_dims[:-1]],
+                            np.empty((n, self.dimension)))
+        return out[0] if was_vector else out
 
     def forward_with_cache(self, x: np.ndarray, t, y=None, *, buffers=None):
-        """Forward pass returning ``(output, cache)`` for :meth:`backward`, into
-        ``buffers`` when given."""
-        return self._forward(x, t, y, want_cache=True, into=buffers and buffers.activations)
+        """Forward pass returning ``(output, cache)`` for :meth:`backward`: one
+        block of all rows in ``buffers`` (the step memory of :func:`train`)
+        when given, else in arrays of this call, which no later call writes."""
+        xx, was_vector, t_arr, labels = self._inputs(x, t, y)
+        *layers, out = (buffers or _StepBuffers(self, xx.shape[0])).activations
+        self._forward(xx, t_arr, labels, layers, out)
+        return out[0] if was_vector else out, {"activations": layers, "labels": labels}
 
     def backward(self, cache: dict, grad_output: np.ndarray, *, buffers=None) -> np.ndarray:
         """Reverse-mode accumulation of ``d(sum(output * grad_output))/d params``.
@@ -310,26 +305,27 @@ class MLPField(FieldModel):
         Each weight gradient is a sum of BLAS products over blocks of
         ``_GRAD_BLOCK_ROWS`` batch rows, added in order (one product for a
         batch of at most one block), so it is the same at 1 and 2 BLAS threads
-        at every shape tested.  The gradient is written into ``buffers`` when
-        given, else fresh.
+        at every shape tested.  Runs in ``buffers`` (the step memory of
+        :func:`train`) when given, else in arrays of this call, and returns
+        the gradient there.
         """
-        step = _StepBuffers() if buffers is None else buffers
-        grad = np.empty_like(self.parameters) if step.grad is None else step.grad
         activations = cache["activations"]
         layers = self._weights()
         g = np.asarray(grad_output, dtype=np.float64)
         if g.ndim == 1:
             g = g[None, :]
+        step = buffers or _StepBuffers(self, g.shape[0])
+        grad = step.grad
         for layer in range(len(layers) - 1, -1, -1):
             w, _ = layers[layer]
             h_in = activations[layer]
             lo, mid, hi = self._offsets[2 * layer:2 * layer + 3]
             weight_grad = grad[lo:mid].reshape(w.shape)
             np.matmul(h_in[:_GRAD_BLOCK_ROWS].T, g[:_GRAD_BLOCK_ROWS], out=weight_grad)
-            block = _leading(step.block, w.shape)
             for start in range(_GRAD_BLOCK_ROWS, g.shape[0], _GRAD_BLOCK_ROWS):
                 stop = start + _GRAD_BLOCK_ROWS
-                weight_grad += np.matmul(h_in[start:stop].T, g[start:stop], out=block)
+                weight_grad += np.matmul(h_in[start:stop].T, g[start:stop],
+                                         out=_leading(step.block, w.shape))
             np.sum(g, axis=0, out=grad[mid:hi])
             if layer > 0 or self.conditioning is not None:  # at layer 0 only the embedding needs it
                 g = np.matmul(g, w.T, out=_leading(step.scratch[layer % 2], h_in.shape))
@@ -360,30 +356,36 @@ class MLPField(FieldModel):
         }
 
 
-@dataclass
 class _StepBuffers:
-    """The memory of one training step, allocated once per run by :func:`train`:
-    an array per layer; two back-propagated signals (used in turn) and the tanh
-    slope, flat at the widest layer; a weight-gradient block product for batches
-    over one block; the flat gradient.  The defaults leave every array fresh."""
+    """The memory of a forward and backward pass over ``rows`` rows, each part
+    allocated when first used: an array per layer (input, hidden, output); two
+    back-propagated signals (used in turn) and the tanh slope, flat at the
+    widest layer; a weight-gradient block product, used past one block of
+    rows only; the flat gradient.  :func:`train` keeps one through its run."""
 
-    activations: list | None = None
-    scratch: tuple = (None, None, None)
-    block: np.ndarray | None = None
-    grad: np.ndarray | None = None
+    def __init__(self, model: MLPField, rows: int) -> None:
+        self.dims, self.rows, self.size = model._layer_dims, rows, model.n_parameters
 
-    @classmethod
-    def for_batch(cls, model: MLPField, rows: int) -> "_StepBuffers":
-        dims = model._layer_dims
-        return cls([np.empty((rows, width)) for width in dims],
-                   tuple(np.empty(rows * max(dims)) for _ in range(3)),
-                   np.empty(max(dims) ** 2) if rows > _GRAD_BLOCK_ROWS else None,
-                   np.empty_like(model.parameters))
+    @functools.cached_property
+    def activations(self) -> list[np.ndarray]:
+        return [np.empty((self.rows, width)) for width in self.dims]
+
+    @functools.cached_property
+    def scratch(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.empty(self.rows * max(self.dims)) for _ in range(3))
+
+    @functools.cached_property
+    def block(self) -> np.ndarray:
+        return np.empty(max(self.dims) ** 2)
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        return np.empty(self.size)
 
 
-def _leading(flat: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray | None:
-    """A flat buffer's leading values as a contiguous array, or None (fresh)."""
-    return None if flat is None else flat[:shape[0] * shape[1]].reshape(shape)
+def _leading(flat: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A flat buffer's leading values as a contiguous array."""
+    return flat[:shape[0] * shape[1]].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +393,7 @@ def _leading(flat: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray | No
 # ---------------------------------------------------------------------------
 
 
-def _regress(model: FieldModel, batch, residual, buffers) -> tuple[float, np.ndarray | None]:
+def _regress(model: FieldModel, batch, residual, buffers=None) -> tuple[float, np.ndarray | None]:
     """The regression all three objectives share.
 
     Validates ``batch = (x_star, eps, t, y)``, forms ``x_t`` from one
@@ -400,7 +402,7 @@ def _regress(model: FieldModel, batch, residual, buffers) -> tuple[float, np.nda
     with respect to the model output; the loss is their sum over the batch
     divided by n.  Returns ``(loss, flat gradient)``, the gradient ``None``
     for models without parameters (analytic oracles); an MLP runs in
-    ``buffers`` when given.
+    ``buffers``, the step memory of :func:`train`, when given.
     """
     x_star, eps, t, y = batch
     x_star = np.asarray(x_star, dtype=np.float64)
@@ -437,27 +439,25 @@ def _weighted_score_residual(coef, x_star, eps, out, n):
     return lam * lam * residual * residual, (2.0 / n) * lam * lam * sig * residual
 
 
-def loss_velocity(model: FieldModel, batch, *, buffers=None) -> tuple[float, np.ndarray | None]:
+def loss_velocity(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
     """Velocity regression: mean ``|f(x_t,t,y) - (alpha_dot x_star + sigma_dot eps)|^2``.
 
     Returns ``(loss, flat gradient)``; the gradient is ``None`` for models
-    without parameters (analytic oracles), fresh unless written into
-    ``buffers``, the step memory of :func:`train`.
+    without parameters (analytic oracles), and no later call writes it.
     """
     if model.prediction is not Prediction.VELOCITY:
         raise ConfigError("loss_velocity requires a velocity-prediction model")
-    return _regress(model, batch, _velocity_residual, buffers)
+    return _regress(model, batch, _velocity_residual)
 
 
-def loss_score(model: FieldModel, batch, *, buffers=None) -> tuple[float, np.ndarray | None]:
+def loss_score(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
     """Denoising score matching: mean ``|sigma(t) f(x_t,t,y) + eps|^2``."""
     if model.prediction is not Prediction.SCORE:
         raise ConfigError("loss_score requires a score-prediction model")
-    return _regress(model, batch, _score_residual, buffers)
+    return _regress(model, batch, _score_residual)
 
 
-def loss_score_weighted(model: FieldModel, batch, *,
-                        buffers=None) -> tuple[float, np.ndarray | None]:
+def loss_score_weighted(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
     """Weighted score matching: mean ``lambda(t)^2 |sigma(t) f + eps|^2``.
 
     Per sample this equals the velocity objective of the converted model, so
@@ -467,7 +467,7 @@ def loss_score_weighted(model: FieldModel, batch, *,
     """
     if model.prediction is not Prediction.SCORE:
         raise ConfigError("loss_score_weighted requires a score-prediction model")
-    return _regress(model, batch, _weighted_score_residual, buffers)
+    return _regress(model, batch, _weighted_score_residual)
 
 
 class TrainObjective(str, enum.Enum):
@@ -478,16 +478,11 @@ class TrainObjective(str, enum.Enum):
     WEIGHTED_SCORE = "weighted-score"
 
 
-_LOSS_FOR = {
-    TrainObjective.VELOCITY: loss_velocity,
-    TrainObjective.SCORE: loss_score,
-    TrainObjective.WEIGHTED_SCORE: loss_score_weighted,
-}
-
-_PREDICTION_FOR = {
-    TrainObjective.VELOCITY: Prediction.VELOCITY,
-    TrainObjective.SCORE: Prediction.SCORE,
-    TrainObjective.WEIGHTED_SCORE: Prediction.SCORE,
+#: The prediction each objective trains and the residual it regresses on.
+_OBJECTIVES = {
+    TrainObjective.VELOCITY: (Prediction.VELOCITY, _velocity_residual),
+    TrainObjective.SCORE: (Prediction.SCORE, _score_residual),
+    TrainObjective.WEIGHTED_SCORE: (Prediction.SCORE, _weighted_score_residual),
 }
 
 
@@ -567,16 +562,16 @@ def train(config: TrainConfig, data) -> TrainResult:
     dataset = as_dataset(data)
     t_lo, t_hi = config.window()
     num_classes = _class_count(dataset) if config.conditional else None
+    prediction, residual = _OBJECTIVES[config.objective]
     model = MLPField(
         dimension=dataset.dimension,
         schedule=config.schedule,
-        prediction=_PREDICTION_FOR[config.objective],
+        prediction=prediction,
         widths=config.widths,
         num_classes=num_classes,
         seed=config.seed,
     )
-    loss_fn = _LOSS_FOR[config.objective]
-    buffers = _StepBuffers.for_batch(model, config.batch)
+    buffers = _StepBuffers(model, config.batch)
     rng = _rng(config.seed, 1)
     moment1 = np.zeros_like(model.parameters)
     moment2 = np.zeros_like(model.parameters)
@@ -585,7 +580,7 @@ def train(config: TrainConfig, data) -> TrainResult:
     for step in range(config.steps):
         batch = _draw_batch(model, dataset, rng, config.batch, t_lo, t_hi,
                             config.label_dropout)
-        loss, grad = loss_fn(model, batch, buffers=buffers)
+        loss, grad = _regress(model, batch, residual, buffers)
         if not math.isfinite(loss):
             raise NonFiniteError(
                 "training loss became non-finite",

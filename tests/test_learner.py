@@ -261,6 +261,34 @@ def test_evaluate_in_blocks_matches_manual_reference_with_a_remainder_row(
         assert np.max(relative_error(out, expected)) <= 1e-12
 
 
+@pytest.mark.parametrize("per_row_t", [False, True])
+def test_evaluate_in_blocks_gives_each_block_its_own_bits(linear, rng, per_row_t):
+    model = MLPField(2, linear, num_classes=3, seed=4)
+    rows = _block_rows(model)
+    n = 2 * rows + 1
+    x = rng.standard_normal((n, 2))
+    t = rng.uniform(0.0, 1.0, size=n) if per_row_t else 0.37
+    y = rng.integers(0, 4, size=n)
+    out = model.evaluate(x, t, y)
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        alone = model.evaluate(x[block], t[block] if per_row_t else t, y[block])
+        assert _bitwise_equal(out[block], alone)
+
+
+@pytest.mark.parametrize("num_classes", [None, 3])
+def test_zero_rows_give_empty_outputs_and_a_zero_gradient(linear, num_classes):
+    model = MLPField(2, linear, num_classes=num_classes, seed=4)
+    x = np.empty((0, 2))
+    y = None if num_classes is None else np.empty(0, dtype=np.int64)
+    for t in (0.5, np.empty(0)):
+        assert model.evaluate(x, t, y).shape == (0, 2)
+        out, cache = model.forward_with_cache(x, t, y)
+        assert out.shape == (0, 2)
+        assert _bitwise_equal(model.backward(cache, np.empty((0, 2))),
+                              np.zeros(model.n_parameters))
+
+
 @pytest.mark.parametrize("conditional", [False, True])
 def test_training_matches_manual_reference(linear, conditional):
     config = TrainConfig(objective="velocity", schedule=linear, steps=3, seed=6,
@@ -691,6 +719,34 @@ def test_training_allocates_its_step_memory_once_per_run():
                           timeout=300, capture_output=True, text=True)
     faults = int(done.stdout)
     assert faults < 5_000, faults
+
+
+_PROFILE_FAULTS_SCRIPT = """
+import resource
+from driftlab import MLPField, estimate_loss_profile, get_preset, make_schedule
+model = MLPField(1, make_schedule("linear"), seed=3)
+data = get_preset("two-gauss-1d")
+estimate_loss_profile(model, data, bins=1, draws_per_bin=10)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+estimate_loss_profile(model, data, bins=50, draws_per_bin=2000)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_loss_profile_allocates_its_layer_memory_once_per_call():
+    # Fresh arrays for each 256-row block of the 50 evaluations were mapped
+    # and trimmed again by glibc in a process that had not raised its
+    # thresholds yet: about 38,500 minor faults at train's default profile
+    # size, against about 8,300 with one set of arrays per call.
+    source = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _PROFILE_FAULTS_SCRIPT], env=env,
+                          check=True, timeout=300, capture_output=True, text=True)
+    faults = int(done.stdout)
+    assert faults < 12_000, faults
 
 
 def test_permutation_test_does_not_depend_on_blas_threads(tmp_path):

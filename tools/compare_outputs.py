@@ -12,9 +12,12 @@ so the outputs of equal code are equal byte for byte.  The commands train a
 small velocity model, a second one at a set learning rate, a
 class-conditional one, a score model on gvp and weighted-score models on
 sbdm-vp and linear, a velocity model at the benchmark's shape (default
-widths, batch 256) and a class-conditional one at batch 300 (two
-weight-gradient blocks), sample the first (with ``kl`` among others), the
-batch-300 one, the last (with guidance), the score models in their default
+widths, batch 256), a class-conditional one at batch 300 (two
+weight-gradient blocks) and one whose profile evaluates 600 draws per bin
+(two evaluation blocks and a remainder), sample the first (with ``kl``
+among others), the batch-300 one, the 600-draw one at n = 600, the
+class-conditional one (with guidance, and with a label at n = 600), the
+score models in their default
 windows and the exact field with both samplers and several diffusion
 coefficients (``kl-eta`` with the trained profile among them), override the
 sampler's time window and sbdm-vp's beta rates, evaluate against a preset
@@ -48,6 +51,8 @@ SCORE_MODELS = [("score-gvp", "score", "gvp"), ("weighted-vp", "weighted-score",
 CHECKPOINT = "train/checkpoint.json"
 CONDITIONAL = "train-conditional/checkpoint.json"
 SAMPLE_FAST = ["--steps", "40", "--n", "256", "--seed", "5"]
+#: Two 256-row evaluation blocks and a remainder of 88 rows per model call.
+SAMPLE_ROWS_600 = ["--steps", "20", "--n", "600", "--seed", "7"]
 
 #: (name, argv): run in order; later commands read earlier outputs.
 COMMANDS = [
@@ -71,6 +76,13 @@ COMMANDS = [
     ("sample-conditional-300-heun", ["sample", "--checkpoint",
                                      "train-conditional-300/checkpoint.json", "--label", "2",
                                      *SAMPLE_FAST, "--out", "sample-conditional-300-heun"]),
+    ("train-draws-600", ["train", "--dataset", "two-gauss-1d", "--steps", "40",
+                         "--batch", "64", "--profile-bins", "2", "--profile-draws", "600",
+                         "--seed", "14", "--out", "train-draws-600"]),
+    ("sample-draws-600-heun", ["sample", "--checkpoint", "train-draws-600/checkpoint.json",
+                               *SAMPLE_ROWS_600, "--out", "sample-draws-600-heun"]),
+    ("sample-conditional-600-heun", ["sample", "--checkpoint", CONDITIONAL, "--label", "3",
+                                     *SAMPLE_ROWS_600, "--out", "sample-conditional-600-heun"]),
     *((f"train-{name}", ["train", *TRAIN_SMALL, "--objective", objective, "--schedule",
                          schedule, "--seed", "8", "--out", f"train-{name}"])
       for name, objective, schedule in SCORE_MODELS),
