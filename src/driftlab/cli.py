@@ -299,27 +299,24 @@ _SAMPLE_OPTIONS = {
 
 
 def _build_field(merged: dict):
-    """Returns (model, schedule) from either --checkpoint or --analytic."""
+    """The model of either --checkpoint or --analytic."""
     checkpoint = merged["checkpoint"]
     analytic = merged["analytic"]
     if (checkpoint is None) == (analytic is None):
         raise ConfigError("exactly one of --checkpoint or --analytic is required")
     if checkpoint is not None:
-        model = load_checkpoint(checkpoint)
-        return model, model.schedule
+        return load_checkpoint(checkpoint)
     schedule = _build_schedule(merged)
-    gmm = get_preset(analytic)
-    model = AnalyticMixtureField(gmm, schedule, prediction=merged["prediction"],
-                                 conditional=True)
-    return model, schedule
+    return AnalyticMixtureField(get_preset(analytic), schedule,
+                                prediction=merged["prediction"], conditional=True)
 
 
-def _build_sampler_spec(merged: dict, model, schedule) -> SamplerSpec:
-    stochastic = merged["sampler"] == "em"
+def _build_sampler_spec(merged: dict, model) -> SamplerSpec:
     diffusion = None
-    if stochastic:
+    if merged["sampler"] == "em":
         profile = None if merged["profile"] is None else LossProfile.load(merged["profile"])
-        diffusion = parse_coefficient(merged["w"] or "sigma", schedule, loss_profile=profile)
+        diffusion = parse_coefficient(merged["w"] or "sigma", model.schedule,
+                                      loss_profile=profile)
     elif merged["w"] is not None:
         raise ConfigError("--w applies only to the em sampler "
                           "(the probability-flow sampler is noiseless)")
@@ -327,7 +324,7 @@ def _build_sampler_spec(merged: dict, model, schedule) -> SamplerSpec:
     # the score's window, clear of the conversion's singularity at alpha = 0.
     prediction = (Prediction.SCORE if isinstance(model, AnalyticMixtureField)
                   else model.prediction)
-    defaults = default_window(schedule, prediction, merged["sampler"], diffusion)
+    defaults = default_window(model.schedule, prediction, merged["sampler"], diffusion)
     t_start, t_end, last_step_to = (default if merged[key] is None else merged[key]
                                     for key, default in zip(_WINDOW, defaults))
     return SamplerSpec(
@@ -336,15 +333,13 @@ def _build_sampler_spec(merged: dict, model, schedule) -> SamplerSpec:
         t_end=t_end,
         steps=merged["steps"],
         diffusion=diffusion,
-        last_step_to=last_step_to if stochastic else None,
+        last_step_to=last_step_to,
         guidance_zeta=merged["zeta"],
         seed=merged["seed"],
     )
 
 
 def _run_sampler(model, spec: SamplerSpec, n: int, y: int | None):
-    if spec.guidance_zeta is not None and y is None:
-        raise ConfigError("--zeta requires --label (the class to guide toward)")
     if spec.kind is SamplerKind.HEUN_ODE:
         return heun_sample(model, spec, n, y=y)
     return euler_maruyama_sample(model, spec, n, y=y)
@@ -352,8 +347,8 @@ def _run_sampler(model, spec: SamplerSpec, n: int, y: int | None):
 
 def _cmd_sample(merged: dict) -> int:
     out = _resolve_out(merged, "sample")
-    model, schedule = _build_field(merged)
-    spec = _build_sampler_spec(merged, model, schedule)
+    model = _build_field(merged)
+    spec = _build_sampler_spec(merged, model)
     result = _run_sampler(model, spec, merged["n"], merged["label"])
     # Echo the resolved window so the run is reproducible from outputs alone.
     merged["t_start"] = spec.t_start
@@ -485,8 +480,10 @@ def _run_cell(config: dict, key: str, schedule_name: str, sampler_name: str,
                 zeta=zeta, seed=cell_seed)
     if schedule_name != "sbdm-vp":  # the sweep's betas shape only the VP schedule
         cell.update(beta_min=None, beta_max=None)
-    model, schedule = _build_field(cell)
-    spec = _build_sampler_spec(cell, model, schedule)
+    if sampler_name == "heun":  # the sweep's last_step_to shapes only em cells
+        cell.update(last_step_to=None)
+    model = _build_field(cell)
+    spec = _build_sampler_spec(cell, model)
     result = _run_sampler(model, spec, config["n"], 0 if zeta is not None else None)
     reference, _ = draw(model.gmm, config["n"], seed=cell_seed + 1, with_labels=False)
     report = MetricReport()

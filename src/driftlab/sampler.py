@@ -43,7 +43,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NonFiniteError, _count, _real
+from .errors import (ConfigError, DomainError, NonFiniteError, _count, _nonnegative_values,
+                     _real)
 from .field import (
     FieldModel,
     Prediction,
@@ -107,9 +108,6 @@ class SamplerSpec:
                 f"sampling integrates from noise toward data"
             )
         object.__setattr__(self, "steps", _count("steps", self.steps))
-        for name, hi in (("last_step_to", self.t_end), ("guidance_zeta", math.inf)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, hi))
         if self.kind is SamplerKind.HEUN_ODE:
             if self.diffusion is not None:
                 raise ConfigError("the deterministic sampler takes no diffusion coefficient")
@@ -117,6 +115,9 @@ class SamplerSpec:
                 raise ConfigError("the deterministic sampler takes no last_step_to")
         elif self.diffusion is None:
             raise ConfigError("the stochastic sampler requires a diffusion coefficient")
+        for name, hi in (("last_step_to", self.t_end), ("guidance_zeta", math.inf)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, hi))
         object.__setattr__(self, "seed", _count("seed", self.seed, minimum=0))
 
 
@@ -154,7 +155,9 @@ def default_window(schedule: InterpolantSchedule | str, prediction: Prediction |
 
 
 class _CountingField:
-    """Wraps a model into velocity/score closures with NFE accounting.
+    """A model's sampling drift ``v - w/2 * s`` (:meth:`drift`) with NFE
+    accounting: Heun reads it at ``w = 0``, the probability-flow velocity,
+    and Euler-Maruyama at each grid time's ``w``.
 
     One "evaluation" is one batched model call; guidance with zeta outside
     {0, 1} spends two per call (conditional + null).
@@ -163,7 +166,7 @@ class _CountingField:
     def __init__(self, model: FieldModel, spec: SamplerSpec, y) -> None:
         if spec.guidance_zeta is not None:
             if y is None:
-                raise ConfigError("guided sampling requires a class label y")
+                raise ConfigError("guided sampling requires a class label to guide toward")
             if model.conditioning is None:
                 raise ConfigError("guided sampling requires a conditional model")
         self.model = model
@@ -172,25 +175,21 @@ class _CountingField:
         self.y = y
         self.calls = 0
 
-    def _raw(self, x: np.ndarray, t: float) -> np.ndarray:
+    def drift(self, x: np.ndarray, t: float, w: float = 0.0) -> np.ndarray:
+        """``v - w/2 * s`` at ``(x, t)`` from one model call; ``w = 0`` is
+        the velocity alone, with no score conversion."""
         if self.zeta is not None:
             self.calls += 1 if self.zeta in (0.0, 1.0) else 2
-            return guided_field(self.model, self.zeta, x, t, self.y)
-        self.calls += 1
-        return self.model.evaluate(x, t, self.y)
-
-    def velocity(self, x: np.ndarray, t: float) -> np.ndarray:
-        value = self._raw(x, t)
-        if self.model.prediction is Prediction.SCORE:
-            return velocity_from_score(self.schedule, value, x, t)
-        return value
-
-    def velocity_and_score(self, x: np.ndarray, t: float
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        value = self._raw(x, t)
-        if self.model.prediction is Prediction.SCORE:
-            return velocity_from_score(self.schedule, value, x, t), value
-        return value, score_from_velocity(self.schedule, value, x, t)
+            value = guided_field(self.model, self.zeta, x, t, self.y)
+        else:
+            self.calls += 1
+            value = self.model.evaluate(x, t, self.y)
+        if self.model.prediction is Prediction.VELOCITY:
+            if w == 0.0:
+                return value
+            return value - 0.5 * w * score_from_velocity(self.schedule, value, x, t)
+        velocity = velocity_from_score(self.schedule, value, x, t)
+        return velocity if w == 0.0 else velocity - 0.5 * w * value
 
 
 # Constants of numpy's SeedSequence (numpy.random.bit_generator), which
@@ -438,9 +437,9 @@ def heun_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
     dt = (spec.t_end - spec.t_start) / spec.steps
 
     def step(field: _CountingField, x: np.ndarray, i: int, noise) -> np.ndarray:
-        slope_here = field.velocity(x, float(grid[i]))
+        slope_here = field.drift(x, float(grid[i]))
         predicted = x + dt * slope_here
-        slope_next = field.velocity(predicted, float(grid[i + 1]))
+        slope_next = field.drift(predicted, float(grid[i + 1]))
         return x + 0.5 * dt * (slope_here + slope_next)
 
     return _integrate(model, spec, n_samples, y, chunk_size, step)
@@ -464,23 +463,16 @@ def euler_maruyama_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
     # Evaluate w on the grid once (t_end only when the final step needs it);
     # singularities surface here, before any trajectory work is done.
     w_values = np.asarray(spec.diffusion(grid if final else grid[:-1]), dtype=np.float64)
-    stepped = w_values[:spec.steps]
-    if np.any(stepped < 0.0) or not np.all(np.isfinite(stepped)):
-        raise DomainError("diffusion coefficient must be finite and >= 0 on the grid")
+    stepped = _nonnegative_values(w_values[:spec.steps], "diffusion coefficient")
     noise_scale = np.sqrt(stepped) * math.sqrt(abs(dt))
 
-    def drift(field: _CountingField, x: np.ndarray, i: int) -> np.ndarray:
-        w = float(w_values[i])
-        if w == 0.0:
-            return field.velocity(x, float(grid[i]))
-        velocity, score = field.velocity_and_score(x, float(grid[i]))
-        return velocity - 0.5 * w * score
-
     def step(field: _CountingField, x: np.ndarray, i: int, noise: _NoiseStream) -> np.ndarray:
-        return x + dt * drift(field, x, i) + noise_scale[i] * noise.row(i + 1)
+        drift = field.drift(x, float(grid[i]), float(w_values[i]))
+        return x + dt * drift + noise_scale[i] * noise.row(i + 1)
 
     def final_step(field: _CountingField, x: np.ndarray) -> np.ndarray:
-        return x + (spec.last_step_to - spec.t_end) * drift(field, x, spec.steps)
+        drift = field.drift(x, float(grid[spec.steps]), float(w_values[spec.steps]))
+        return x + (spec.last_step_to - spec.t_end) * drift
 
     return _integrate(model, spec, n_samples, y, chunk_size, step,
                       final_step if final else None, noise_rows=spec.steps + 1)

@@ -147,6 +147,20 @@ def test_w_flag_is_rejected_for_the_deterministic_sampler(capsys):
     assert "em" in capsys.readouterr().err
 
 
+def test_last_step_to_is_rejected_for_the_deterministic_sampler(tmp_path, capsys):
+    assert main(["sample", "--analytic", "two-gauss-1d", "--sampler", "heun",
+                 "--last-step-to", "0.01", "--steps", "5", "--n", "4",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert "last_step_to" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "samples.txt").exists()
+
+
+def test_guidance_without_a_label_exits_with_usage_code(capsys):
+    assert main(["sample", "--analytic", "grid-9", "--zeta", "2",
+                 "--steps", "5", "--n", "4"]) == 2
+    assert "label" in capsys.readouterr().err
+
+
 def test_cost_aware_coefficient_requires_a_profile(capsys):
     assert main(["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
                  "--w", "kl-eta:0.5", "--steps", "5", "--n", "4"]) == 2
@@ -669,6 +683,32 @@ def test_sweep_betas_reach_only_the_vp_schedule(tmp_path, capsys):
     default_cell = json.loads(
         (tmp_path / "vp" / "cells" / "sbdm-vp_heun_-_n6.json").read_text())
     assert default_cell["energy_distance"] != payloads[2]["energy_distance"]
+
+
+def test_sweep_last_step_to_shapes_only_em_cells(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({
+        "schedules": ["linear"],
+        "samplers": ["heun", "em"],
+        "steps": [6],
+        "n": 32,
+        "last_step_to": 0.01,
+    }))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    payloads = [json.loads((out / "cells" / name).read_text())
+                for name in sorted(os.listdir(out / "cells"))]
+    assert [p["cell"] for p in payloads] == ["linear_em_sigma_n6", "linear_heun_-_n6"]
+    assert [p["status"] for p in payloads] == ["ok", "ok"]
+    assert all(p["config"]["last_step_to"] == 0.01 for p in payloads)
+    default_em = tmp_path / "default-em.json"
+    default_em.write_text(json.dumps({"schedules": ["linear"], "samplers": ["em"],
+                                      "steps": [6], "n": 32}))
+    assert main(["sweep", "--config", str(default_em), "--out", str(tmp_path / "em")]) == 0
+    default_cell = json.loads(
+        (tmp_path / "em" / "cells" / "linear_em_sigma_n6.json").read_text())
+    assert default_cell["energy_distance"] != payloads[0]["energy_distance"]
 
 
 # ---------------------------------------------------------------------------

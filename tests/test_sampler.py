@@ -652,6 +652,42 @@ def test_em_rejects_invalid_coefficient_values(score_model):
         euler_maruyama_sample(score_model, spec, 4)
 
 
+class _ValueCoefficient(DiffusionCoefficient):
+    spec = "test-value"
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, t):
+        return np.full_like(np.asarray(t, dtype=np.float64), self.value)
+
+
+class _RecordingField(FieldModel):
+    """Zero velocity field that records every evaluation."""
+
+    prediction = Prediction.VELOCITY
+    conditioning = None
+    dimension = 1
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+        self.calls = []
+
+    def evaluate(self, x, t, y=None):
+        self.calls.append(t)
+        return np.zeros_like(np.atleast_2d(x))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_em_rejects_non_finite_coefficient_values_before_any_model_call(linear, value):
+    model = _RecordingField(linear)
+    spec = SamplerSpec(kind="em", t_start=0.999, t_end=0.04, steps=5,
+                       diffusion=_ValueCoefficient(value), seed=0)
+    with pytest.raises(DomainError):
+        euler_maruyama_sample(model, spec, 4)
+    assert model.calls == []
+
+
 def test_em_with_unclipped_bound_minimizer_is_singular(score_model, linear):
     # w_kl diverges at the noise end; a window that touches t = 1 must fail
     # loudly rather than integrate garbage.

@@ -17,13 +17,14 @@ weight-gradient blocks) and one whose profile evaluates 600 draws per bin
 (two evaluation blocks and a remainder), sample the first (with ``kl``
 among others), the batch-300 one, the 600-draw one at n = 600, the
 class-conditional one (with guidance, and with a label at n = 600), the
-score models in their default
-windows and the exact field with both samplers and several diffusion
-coefficients (``kl-eta`` with the trained profile among them), override the
-sampler's time window and sbdm-vp's beta rates, evaluate against a preset
-and against a samples file, tabulate ``info``, and run a sweep with a
-``kl-eta`` cell twice into one directory, so that the second run reuses its
-cells.
+score models in their default windows and the exact field with both
+samplers and several diffusion coefficients (``kl-eta`` with the trained
+profile among them), run em at ``w = 0`` on the first model and on the
+exact field, on the exact velocity field (a score conversion) and guided on
+the exact field at zeta 4, 0 and 1, override the sampler's time window and
+sbdm-vp's beta rates, evaluate against a preset and against a samples file,
+tabulate ``info``, and run a sweep with a ``kl-eta`` cell twice into one
+directory, so that the second run reuses its cells.
 Each command's exit code, standard output and standard error are kept as
 files beside its outputs and compared with them.
 
@@ -122,6 +123,18 @@ COMMANDS = [
                             "--t-end", "0", *SAMPLE_FAST, "--out", "sample-window-heun"]),
     ("sample-guided-heun", ["sample", "--checkpoint", CONDITIONAL, "--zeta", "2",
                             "--label", "1", *SAMPLE_FAST, "--out", "sample-guided-heun"]),
+    ("sample-model-em-zero", ["sample", "--checkpoint", CHECKPOINT, "--sampler", "em",
+                              "--w", "zero", *SAMPLE_FAST, "--out", "sample-model-em-zero"]),
+    ("sample-exact-em-zero", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                              "--w", "zero", *SAMPLE_FAST, "--out", "sample-exact-em-zero"]),
+    ("sample-exact-velocity-em", ["sample", "--analytic", "grid-9", "--prediction", "velocity",
+                                  "--sampler", "em", "--w", "sigma", *SAMPLE_FAST,
+                                  "--out", "sample-exact-velocity-em"]),
+    *((f"sample-exact-guided-em-z{zeta}", ["sample", "--analytic", "grid-9", "--prediction",
+                                          "score", "--sampler", "em", "--w", "sigma",
+                                          "--zeta", zeta, "--label", "0", *SAMPLE_FAST,
+                                          "--out", f"sample-exact-guided-em-z{zeta}"])
+      for zeta in ("4", "0", "1")),
     ("eval", ["eval", "--samples", "sample-model-em-kl-eta/samples.txt",
               "--reference", "two-gauss-1d", "--permutations", "20", "--out", "eval"]),
     ("eval-file", ["eval", "--samples", "sample-model-heun/samples.txt",
