@@ -350,6 +350,9 @@ def _cmd_sample(merged: dict) -> int:
     model = _build_field(merged)
     spec = _build_sampler_spec(merged, model)
     result = _run_sampler(model, spec, merged["n"], merged["label"])
+    if merged["checkpoint"] is not None:  # echo the checkpoint's field, not the flags'
+        merged.update({key: getattr(model.schedule, key, None) for key in _BETA},
+                      schedule=model.schedule.name, prediction=model.prediction.value)
     # Echo the resolved window so the run is reproducible from outputs alone.
     merged["t_start"] = spec.t_start
     merged["t_end"] = spec.t_end

@@ -50,7 +50,8 @@ class NonFiniteError(DriftlabError, ArithmeticError):
         Integrator or optimizer step index at which the blow-up was detected,
         when known.
     t_bin:
-        Time-bin identifier for training-loss blow-ups, when known.
+        Index of the loss profile's time bin whose estimate blew up, when
+        known.
     """
 
     def __init__(self, message: str, *, step: int | None = None,

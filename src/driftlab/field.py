@@ -614,13 +614,10 @@ class AnalyticMixtureField(FieldModel):
         self.conditioning = Conditioning(gmm.n_components) if conditional else None
 
     def _single(self, x: np.ndarray, t, component: int | None) -> np.ndarray:
+        score = _score(_mixture_parts(self.gmm, self.schedule, x, t, component))
         if self.prediction is Prediction.SCORE:
-            if component is None:
-                return gmm_marginal_score(self.gmm, self.schedule, x, t)
-            return gmm_conditional_score(self.gmm, self.schedule, x, t, component)
-        if component is None:
-            return gmm_marginal_velocity(self.gmm, self.schedule, x, t)
-        return gmm_conditional_velocity(self.gmm, self.schedule, x, t, component)
+            return score
+        return velocity_from_score(self.schedule, score, x, t)
 
     def evaluate(self, x: np.ndarray, t, y=None) -> np.ndarray:
         if y is None:

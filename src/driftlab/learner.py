@@ -52,7 +52,6 @@ from .field import (
     _interpolant_state,
     _interpolant_velocity,
     _velocity_from_score,
-    interpolate,
 )
 from .schedule import InterpolantSchedule, _match_shape, _regular_window, schedule_from_config
 from .toybox import as_dataset, atomic_write_text, read_json
@@ -556,8 +555,8 @@ def train(config: TrainConfig, data) -> TrainResult:
     Deterministic: the model initialization, the training stream, and the
     profile stream are all derived from ``config.seed`` (distinct spawn keys),
     so identical config + data yield bit-identical parameters and profile.
-    Raises :class:`NonFiniteError` (with step and time-bin diagnostics) if the
-    loss stops being finite.
+    Raises :class:`NonFiniteError` (with the step index) if the loss stops
+    being finite.
     """
     dataset = as_dataset(data)
     t_lo, t_hi = config.window()
@@ -582,11 +581,7 @@ def train(config: TrainConfig, data) -> TrainResult:
                             config.label_dropout)
         loss, grad = _regress(model, batch, residual, buffers)
         if not math.isfinite(loss):
-            raise NonFiniteError(
-                "training loss became non-finite",
-                step=step,
-                t_bin=_blame_bin(model, config, batch, t_lo, t_hi),
-            )
+            raise NonFiniteError("training loss became non-finite", step=step)
         # Adam with bias correction, constant learning rate; in place, rounded as
         # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g, p -= lr*(m/c1)/(sqrt(v/c2)+eps).
         moment1 *= config.beta1
@@ -635,22 +630,6 @@ def _draw_batch(model: FieldModel, dataset, rng: np.random.Generator, n: int,
         y = labels.astype(np.int64)
         y[rng.random(n) < label_dropout] = model.conditioning.null_id
     return x_star, eps, t, y
-
-
-def _blame_bin(model, config, batch, t_lo, t_hi) -> int | None:
-    """Best-effort time-bin diagnostic for a non-finite training loss."""
-    try:
-        x_star, eps, t, y = batch
-        x_t = interpolate(model.schedule, x_star, eps, t)
-        out = model.evaluate(x_t, t, y)
-        bad = ~np.all(np.isfinite(out), axis=1)
-        if not np.any(bad):
-            return None
-        t_bad = float(t[np.argmax(bad)])
-        frac = (t_bad - t_lo) / (t_hi - t_lo)
-        return int(min(config.profile_bins - 1, max(0, frac * config.profile_bins)))
-    except Exception:
-        return None
 
 
 # ---------------------------------------------------------------------------

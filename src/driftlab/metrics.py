@@ -132,8 +132,7 @@ def _split_statistics(pooled: np.ndarray, n: int, orders: list) -> np.ndarray:
     size = pooled.shape[0]
     m = size - n
     split = np.zeros((size, len(orders)))
-    for j, order in enumerate(orders):
-        split[order[:n], j] = 1.0
+    split[np.stack(orders)[:, :n], np.arange(len(orders))[:, None]] = 1.0
     # Every distance is below 2^top and size < 2^bits.  A sum of `size`
     # entries of the coarse slice (each at most 2^top) or of the fine slice
     # (each at most coarse / 2) stays below 2^52 steps of its grid, so every

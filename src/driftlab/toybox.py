@@ -241,14 +241,10 @@ def write_samples(path: str, samples: np.ndarray, seed: int,
         if labels.shape != (arr.shape[0],):
             raise DomainError("labels must be one integer per sample row")
         header += " labels=1"
-    lines = [header]
-    if labels is None:
-        for row in arr:
-            lines.append(" ".join(repr(float(v)) for v in row))
-    else:
-        for row, lab in zip(arr, labels):
-            lines.append(" ".join(repr(float(v)) for v in row) + f" {int(lab)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (" ".join(map(repr, row)) for row in arr.tolist())
+    if labels is not None:
+        rows = (f"{row} {int(lab)}" for row, lab in zip(rows, labels.tolist()))
+    atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def read_samples(path: str) -> tuple[np.ndarray, np.ndarray | None, dict]:

@@ -192,6 +192,25 @@ def test_sample_from_trained_checkpoint(tmp_path):
     assert meta["nfe"] == 16
 
 
+@pytest.mark.parametrize("schedule,prediction,betas", [
+    ("gvp", "score", {}),
+    ("linear", "velocity", {}),
+    ("sbdm-vp", "velocity", {"beta_min": 0.5, "beta_max": 12.0}),
+])
+def test_sample_from_checkpoint_echoes_the_checkpoint_field(tmp_path, schedule,
+                                                            prediction, betas):
+    # The flags' defaults (linear, score, no betas) must not stand in for the
+    # schedule and prediction the checkpoint was trained with.
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(MLPField(1, make_schedule(schedule, **betas), prediction=prediction,
+                             widths=(4,)), str(checkpoint))
+    assert main(["sample", "--checkpoint", str(checkpoint), "--steps", "4", "--n", "2",
+                 "--out", str(tmp_path / "s")]) == 0
+    echo = json.loads((tmp_path / "s" / "config.echo.json").read_text())
+    assert (echo["schedule"], echo["prediction"]) == (schedule, prediction)
+    assert (echo["beta_min"], echo["beta_max"]) == (betas.get("beta_min"), betas.get("beta_max"))
+
+
 def test_profile_backed_coefficient_runs_end_to_end(tmp_path):
     out_train = tmp_path / "t"
     assert main(["train", "--out", str(out_train), *TRAIN_FAST]) == 0

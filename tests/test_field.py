@@ -30,6 +30,7 @@ from driftlab import (
     velocity_from_score,
 )
 
+from driftlab.field import _pairwise_sum
 from helpers import gradient_fd, relative_error
 
 TIME_FORMS = {"float": float, "np.float64": np.float64}
@@ -359,6 +360,15 @@ BITWISE_MIXTURES = {
     "diagonal-9d": lambda: _wide_mixture(9, 3, correlated=False),
     "correlated-9d": lambda: _wide_mixture(9, 2, correlated=True),
 }
+
+
+@pytest.mark.parametrize("count", [*range(1, 41), 127, 128, 129, 130, 256, 257, 1000])
+def test_pairwise_sum_is_numpys_row_sum(count, rng):
+    # Past 8 rows numpy adds in eight interleaved partial sums, and past 128
+    # it splits the run in two; mixed magnitudes make every order show.
+    rows = rng.normal(size=(count, 5)) * 10.0 ** rng.uniform(-8, 8, size=(count, 5))
+    expected = np.add.reduce(np.ascontiguousarray(np.moveaxis(rows, 0, -1)), axis=-1)
+    assert np.array_equal(_pairwise_sum(rows), expected)
 
 
 @pytest.mark.parametrize("name", sorted(BITWISE_MIXTURES))

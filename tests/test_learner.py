@@ -14,6 +14,7 @@ from driftlab import (
     AnalyticMixtureField,
     ConfigError,
     DomainError,
+    FieldModel,
     GaussianMixture,
     LossProfile,
     MLPField,
@@ -811,6 +812,27 @@ def test_non_finite_training_loss_reports_the_step(linear):
     with pytest.raises(NonFiniteError) as excinfo:
         train(config, huge)
     assert excinfo.value.step == 0
+
+
+class _InfiniteInWindow(FieldModel):
+    """A velocity model that is 0 outside [lo, hi) and infinite inside."""
+
+    prediction = Prediction.VELOCITY
+    dimension = 1
+
+    def __init__(self, schedule, lo, hi):
+        self.schedule, self.lo, self.hi = schedule, lo, hi
+
+    def evaluate(self, x, t, y=None):
+        inside = (t >= self.lo) & (t < self.hi)
+        return np.where(inside[:, None], np.inf, 0.0)
+
+
+def test_non_finite_loss_profile_reports_the_bin(linear):
+    model = _InfiniteInWindow(linear, 0.5, 0.75)
+    with pytest.raises(NonFiniteError, match=r"\(t_bin=2\)$") as excinfo:
+        estimate_loss_profile(model, get_preset("two-gauss-1d"), bins=4, draws_per_bin=16)
+    assert (excinfo.value.t_bin, excinfo.value.step) == (2, None)
 
 
 def test_default_time_window_clips_only_singular_endpoints(all_schedules):

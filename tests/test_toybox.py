@@ -17,6 +17,7 @@ from driftlab import (
     write_samples,
 )
 
+from driftlab.toybox import atomic_write_text
 from helpers import mixture_stats_1d
 
 
@@ -163,6 +164,20 @@ def test_write_leaves_no_temp_files(tmp_path):
     path = str(tmp_path / "clean.txt")
     write_samples(path, np.array([[1.0]]), seed=0)
     assert sorted(os.listdir(tmp_path)) == ["clean.txt"]
+
+
+def test_failed_write_keeps_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "kept.txt"
+    path.write_text("old\n")
+
+    def pieces():
+        yield "new "
+        raise RuntimeError("piece failed")
+
+    with pytest.raises(RuntimeError, match="piece failed"):
+        atomic_write_text(str(path), pieces())
+    assert path.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["kept.txt"]
 
 
 def test_read_missing_file_names_path(tmp_path):

@@ -23,8 +23,9 @@ profile among them), run em at ``w = 0`` on the first model and on the
 exact field, on the exact velocity field (a score conversion) and guided on
 the exact field at zeta 4, 0 and 1, override the sampler's time window and
 sbdm-vp's beta rates, evaluate against a preset and against a samples file,
-tabulate ``info``, and run a sweep with a ``kl-eta`` cell twice into one
-directory, so that the second run reuses its cells.
+tabulate ``info``, run a sweep with a ``kl-eta`` cell twice into one
+directory, so that the second run reuses its cells, and run a grid-9 sweep
+whose permutation tests take the 2-D split path.
 Each command's exit code, standard output and standard error are kept as
 files beside its outputs and compared with them.
 
@@ -148,25 +149,38 @@ COMMANDS = [
                        "--points", "7"]),
     ("sweep", ["sweep", "--config", "sweep.json", "--out", "sweep"]),
     ("sweep-again", ["sweep", "--config", "sweep.json", "--out", "sweep"]),
+    ("sweep-grid9", ["sweep", "--config", "sweep-grid9.json", "--out", "sweep-grid9"]),
 ]
 
-SWEEP_CONFIG = {
-    "dataset": "two-gauss-1d",
-    "schedules": ["linear", "gvp", "sbdm-vp"],
-    "samplers": ["heun", "em"],
-    "coefficients": ["sigma", "kl", "const:0.5", "kl-eta:0.5"],
-    "steps": [20],
-    "n": 128,
-    "permutations": 20,
-    "seed": 11,
+#: Config files written into each work directory, by name.
+SWEEP_CONFIGS = {
+    "sweep.json": {
+        "dataset": "two-gauss-1d",
+        "schedules": ["linear", "gvp", "sbdm-vp"],
+        "samplers": ["heun", "em"],
+        "coefficients": ["sigma", "kl", "const:0.5", "kl-eta:0.5"],
+        "steps": [20],
+        "n": 128,
+        "permutations": 20,
+        "seed": 11,
+    },
+    "sweep-grid9.json": {
+        "dataset": "grid-9",
+        "samplers": ["heun", "em"],
+        "steps": [20],
+        "n": 96,
+        "permutations": 30,
+        "seed": 17,
+    },
 }
 
 
 def run_commands(checkout: str, workdir: str) -> None:
     """Run every command with ``checkout``'s package, outputs under ``workdir``."""
     os.makedirs(workdir)
-    with open(os.path.join(workdir, "sweep.json"), "w") as handle:
-        json.dump(SWEEP_CONFIG, handle, sort_keys=True)
+    for file_name, config in SWEEP_CONFIGS.items():
+        with open(os.path.join(workdir, file_name), "w") as handle:
+            json.dump(config, handle, sort_keys=True)
     env = dict(os.environ)
     env.pop("DRIFTLAB_OUTPUT_ROOT", None)
     src = os.path.join(os.path.abspath(checkout), "src")
