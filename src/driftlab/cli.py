@@ -61,6 +61,7 @@ from .sampler import (
 from .schedule import (
     SCHEDULE_NAMES,
     COEFFICIENT_FORMS,
+    KLEtaCoefficient,
     make_schedule,
     parse_coefficient,
 )
@@ -284,8 +285,10 @@ _SAMPLE_OPTIONS = {
     "checkpoint": (None, _text, "trained-model checkpoint file"),
     "analytic": (None, _text,
                  "use the exact mixture field of a preset instead of a checkpoint"),
-    "prediction": ("score", _PREDICTIONS, "field type for --analytic (default score)"),
-    **_SCHEDULE,
+    # Unset by default, so that a value given for a checkpoint can be checked.
+    "prediction": (None, _PREDICTIONS, "field type for --analytic (default score)"),
+    "schedule": (None, SCHEDULE_NAMES, "schedule for --analytic (default linear)"),
+    **_BETA,
     "sampler": ("heun", _SAMPLERS),
     "steps": (250, _int),
     "n": (10000, _int),
@@ -299,13 +302,25 @@ _SAMPLE_OPTIONS = {
 
 
 def _build_field(merged: dict):
-    """The model of either --checkpoint or --analytic."""
+    """The model of either --checkpoint or --analytic.  Sets ``merged``'s
+    schedule, betas and prediction to the model's; a checkpoint's field
+    refuses a value that differs from them."""
     checkpoint = merged["checkpoint"]
     analytic = merged["analytic"]
     if (checkpoint is None) == (analytic is None):
         raise ConfigError("exactly one of --checkpoint or --analytic is required")
     if checkpoint is not None:
-        return load_checkpoint(checkpoint)
+        model = load_checkpoint(checkpoint)
+        field = {"schedule": model.schedule.name, "prediction": model.prediction.value,
+                 **{key: getattr(model.schedule, key, None) for key in _BETA}}
+        for key, value in field.items():
+            if merged[key] not in (None, value):
+                raise ConfigError(f"--{key.replace('_', '-')} {merged[key]} does not match "
+                                  f"the checkpoint's {key} ({value})")
+        merged.update(field)
+        return model
+    merged["schedule"] = merged["schedule"] or "linear"
+    merged["prediction"] = merged["prediction"] or "score"
     schedule = _build_schedule(merged)
     return AnalyticMixtureField(get_preset(analytic), schedule,
                                 prediction=merged["prediction"], conditional=True)
@@ -320,6 +335,8 @@ def _build_sampler_spec(merged: dict, model) -> SamplerSpec:
     elif merged["w"] is not None:
         raise ConfigError("--w applies only to the em sampler "
                           "(the probability-flow sampler is noiseless)")
+    if merged["profile"] is not None and not isinstance(diffusion, KLEtaCoefficient):
+        raise ConfigError("--profile applies only to the em sampler's --w kl-eta:<eta>")
     # The exact velocity is the exact score converted pointwise, so it needs
     # the score's window, clear of the conversion's singularity at alpha = 0.
     prediction = (Prediction.SCORE if isinstance(model, AnalyticMixtureField)
@@ -350,9 +367,6 @@ def _cmd_sample(merged: dict) -> int:
     model = _build_field(merged)
     spec = _build_sampler_spec(merged, model)
     result = _run_sampler(model, spec, merged["n"], merged["label"])
-    if merged["checkpoint"] is not None:  # echo the checkpoint's field, not the flags'
-        merged.update({key: getattr(model.schedule, key, None) for key in _BETA},
-                      schedule=model.schedule.name, prediction=model.prediction.value)
     # Echo the resolved window so the run is reproducible from outputs alone.
     merged["t_start"] = spec.t_start
     merged["t_end"] = spec.t_end

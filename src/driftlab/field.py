@@ -367,7 +367,7 @@ def _mixture_parts(gmm: GaussianMixture, schedule: InterpolantSchedule,
     xt = np.ascontiguousarray(xx.T)
     solved = np.empty((K, d, n))
     weighted = np.empty((K, n))
-    step = max(1, _BLOCK_VALUES // (d * n))
+    step = max(1, _BLOCK_VALUES // max(1, d * n))  # an empty batch runs one block
     for lo in range(0, K, step):
         ks = slice(lo, lo + step)
         log_comp = _component_block(xt, a, s, means[ks], covariances[ks],
@@ -595,6 +595,31 @@ class FieldModel:
         """
         raise NotImplementedError
 
+    def _inputs(self, x: np.ndarray, t, y):
+        """The one check of a field call: ``(rows, was_vector, t, labels)``.
+
+        ``rows`` is ``x`` as (n, d) float64, ``was_vector`` whether it came
+        as one (d,) point, ``t`` as given (a scalar or (n,)), and ``labels``
+        ``None`` (no label, or the null token), one class id, or (n,) ids.
+        """
+        xx, was_vector = _as_batch(x)
+        n = xx.shape[0]
+        if xx.shape[1] != self.dimension:
+            raise DomainError(f"points must have shape (n, {self.dimension}), got {xx.shape}")
+        if np.asarray(t).shape not in ((), (n,)):  # np.ndim(t) takes 2 us on a float
+            raise DomainError(f"t must be scalar or shape ({n},)")
+        if y is None:
+            return xx, was_vector, t, None
+        if self.conditioning is None:
+            raise UnconditionalModelError("labels were passed to an unconditional model")
+        labels = self.conditioning.validate(y)
+        if labels.ndim == 0:
+            k = int(labels)
+            return xx, was_vector, t, None if k == self.conditioning.null_id else k
+        if labels.shape != (n,):
+            raise DomainError(f"labels must be scalar or shape ({n},)")
+        return xx, was_vector, t, labels
+
 
 class AnalyticMixtureField(FieldModel):
     """Exact mixture oracle exposed through the :class:`FieldModel` interface.
@@ -620,29 +645,20 @@ class AnalyticMixtureField(FieldModel):
         return velocity_from_score(self.schedule, score, x, t)
 
     def evaluate(self, x: np.ndarray, t, y=None) -> np.ndarray:
-        if y is None:
-            return self._single(x, t, None)
-        if self.conditioning is None:
-            raise UnconditionalModelError(
-                "labels were passed to an unconditional analytic field"
-            )
-        labels = self.conditioning.validate(y)
-        if labels.ndim == 0:
-            k = int(labels)
-            return self._single(x, t, None if k == self.conditioning.null_id else k)
-        xx, was_vector = _as_batch(x)
-        if was_vector or labels.shape[0] != xx.shape[0]:
-            raise DomainError("per-row labels require a matching (n, d) batch")
-        out = np.empty_like(xx)
-        t_arr = np.asarray(t, dtype=np.float64)
-        for k in np.unique(labels):
-            mask = labels == k
-            t_sel = t_arr[mask] if t_arr.ndim == 1 else t_arr
-            out[mask] = self._single(
-                xx[mask], t_sel,
-                None if int(k) == self.conditioning.null_id else int(k),
-            )
-        return out
+        xx, was_vector, t, labels = self._inputs(x, t, y)
+        if not isinstance(labels, np.ndarray):  # None or one class id
+            out = self._single(xx, t, labels)
+        else:
+            out = np.empty_like(xx)
+            t_arr = np.asarray(t, dtype=np.float64)
+            for k in np.unique(labels):
+                mask = labels == k
+                t_sel = t_arr[mask] if t_arr.ndim == 1 else t_arr
+                out[mask] = self._single(
+                    xx[mask], t_sel,
+                    None if int(k) == self.conditioning.null_id else int(k),
+                )
+        return out[0] if was_vector else out
 
 
 def guided_field(model: FieldModel, zeta: float, x: np.ndarray, t,

@@ -42,13 +42,12 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, NonFiniteError, UnconditionalModelError,
-                     _count, _nonnegative_values, _real, _rng, _window)
+from .errors import (ConfigError, DomainError, NonFiniteError, _count, _nonnegative_values,
+                     _real, _rng, _window)
 from .field import (
     Conditioning,
     FieldModel,
     Prediction,
-    _as_batch,
     _interpolant_state,
     _interpolant_velocity,
     _velocity_from_score,
@@ -155,7 +154,7 @@ class MLPField(FieldModel):
         self.schedule = schedule
         self.prediction = Prediction(prediction)
         self.widths = widths
-        self._freqs = np.geomspace(TIME_FREQ_MIN, TIME_FREQ_MAX, TIME_FEATURE_COUNT)
+        self._freqs = np.geomspace(self.time_freq_min, self.time_freq_max, self.time_feature_count)
         self.conditioning = (None if num_classes is None
                              else Conditioning(_count("num_classes", num_classes)))
         input_dim = dimension + 2 * self.time_feature_count
@@ -218,34 +217,15 @@ class MLPField(FieldModel):
 
     # -- forward / backward ------------------------------------------------------
 
-    def _labels_for(self, n: int, y) -> np.ndarray | None:
-        if self.conditioning is None:
-            if y is not None:
-                raise UnconditionalModelError(
-                    "labels were passed to an unconditional model"
-                )
-            return None
-        if y is None:
-            return np.full(n, self.conditioning.null_id, dtype=np.int64)
-        labels = self.conditioning.validate(y)
-        if labels.ndim == 0:
-            return np.full(n, int(labels), dtype=np.int64)
-        if labels.shape != (n,):
-            raise DomainError(f"labels must be scalar or shape ({n},)")
-        return labels.astype(np.int64)
-
-    def _inputs(self, x: np.ndarray, t, y):
-        """A call's validated ``(rows, was_vector, t, labels)``."""
-        xx, was_vector = _as_batch(x)
-        if xx.shape[1] != self.dimension:
-            raise DomainError(
-                f"points must have shape (n, {self.dimension}), got {xx.shape}"
-            )
-        n = xx.shape[0]
-        t_arr = np.asarray(t, dtype=np.float64)
-        if t_arr.ndim != 0 and t_arr.shape != (n,):
-            raise DomainError(f"t must be scalar or shape ({n},)")
-        return xx, was_vector, t_arr, self._labels_for(n, y)
+    def _network_inputs(self, x: np.ndarray, t, y):
+        """A checked call's ``(rows, was_vector, t, labels)`` with ``t`` as a
+        float64 array and, for a conditional model, one id per row (the null
+        token where there is none)."""
+        xx, was_vector, t, labels = self._inputs(x, t, y)
+        if self.conditioning is not None and not isinstance(labels, np.ndarray):
+            labels = np.full(xx.shape[0], self.conditioning.null_id if labels is None
+                             else labels, dtype=np.int64)
+        return xx, was_vector, np.asarray(t, dtype=np.float64), labels
 
     def _forward(self, xx: np.ndarray, t_arr: np.ndarray, labels: np.ndarray | None,
                  layers: list[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -281,7 +261,7 @@ class MLPField(FieldModel):
         the output does not grow with n.  Each block has the bits that
         :meth:`forward_with_cache` gives its rows alone.
         """
-        xx, was_vector, t_arr, labels = self._inputs(x, t, y)
+        xx, was_vector, t_arr, labels = self._network_inputs(x, t, y)
         n = xx.shape[0]
         rows = min(n, max(1, _EVAL_BLOCK_VALUES // max(self._layer_dims)))
         out = self._forward(xx, t_arr, labels,
@@ -293,7 +273,7 @@ class MLPField(FieldModel):
         """Forward pass returning ``(output, cache)`` for :meth:`backward`: one
         block of all rows in ``buffers`` (the step memory of :func:`train`)
         when given, else in arrays of this call, which no later call writes."""
-        xx, was_vector, t_arr, labels = self._inputs(x, t, y)
+        xx, was_vector, t_arr, labels = self._network_inputs(x, t, y)
         *layers, out = (buffers or _StepBuffers(self, xx.shape[0])).activations
         self._forward(xx, t_arr, labels, layers, out)
         return out[0] if was_vector else out, {"activations": layers, "labels": labels}
@@ -438,22 +418,46 @@ def _weighted_score_residual(coef, x_star, eps, out, n):
     return lam * lam * residual * residual, (2.0 / n) * lam * lam * sig * residual
 
 
+class TrainObjective(str, enum.Enum):
+    """Which loss the training loop minimizes."""
+
+    VELOCITY = "velocity"
+    SCORE = "score"
+    WEIGHTED_SCORE = "weighted-score"
+
+
+#: The prediction each objective trains, the residual it regresses on and the
+#: schedule quantities it reads.
+_OBJECTIVES = {
+    TrainObjective.VELOCITY: (Prediction.VELOCITY, _velocity_residual,
+                              ("alpha_dot", "sigma_dot")),
+    TrainObjective.SCORE: (Prediction.SCORE, _score_residual, ("sigma",)),
+    TrainObjective.WEIGHTED_SCORE: (Prediction.SCORE, _weighted_score_residual,
+                                    ("lambda_weight",)),
+}
+
+
+def _objective_loss(objective: TrainObjective, model: FieldModel, batch):
+    """:func:`_regress` on the objective's residual, for a model of its prediction."""
+    prediction, residual, _ = _OBJECTIVES[objective]
+    if model.prediction is not prediction:
+        raise ConfigError(f"the {objective.value} objective requires a "
+                          f"{prediction.value}-prediction model")
+    return _regress(model, batch, residual)
+
+
 def loss_velocity(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
     """Velocity regression: mean ``|f(x_t,t,y) - (alpha_dot x_star + sigma_dot eps)|^2``.
 
     Returns ``(loss, flat gradient)``; the gradient is ``None`` for models
     without parameters (analytic oracles), and no later call writes it.
     """
-    if model.prediction is not Prediction.VELOCITY:
-        raise ConfigError("loss_velocity requires a velocity-prediction model")
-    return _regress(model, batch, _velocity_residual)
+    return _objective_loss(TrainObjective.VELOCITY, model, batch)
 
 
 def loss_score(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
     """Denoising score matching: mean ``|sigma(t) f(x_t,t,y) + eps|^2``."""
-    if model.prediction is not Prediction.SCORE:
-        raise ConfigError("loss_score requires a score-prediction model")
-    return _regress(model, batch, _score_residual)
+    return _objective_loss(TrainObjective.SCORE, model, batch)
 
 
 def loss_score_weighted(model: FieldModel, batch) -> tuple[float, np.ndarray | None]:
@@ -464,30 +468,7 @@ def loss_score_weighted(model: FieldModel, batch) -> tuple[float, np.ndarray | N
     regression.  Singular wherever the schedule refuses lambda (where
     ``alpha(t) = 0`` or sigma_dot is singular); keep the window regular.
     """
-    if model.prediction is not Prediction.SCORE:
-        raise ConfigError("loss_score_weighted requires a score-prediction model")
-    return _regress(model, batch, _weighted_score_residual)
-
-
-class TrainObjective(str, enum.Enum):
-    """Which loss the training loop minimizes."""
-
-    VELOCITY = "velocity"
-    SCORE = "score"
-    WEIGHTED_SCORE = "weighted-score"
-
-
-#: The prediction each objective trains and the residual it regresses on.
-_OBJECTIVES = {
-    TrainObjective.VELOCITY: (Prediction.VELOCITY, _velocity_residual),
-    TrainObjective.SCORE: (Prediction.SCORE, _score_residual),
-    TrainObjective.WEIGHTED_SCORE: (Prediction.SCORE, _weighted_score_residual),
-}
-
-
-#: The schedule quantities each objective reads.
-_READS = {TrainObjective.VELOCITY: ("alpha_dot", "sigma_dot"), TrainObjective.SCORE: ("sigma",),
-          TrainObjective.WEIGHTED_SCORE: ("lambda_weight",)}
+    return _objective_loss(TrainObjective.WEIGHTED_SCORE, model, batch)
 
 
 def default_time_window(objective: TrainObjective,
@@ -495,7 +476,7 @@ def default_time_window(objective: TrainObjective,
     """[0, 1] with each end moved inward by 1e-5 where the schedule refuses
     what the objective reads there: the velocity target's alpha_dot and
     sigma_dot, the plain score objective's sigma, or lambda."""
-    return _regular_window(schedule, _READS[TrainObjective(objective)])
+    return _regular_window(schedule, _OBJECTIVES[TrainObjective(objective)][2])
 
 
 @dataclass(frozen=True)
@@ -561,7 +542,7 @@ def train(config: TrainConfig, data) -> TrainResult:
     dataset = as_dataset(data)
     t_lo, t_hi = config.window()
     num_classes = _class_count(dataset) if config.conditional else None
-    prediction, residual = _OBJECTIVES[config.objective]
+    prediction, residual, _ = _OBJECTIVES[config.objective]
     model = MLPField(
         dimension=dataset.dimension,
         schedule=config.schedule,
@@ -777,8 +758,8 @@ CHECKPOINT_FORMAT = "driftlab-checkpoint"
 #: at about 5 MB, and a list of them as Python floats took 1.2 MB.
 _CHECKPOINT_BLOCK = 2048
 #: The time-feature config and embedding width every checkpoint records.
-_FIXED_INPUTS = ({"count": TIME_FEATURE_COUNT, "freq_min": TIME_FREQ_MIN,
-                  "freq_max": TIME_FREQ_MAX}, CLASS_EMBED_DIM)
+_FIXED_INPUTS = ({"count": MLPField.time_feature_count, "freq_min": MLPField.time_freq_min,
+                  "freq_max": MLPField.time_freq_max}, MLPField.class_embed_dim)
 
 
 def save_checkpoint(model: MLPField, path: str) -> None:

@@ -765,3 +765,42 @@ def test_info_marks_singular_times(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "singular" in lines[1]  # sigma_dot diverges at t = 0
     assert "singular" not in lines[2]  # regular at t = 1
+
+
+UNREAD_SAMPLE_FLAGS = {
+    "schedule": ["--checkpoint", "{checkpoint}", "--schedule", "gvp", "--prediction",
+                 "velocity", "--beta-max", "3"],
+    "prediction": ["--checkpoint", "{checkpoint}", "--prediction", "score"],
+    "beta-max": ["--checkpoint", "{checkpoint}", "--beta-max", "3"],
+    "profile": ["--checkpoint", "{checkpoint}", "--sampler", "heun", "--profile", "{profile}"],
+    "profile-em": ["--analytic", "two-gauss-1d", "--sampler", "em", "--w", "sigma",
+                   "--profile", "{profile}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_SAMPLE_FLAGS))
+def test_sample_refuses_a_flag_its_run_does_not_read(tmp_path, capsys, case):
+    # A linear velocity checkpoint fixes the field, and only kl-eta reads a
+    # profile; a flag that would change neither is refused, not ignored.
+    checkpoint, profile = tmp_path / "checkpoint.json", tmp_path / "profile.txt"
+    save_checkpoint(MLPField(1, make_schedule("linear"), widths=(4,)), str(checkpoint))
+    LossProfile(np.array([0.0, 1.0]), np.array([0.5])).save(str(profile))
+    argv = [arg.format(checkpoint=checkpoint, profile=profile)
+            for arg in UNREAD_SAMPLE_FLAGS[case]]
+    assert main(["sample", *argv, "--steps", "3", "--n", "2",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert f"--{case.split('-em')[0]} " in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_sample_echo_of_a_checkpoint_run_reruns_it(tmp_path):
+    # The echo records the checkpoint's own schedule, betas and prediction,
+    # which a run from that checkpoint accepts.
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(MLPField(1, make_schedule("sbdm-vp", beta_min=0.5, beta_max=12.0),
+                             prediction="score", widths=(4,)), str(checkpoint))
+    assert main(["sample", "--checkpoint", str(checkpoint), "--steps", "3", "--n", "2",
+                 "--out", str(tmp_path / "a")]) == 0
+    assert main(["sample", "--config", str(tmp_path / "a" / "config.echo.json"),
+                 "--out", str(tmp_path / "b")]) == 0
+    assert read_bytes(tmp_path / "a" / "samples.txt") == read_bytes(tmp_path / "b" / "samples.txt")

@@ -11,6 +11,7 @@ from driftlab import (
     Conditioning,
     DomainError,
     GaussianMixture,
+    MLPField,
     Prediction,
     SingularityError,
     UnconditionalModelError,
@@ -671,3 +672,34 @@ def test_unconditional_field_rejects_labels(two_gauss, linear):
                                  conditional=False)
     with pytest.raises(UnconditionalModelError):
         model.evaluate(np.array([[0.5]]), 0.4, y=0)
+
+
+FIELD_MODELS = {
+    "mlp": lambda schedule, conditional: MLPField(
+        2, schedule, widths=(8,), num_classes=9 if conditional else None, seed=3),
+    "analytic": lambda schedule, conditional: AnalyticMixtureField(
+        get_preset("grid-9"), schedule, conditional=conditional),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIELD_MODELS))
+def test_both_field_models_take_the_same_calls(kind, linear, rng):
+    # The learned and the exact field check a call's points, time and labels
+    # alike, so either can stand in for the other under a sampler.
+    model = FIELD_MODELS[kind](linear, True)
+    x, rows = rng.normal(size=(3, 2)), np.array([0, 4, 9])
+    with pytest.raises(DomainError):
+        model.evaluate(rng.normal(size=(3, 3)), 0.4)
+    for y in (None, rows):
+        with pytest.raises(DomainError):
+            model.evaluate(x, np.array([0.3, 0.5]), y)
+    with pytest.raises(DomainError):
+        model.evaluate(x, 0.4, rows[:, None])
+    with pytest.raises(UnconditionalModelError):
+        FIELD_MODELS[kind](linear, False).evaluate(x, 0.4, 2)
+    null = model.evaluate(x, 0.4, model.conditioning.null_id)
+    assert np.array_equal(null.view(np.uint64), model.evaluate(x, 0.4).view(np.uint64))
+    point = model.evaluate(x[0], 0.4, np.array([3]))
+    assert point.shape == (2,)
+    assert np.array_equal(point, model.evaluate(x[:1], 0.4, np.array([3]))[0])
+    assert model.evaluate(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int)).shape == (0, 2)

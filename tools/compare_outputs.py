@@ -21,11 +21,13 @@ score models in their default windows and the exact field with both
 samplers and several diffusion coefficients (``kl-eta`` with the trained
 profile among them), run em at ``w = 0`` on the first model and on the
 exact field, on the exact velocity field (a score conversion) and guided on
-the exact field at zeta 4, 0 and 1, override the sampler's time window and
-sbdm-vp's beta rates, evaluate against a preset and against a samples file,
-tabulate ``info``, run a sweep with a ``kl-eta`` cell twice into one
-directory, so that the second run reuses its cells, and run a grid-9 sweep
-whose permutation tests take the 2-D split path.
+the exact field at zeta 4, 0 and 1, sample the exact grid-9 field with the
+null-token label and its velocity with a class label, override the
+sampler's time window and sbdm-vp's beta rates, evaluate against a preset
+and against a samples file, tabulate ``info``, run a sweep with a
+``kl-eta`` cell twice into one directory, so that the second run reuses its
+cells, and run a grid-9 sweep whose permutation tests take the 2-D split
+path.
 Each command's exit code, standard output and standard error are kept as
 files beside its outputs and compared with them.
 
@@ -128,6 +130,11 @@ COMMANDS = [
                               "--w", "zero", *SAMPLE_FAST, "--out", "sample-model-em-zero"]),
     ("sample-exact-em-zero", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
                               "--w", "zero", *SAMPLE_FAST, "--out", "sample-exact-em-zero"]),
+    ("sample-exact-null-label", ["sample", "--analytic", "grid-9", "--label", "9",
+                                 *SAMPLE_FAST, "--out", "sample-exact-null-label"]),
+    ("sample-exact-velocity-label", ["sample", "--analytic", "grid-9", "--prediction",
+                                     "velocity", "--label", "3", *SAMPLE_FAST,
+                                     "--out", "sample-exact-velocity-label"]),
     ("sample-exact-velocity-em", ["sample", "--analytic", "grid-9", "--prediction", "velocity",
                                   "--sampler", "em", "--w", "sigma", *SAMPLE_FAST,
                                   "--out", "sample-exact-velocity-em"]),
