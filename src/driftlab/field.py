@@ -72,6 +72,29 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise DomainError(f"points must have shape (d,) or (n, d), got {arr.shape}")
 
 
+def _points(x: np.ndarray, t, dimension: int) -> tuple[np.ndarray, bool]:
+    """The points/time rule of every field call, exact quantity and schedule
+    map: ``x`` as (n, ``dimension``) float64 rows and whether it came as one
+    (d,) point, with ``t`` a scalar or (n,)."""
+    xx, was_vector = _as_batch(x)
+    n = xx.shape[0]
+    if xx.shape[1] != dimension:
+        raise DomainError(f"points must have shape (n, {dimension}), got {xx.shape}")
+    if np.asarray(t).shape not in ((), (n,)):  # np.ndim(t) takes 2 us on a float
+        raise DomainError(f"t must be scalar or shape ({n},)")
+    return xx, was_vector
+
+
+def _pair(first: np.ndarray, second: np.ndarray, t) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Two batches of one shape under :func:`_points`' rule, as (n, d) rows,
+    and whether ``first`` came as one (d,) point."""
+    other, _ = _as_batch(second)
+    rows, was_vector = _points(first, t, other.shape[1])
+    if rows.shape != other.shape:
+        raise DomainError(f"shape mismatch: {rows.shape} vs {other.shape}")
+    return rows, other, was_vector
+
+
 def _per_sample(value: float | np.ndarray) -> np.ndarray:
     """Reshape a scalar or (n,)-shaped time quantity for (n, d) broadcasting."""
     arr = np.asarray(value, dtype=np.float64)
@@ -85,10 +108,7 @@ def interpolate(schedule: InterpolantSchedule, x_star: np.ndarray,
     ``x_star`` and ``eps`` may be single d-vectors or (n, d) batches; ``t``
     may be a scalar or a per-row (n,) array.
     """
-    xs, was_vector = _as_batch(x_star)
-    ep, _ = _as_batch(eps)
-    if xs.shape != ep.shape:
-        raise DomainError(f"shape mismatch: x_star {xs.shape} vs eps {ep.shape}")
+    xs, ep, was_vector = _pair(x_star, eps, t)
     out = _interpolant_state(schedule.coefficients(t), xs, ep)
     return out[0] if was_vector else out
 
@@ -104,10 +124,7 @@ def interpolant_derivative(schedule: InterpolantSchedule, x_star: np.ndarray,
     """Time derivative of the interpolant state,
     ``alpha_dot(t)*x_star + sigma_dot(t)*eps`` — the velocity-loss regression
     target."""
-    xs, was_vector = _as_batch(x_star)
-    ep, _ = _as_batch(eps)
-    if xs.shape != ep.shape:
-        raise DomainError(f"shape mismatch: x_star {xs.shape} vs eps {ep.shape}")
+    xs, ep, was_vector = _pair(x_star, eps, t)
     out = _interpolant_velocity(schedule.coefficients(t), xs, ep)
     return out[0] if was_vector else out
 
@@ -126,8 +143,7 @@ def score_from_velocity(schedule: InterpolantSchedule, v_value: np.ndarray,
     ``s = (alpha*v - alpha_dot*x) / (sigma*(alpha_dot*sigma - alpha*sigma_dot))``.
     Refused where ``sigma(t) = 0``.
     """
-    vv, was_vector = _as_batch(v_value)
-    xx, _ = _as_batch(x)
+    vv, xx, was_vector = _pair(v_value, x, t)
     coef = schedule.coefficients(t)
     sig = coef.sigma
     if (sig == 0.0).any():
@@ -152,8 +168,7 @@ def velocity_from_score(schedule: InterpolantSchedule, s_value: np.ndarray,
     ``alpha(t) = 0`` (and, for sbdm-vp, at ``t = 0`` where lambda is
     singular).
     """
-    sv, was_vector = _as_batch(s_value)
-    xx, _ = _as_batch(x)
+    sv, xx, was_vector = _pair(s_value, x, t)
     out = _velocity_from_score(schedule.coefficients(t), sv, xx)
     return out[0] if was_vector else out
 
@@ -332,16 +347,17 @@ def _component_sum(resp: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 def _mixture_parts(gmm: GaussianMixture, schedule: InterpolantSchedule,
                    x: np.ndarray, t, component: int | None = None) -> dict:
-    """Shared per-component quantities of the time-t mixture at points x.
+    """Shared per-component quantities of the time-t mixture at (n, d) rows x.
 
     The row axis is last and contiguous: per component k the residuals and
     solved values are (d, n) blocks and the log densities (n,) rows.  This
     returns the solved values ``C_k^{-1}(x - alpha*mu_k)`` with
     ``C_k = alpha^2 Sigma_k + sigma^2 I`` as a (K, d, n) array, the
-    responsibilities as (K, n), and the log marginal density as (n,),
-    computed with log-sum-exp stabilization.  ``component`` restricts the
-    mixture to that one component with weight 1 (the class-conditional
-    marginal), so K = 1.
+    responsibilities as (K, n), the log marginal density as (n,), computed
+    with log-sum-exp stabilization, and the :class:`Coefficients` at ``t``.
+    ``component`` restricts the mixture to that one component with weight 1
+    (the class-conditional marginal), so K = 1.  ``x`` and ``t`` come checked
+    (:func:`_points`).
 
     Every sum keeps the order of the earlier (n, K, d) expressions, so the
     bits are theirs: the quadratic form reduces over d as ``einsum`` did
@@ -350,21 +366,16 @@ def _mixture_parts(gmm: GaussianMixture, schedule: InterpolantSchedule,
     own, with no product over the row axis, so a row's value does not depend
     on its batch.
     """
-    xx, was_vector = _as_batch(x)
-    n, d = xx.shape
-    if d != gmm.dimension:
-        raise DomainError(f"points have dimension {d}, mixture has {gmm.dimension}")
+    n, d = x.shape
     coef = schedule.coefficients(t)
     a, s = coef.alpha, coef.sigma
-    if a.ndim == 1 and a.shape[0] != n:
-        raise DomainError(f"per-sample t has length {a.shape[0]}, expected {n}")
     picked = slice(None) if component is None else slice(component, component + 1)
     log_weights = gmm._log_weights if component is None else np.zeros(1)
     means = gmm.means[picked]
     variances = None if gmm._variances is None else gmm._variances[picked]
     covariances = gmm.covariances[picked]
     K = means.shape[0]
-    xt = np.ascontiguousarray(xx.T)
+    xt = np.ascontiguousarray(x.T)
     solved = np.empty((K, d, n))
     weighted = np.empty((K, n))
     step = max(1, _BLOCK_VALUES // max(1, d * n))  # an empty batch runs one block
@@ -380,9 +391,7 @@ def _mixture_parts(gmm: GaussianMixture, schedule: InterpolantSchedule,
     # The responsibilities exp(weighted - log_density) take weighted's place.
     np.subtract(weighted, log_density, out=weighted)
     return {
-        "was_vector": was_vector,
-        "alpha": a,
-        "sigma": s,
+        "coef": coef,
         "solved": solved,
         "log_density": log_density,
         "responsibilities": np.exp(weighted, out=weighted),
@@ -427,7 +436,7 @@ def _component_block(xt: np.ndarray, a, s, means: np.ndarray, covariances: np.nd
     return np.multiply(-0.5, quad, out=quad)
 
 
-def _rows(values: np.ndarray, was_vector: bool) -> np.ndarray:
+def _rows(values: np.ndarray, was_vector: bool = False) -> np.ndarray:
     """A kernel result with the row axis last, back in the (n, ...) layout."""
     out = np.ascontiguousarray(values.T)
     return out[0] if was_vector else out
@@ -436,9 +445,9 @@ def _rows(values: np.ndarray, was_vector: bool) -> np.ndarray:
 def mixture_log_density(gmm: GaussianMixture, schedule: InterpolantSchedule,
                         x: np.ndarray, t) -> float | np.ndarray:
     """Exact ``log p_t(x)`` of the time-t mixture marginal."""
-    parts = _mixture_parts(gmm, schedule, x, t)
-    out = parts["log_density"]
-    return float(out[0]) if parts["was_vector"] else out
+    xx, was_vector = _points(x, t, gmm.dimension)
+    out = _mixture_parts(gmm, schedule, xx, t)["log_density"]
+    return float(out[0]) if was_vector else out
 
 
 def gmm_marginal_score(gmm: GaussianMixture, schedule: InterpolantSchedule,
@@ -449,17 +458,18 @@ def gmm_marginal_score(gmm: GaussianMixture, schedule: InterpolantSchedule,
     ``alpha^2 Sigma_k + sigma^2 I`` stay positive definite on the whole
     interval.
     """
-    return _score(_mixture_parts(gmm, schedule, x, t))
+    return AnalyticMixtureField(gmm, schedule, Prediction.SCORE).evaluate(x, t)
 
 
 def _score(parts: dict) -> np.ndarray:
-    """The score ``-sum_k p_t(k|x) C_k^{-1}(x - alpha*mu_k)`` from mixture parts.
+    """The (n, d) score ``-sum_k p_t(k|x) C_k^{-1}(x - alpha*mu_k)`` from
+    mixture parts.
 
     Consumes ``parts["solved"]`` (the sum overwrites it) and takes it out of
     ``parts``, so that no later read sees the overwritten values.
     """
     score = -_component_sum(parts["responsibilities"], parts.pop("solved"))
-    return _rows(score, parts["was_vector"])
+    return _rows(score)
 
 
 def gmm_posterior_means(gmm: GaussianMixture, schedule: InterpolantSchedule,
@@ -470,17 +480,17 @@ def gmm_posterior_means(gmm: GaussianMixture, schedule: InterpolantSchedule,
     ``alpha*E[x_star|x] + sigma*E[eps|x] = x`` exactly, and give the velocity
     as ``alpha_dot*E[x_star|x] + sigma_dot*E[eps|x]``.
     """
-    parts = _mixture_parts(gmm, schedule, x, t)
-    solved = parts["solved"]
+    xx, was_vector = _points(x, t, gmm.dimension)
+    parts = _mixture_parts(gmm, schedule, xx, t)
+    solved, coef = parts["solved"], parts["coef"]
     # Per-component posterior means, then responsibility-weighted combination.
     post_x = np.empty_like(solved)
     for i in range(gmm.dimension):
         cov_row = gmm.covariances[:, i, :].T[:, :, None]  # (d, K, 1)
         post_x[:, i] = (gmm.means[:, i, None]
-                        + parts["alpha"] * _dot(cov_row, solved.swapaxes(0, 1)))
-    post_e = parts["sigma"] * solved
+                        + coef.alpha * _dot(cov_row, solved.swapaxes(0, 1)))
+    post_e = coef.sigma * solved
     resp = parts["responsibilities"]
-    was_vector = parts["was_vector"]
     return (_rows(_component_sum(resp, post_x), was_vector),
             _rows(_component_sum(resp, post_e), was_vector))
 
@@ -489,44 +499,33 @@ def gmm_marginal_velocity(gmm: GaussianMixture, schedule: InterpolantSchedule,
                           x: np.ndarray, t) -> np.ndarray:
     """Exact velocity of the time-t mixture marginal.
 
-    Deliberately implemented as ``velocity_from_score`` applied to
-    :func:`gmm_marginal_score` — the two oracles share one code path, so their
-    mutual consistency is structural.  Inherits the conversion's singularity
-    at ``alpha(t) = 0``.
+    ``velocity_from_score`` of :func:`gmm_marginal_score`, through the one
+    path of :class:`AnalyticMixtureField`, so the two oracles' mutual
+    consistency is structural.  Inherits the conversion's singularity at
+    ``alpha(t) = 0``.
     """
-    return velocity_from_score(schedule, gmm_marginal_score(gmm, schedule, x, t), x, t)
+    return AnalyticMixtureField(gmm, schedule).evaluate(x, t)
 
 
 def gmm_class_posterior(gmm: GaussianMixture, schedule: InterpolantSchedule,
                         x: np.ndarray, t) -> np.ndarray:
     """Component responsibilities ``p_t(k | x)`` of the time-t mixture, (n, K)."""
-    parts = _mixture_parts(gmm, schedule, x, t)
-    return _rows(parts["responsibilities"], parts["was_vector"])
-
-
-def _check_component(gmm: GaussianMixture, component: int) -> int:
-    k = int(component)
-    if not 0 <= k < gmm.n_components:
-        raise DomainError(
-            f"component {component!r} out of range [0, {gmm.n_components})"
-        )
-    return k
+    xx, was_vector = _points(x, t, gmm.dimension)
+    return _rows(_mixture_parts(gmm, schedule, xx, t)["responsibilities"], was_vector)
 
 
 def gmm_conditional_score(gmm: GaussianMixture, schedule: InterpolantSchedule,
                           x: np.ndarray, t, component: int) -> np.ndarray:
     """Exact score of a single component's time-t marginal (class = component)."""
-    k = _check_component(gmm, component)
-    return _score(_mixture_parts(gmm, schedule, x, t, component=k))
+    model = AnalyticMixtureField(gmm, schedule, Prediction.SCORE, conditional=True)
+    return model.evaluate(x, t, _real_class(model.conditioning, component))
 
 
 def gmm_conditional_velocity(gmm: GaussianMixture, schedule: InterpolantSchedule,
                              x: np.ndarray, t, component: int) -> np.ndarray:
     """Exact velocity of a single component's time-t marginal."""
-    k = _check_component(gmm, component)
-    return velocity_from_score(
-        schedule, gmm_conditional_score(gmm, schedule, x, t, k), x, t
-    )
+    model = AnalyticMixtureField(gmm, schedule, Prediction.VELOCITY, conditional=True)
+    return model.evaluate(x, t, _real_class(model.conditioning, component))
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +560,16 @@ class Conditioning:
                 raise DomainError("class labels must be whole numbers")
             arr = arr.astype(np.int64)
         return arr
+
+
+def _real_class(conditioning: Conditioning, y) -> np.ndarray:
+    """``y`` as real class ids: :meth:`Conditioning.validate`, refusing the null token."""
+    if y is None:
+        raise DomainError("a real class label is required")
+    labels = conditioning.validate(y)
+    if (labels == conditioning.null_id).any():
+        raise DomainError(f"the null token {conditioning.null_id} is not a real class")
+    return labels
 
 
 class FieldModel:
@@ -602,12 +611,7 @@ class FieldModel:
         as one (d,) point, ``t`` as given (a scalar or (n,)), and ``labels``
         ``None`` (no label, or the null token), one class id, or (n,) ids.
         """
-        xx, was_vector = _as_batch(x)
-        n = xx.shape[0]
-        if xx.shape[1] != self.dimension:
-            raise DomainError(f"points must have shape (n, {self.dimension}), got {xx.shape}")
-        if np.asarray(t).shape not in ((), (n,)):  # np.ndim(t) takes 2 us on a float
-            raise DomainError(f"t must be scalar or shape ({n},)")
+        xx, was_vector = _points(x, t, self.dimension)
         if y is None:
             return xx, was_vector, t, None
         if self.conditioning is None:
@@ -616,8 +620,8 @@ class FieldModel:
         if labels.ndim == 0:
             k = int(labels)
             return xx, was_vector, t, None if k == self.conditioning.null_id else k
-        if labels.shape != (n,):
-            raise DomainError(f"labels must be scalar or shape ({n},)")
+        if labels.shape != (xx.shape[0],):
+            raise DomainError(f"labels must be scalar or shape ({xx.shape[0]},)")
         return xx, was_vector, t, labels
 
 
@@ -639,10 +643,11 @@ class AnalyticMixtureField(FieldModel):
         self.conditioning = Conditioning(gmm.n_components) if conditional else None
 
     def _single(self, x: np.ndarray, t, component: int | None) -> np.ndarray:
-        score = _score(_mixture_parts(self.gmm, self.schedule, x, t, component))
+        parts = _mixture_parts(self.gmm, self.schedule, x, t, component)
+        score = _score(parts)
         if self.prediction is Prediction.SCORE:
             return score
-        return velocity_from_score(self.schedule, score, x, t)
+        return _velocity_from_score(parts["coef"], score, x)
 
     def evaluate(self, x: np.ndarray, t, y=None) -> np.ndarray:
         xx, was_vector, t, labels = self._inputs(x, t, y)
@@ -681,20 +686,13 @@ def guided_field(model: FieldModel, zeta: float, x: np.ndarray, t,
     Heun steps alike; the tempered density at ``t = 0`` has offset 0 and 0.18.
     """
     if model.conditioning is None:
-        raise UnconditionalModelError(
-            "guided evaluation requires a class-conditional model"
-        )
+        raise UnconditionalModelError("guided evaluation requires a class-conditional model")
     zeta = _real("zeta", zeta, 0.0, error=DomainError)
-    if y is None:
-        raise DomainError("guided evaluation requires a real class label y")
-    labels = model.conditioning.validate(y)
-    if (labels == model.conditioning.null_id).any():
-        raise DomainError("guided evaluation requires a real class, not the null token")
+    labels = _real_class(model.conditioning, y)
     if zeta == 1.0:
         return model.evaluate(x, t, labels)
-    null = model.conditioning.null_id
     if zeta == 0.0:
-        return model.evaluate(x, t, null)
+        return model.evaluate(x, t)
     conditional = model.evaluate(x, t, labels)
-    unconditional = model.evaluate(x, t, null)
+    unconditional = model.evaluate(x, t)
     return zeta * conditional + (1.0 - zeta) * unconditional

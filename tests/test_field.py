@@ -703,3 +703,98 @@ def test_both_field_models_take_the_same_calls(kind, linear, rng):
     assert point.shape == (2,)
     assert np.array_equal(point, model.evaluate(x[:1], 0.4, np.array([3]))[0])
     assert model.evaluate(np.empty((0, 2)), np.empty(0), np.empty(0, dtype=int)).shape == (0, 2)
+
+
+@pytest.mark.parametrize("kind", sorted(FIELD_MODELS))
+def test_guided_field_mixes_with_the_null_token_bitwise(kind, linear, rng):
+    # The unconditional half is the call without a label, which is the null
+    # token's call bit for bit.
+    model = FIELD_MODELS[kind](linear, True)
+    x, null = rng.normal(size=(6, 2)), model.conditioning.null_id
+    assert np.array_equal(_bits(guided_field(model, 0.0, x, 0.4, 3)),
+                          _bits(model.evaluate(x, 0.4, null)))
+    expected = 2.5 * model.evaluate(x, 0.4, 3) - 1.5 * model.evaluate(x, 0.4, null)
+    assert np.array_equal(_bits(guided_field(model, 2.5, x, 0.4, 3)), _bits(expected))
+
+
+# ---------------------------------------------------------------------------
+# The field call's points/time rule in the schedule maps and exact quantities
+# ---------------------------------------------------------------------------
+
+
+def test_conversions_refuse_a_value_and_points_of_different_shapes(linear):
+    # A value and its points are batches of one shape, as interpolate's x_star
+    # and eps are: one row is not spread over five, nor five cut to one.
+    for convert in (velocity_from_score, score_from_velocity, interpolate):
+        with pytest.raises(DomainError):
+            convert(linear, np.ones(2), np.ones((5, 2)), 0.5)
+        with pytest.raises(DomainError):
+            convert(linear, np.ones((5, 2)), np.ones(2), 0.5)
+
+
+SCHEDULE_MAPS = {f.__name__: f for f in (interpolate, interpolant_derivative,
+                                         score_from_velocity, velocity_from_score)}
+EXACT_QUANTITIES = {f.__name__: f for f in (mixture_log_density, gmm_marginal_score,
+                                            gmm_posterior_means, gmm_marginal_velocity,
+                                            gmm_class_posterior)}
+EXACT_QUANTITIES.update({f.__name__: lambda gmm, schedule, x, t, f=f: f(gmm, schedule, x, t, 4)
+                         for f in (gmm_conditional_score, gmm_conditional_velocity)})
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULE_MAPS) + sorted(EXACT_QUANTITIES))
+def test_maps_and_exact_quantities_take_times_as_a_field_call_does(name, grid9, linear):
+    # t is a scalar or one time per row: a (1, n) row of times and a per-row
+    # t of the wrong length raise DomainError, as FieldModel.evaluate does.
+    x = np.zeros((2, 2))
+    if name in SCHEDULE_MAPS:
+        def call(t):
+            return SCHEDULE_MAPS[name](linear, np.ones((2, 2)), x, t)
+    else:
+        def call(t):
+            return EXACT_QUANTITIES[name](grid9, linear, x, t)
+    for t in ([[0.5, 0.2]], [0.5], [0.5, 0.2, 0.3]):
+        with pytest.raises(DomainError):
+            call(np.array(t))
+    call(np.array([0.5, 0.2]))  # one time per row
+
+
+@pytest.mark.parametrize("wrapper", [gmm_conditional_score, gmm_conditional_velocity])
+def test_conditional_wrappers_take_a_real_class_id(wrapper, grid9, linear, rng):
+    # component is checked as guidance checks its label: a whole number in
+    # range and not the null token, never truncated.
+    x = rng.normal(size=(3, 2))
+    for bad in (2.7, "2", None, -1, 9, 10):
+        with pytest.raises(DomainError):
+            wrapper(grid9, linear, x, 0.4, bad)
+    assert np.array_equal(_bits(wrapper(grid9, linear, x, 0.4, 2.0)),
+                          _bits(wrapper(grid9, linear, x, 0.4, np.int64(2))))
+
+
+def test_conditional_velocity_is_the_converted_conditional_score(grid9, all_schedules, rng):
+    x = rng.normal(scale=2.0, size=(33, 2))
+    per_row = rng.uniform(0.05, 0.95, size=33)
+    for schedule in all_schedules:
+        for points, t in ((x, 0.35), (x, per_row), (x[0], 0.6)):
+            for k in (0, 4, 8):
+                score = gmm_conditional_score(grid9, schedule, points, t, k)
+                assert np.array_equal(
+                    _bits(gmm_conditional_velocity(grid9, schedule, points, t, k)),
+                    _bits(velocity_from_score(schedule, score, points, t))), (schedule.name, k)
+
+
+def test_conditional_velocity_field_matches_the_wrappers_row_by_row(grid9, all_schedules,
+                                                                    rng):
+    # Per-row labels (the null token among them) with per-row times: each row
+    # is the one-row wrapper call of its own label, bit for bit.
+    n = 30
+    x = rng.normal(scale=2.0, size=(n, 2))
+    t = rng.uniform(0.05, 0.95, size=n)
+    labels = rng.permutation(np.arange(n) % 10)  # 9 = null
+    for schedule in all_schedules:
+        model = AnalyticMixtureField(grid9, schedule, Prediction.VELOCITY, conditional=True)
+        batched = model.evaluate(x, t, labels)
+        for i, k in enumerate(labels):
+            row = slice(i, i + 1)
+            expected = (gmm_marginal_velocity(grid9, schedule, x[row], t[row]) if k == 9
+                        else gmm_conditional_velocity(grid9, schedule, x[row], t[row], k))
+            assert np.array_equal(_bits(batched[row]), _bits(expected)), (schedule.name, i)

@@ -21,13 +21,13 @@ score models in their default windows and the exact field with both
 samplers and several diffusion coefficients (``kl-eta`` with the trained
 profile among them), run em at ``w = 0`` on the first model and on the
 exact field, on the exact velocity field (a score conversion) and guided on
-the exact field at zeta 4, 0 and 1, sample the exact grid-9 field with the
-null-token label and its velocity with a class label, override the
-sampler's time window and sbdm-vp's beta rates, evaluate against a preset
-and against a samples file, tabulate ``info``, run a sweep with a
-``kl-eta`` cell twice into one directory, so that the second run reuses its
-cells, and run a grid-9 sweep whose permutation tests take the 2-D split
-path.
+the exact score field at zeta 4, 0 and 1 and on the exact velocity field at
+zeta 4 and 0, sample the exact grid-9 field with the null-token label and
+its velocity with a class label, override the sampler's time window and
+sbdm-vp's beta rates, evaluate against a preset and against a samples file,
+tabulate ``info``, run a sweep with a ``kl-eta`` cell twice into one
+directory, so that the second run reuses its cells, and run a grid-9 sweep
+whose permutation tests take the 2-D split path.
 Each command's exit code, standard output and standard error are kept as
 files beside its outputs and compared with them.
 
@@ -143,6 +143,12 @@ COMMANDS = [
                                           "--zeta", zeta, "--label", "0", *SAMPLE_FAST,
                                           "--out", f"sample-exact-guided-em-z{zeta}"])
       for zeta in ("4", "0", "1")),
+    *((f"sample-exact-guided-velocity-em-z{zeta}", ["sample", "--analytic", "grid-9",
+                                                   "--prediction", "velocity", "--sampler",
+                                                   "em", "--w", "sigma", "--zeta", zeta,
+                                                   "--label", "0", *SAMPLE_FAST, "--out",
+                                                   f"sample-exact-guided-velocity-em-z{zeta}"])
+      for zeta in ("4", "0")),
     ("eval", ["eval", "--samples", "sample-model-em-kl-eta/samples.txt",
               "--reference", "two-gauss-1d", "--permutations", "20", "--out", "eval"]),
     ("eval-file", ["eval", "--samples", "sample-model-heun/samples.txt",
