@@ -34,6 +34,7 @@ from .errors import (
     DriftlabError,
     NonFiniteError,
     SingularityError,
+    _count as _checked_count,
 )
 from .field import AnalyticMixtureField, Prediction
 from .learner import (
@@ -159,15 +160,6 @@ _SCHEDULE = {"schedule": ("linear", SCHEDULE_NAMES), **_BETA}
 #: Overrides of the sampler's default ``(t_start, t_end, last_step_to)``.
 _WINDOW = {"t_start": (None, _real), "t_end": (None, _real),
            "last_step_to": (None, _real)}
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    payload = read_json(path, "config file")
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return payload
 
 
 def _merge(options: dict, config: dict, args: argparse.Namespace) -> dict:
@@ -368,9 +360,7 @@ def _cmd_sample(merged: dict) -> int:
     spec = _build_sampler_spec(merged, model)
     result = _run_sampler(model, spec, merged["n"], merged["label"])
     # Echo the resolved window so the run is reproducible from outputs alone.
-    merged["t_start"] = spec.t_start
-    merged["t_end"] = spec.t_end
-    merged["last_step_to"] = spec.last_step_to
+    merged.update((key, getattr(spec, key)) for key in _WINDOW)
     _echo_config(out, merged)
     path = os.path.join(out, "samples.txt")
     write_samples(path, result.samples, seed=spec.seed, nfe=result.nfe)
@@ -389,7 +379,7 @@ _EVAL_OPTIONS = {
     **_OUT,
     "samples": (None, _text, "samples file to evaluate"),
     "reference": (None, _text, "preset name (exact draws) or samples file"),
-    "n_reference": (None, _int),
+    "n_reference": (None, _int, "draws from a preset reference (default: the sample count)"),
     "seed": (0, _count),
     "metrics": (",".join(_METRICS), _text, f"comma list: {','.join(_METRICS)}"),
     "permutations": (0, _count, "permutation count for the energy-distance test"),
@@ -427,10 +417,13 @@ def _cmd_eval(merged: dict) -> int:
     seed = merged["seed"]
     samples, _, meta = read_samples(merged["samples"])
     dataset = _resolve_dataset(merged["reference"])
-    gmm, reference = dataset.gmm, dataset.samples
+    gmm, reference, n_ref = dataset.gmm, dataset.samples, merged["n_reference"]
     if gmm is not None:
-        n_ref = merged["n_reference"] or samples.shape[0]
+        n_ref = samples.shape[0] if n_ref is None else _checked_count("n_reference", n_ref)
         reference, _ = draw(gmm, n_ref, seed=seed, with_labels=False)
+    elif n_ref is not None:
+        raise ConfigError("--n-reference applies only to a preset reference "
+                          "(a samples file is used whole)")
     wanted = [m.strip() for m in merged["metrics"].split(",") if m.strip()]
     bad = set(wanted) - set(_METRICS)
     if bad:
@@ -526,16 +519,14 @@ def _cell_config(merged: dict) -> dict:
 def _reusable_cell(path: str, config: dict) -> dict | None:
     """A stored cell computed under ``config``, or None."""
     try:
-        with open(path, "r") as handle:
-            payload = json.load(handle)
-    except (FileNotFoundError, ValueError):
+        payload = read_json(path, "sweep cell")
+    except ConfigError:
         return None
-    if isinstance(payload, dict) and payload.get("config") == config:
-        return payload
-    return None
+    return payload if payload.get("config") == config else None
 
 
 def _cmd_sweep(merged: dict) -> int:
+    _checked_count("n", merged["n"])  # else every cell would be an error, stored for reuse
     out = _resolve_out(merged, "sweep")
     plan = [(schedule_name, sampler_name, w_text, steps, zeta)
             for schedule_name in merged["schedules"]
@@ -559,7 +550,7 @@ def _cmd_sweep(merged: dict) -> int:
             try:
                 report = _run_cell(config, key, schedule_name, sampler_name,
                                    w_text, steps, zeta)
-                payload = json.loads(report.to_json())
+                payload = report.to_dict()
             except DriftlabError as exc:
                 payload = {
                     "cell": key,
@@ -665,7 +656,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     body, _, options, _ = _COMMANDS[args.command]
     try:
-        return body(_merge(options, _load_config_file(args.config), args))
+        config = {} if args.config is None else read_json(args.config, "config file")
+        return body(_merge(options, config, args))
     except (SingularityError, NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

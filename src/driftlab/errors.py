@@ -116,6 +116,17 @@ def _nonnegative_values(values, name: str, error: type = DomainError) -> np.ndar
     return values.astype(np.float64, copy=False)
 
 
+def _class_ids(labels) -> np.ndarray:
+    """Class labels as integers: bools and whole floats under 2**63 in size
+    cast to int64; a string, fraction, NaN, infinity or larger float is refused."""
+    arr = np.asarray(labels)
+    if arr.dtype.kind not in "iu":
+        if arr.dtype.kind not in "bf" or not np.all((abs(arr) < 2.0**63) & (arr == np.floor(arr))):
+            raise DomainError("class labels must be whole numbers")
+        arr = arr.astype(np.int64)
+    return arr
+
+
 def _rng(seed, *spawn_key: int) -> np.random.Generator:
     """``default_rng(SeedSequence(seed, spawn_key=spawn_key))`` of a seed >= 0."""
     return np.random.default_rng(

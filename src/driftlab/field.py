@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, UnconditionalModelError, _real
+from .errors import (DomainError, SingularityError, UnconditionalModelError, _class_ids,
+                     _nonnegative_values, _real)
 from .schedule import Coefficients, InterpolantSchedule
 
 __all__ = [
@@ -211,12 +212,10 @@ class GaussianMixture:
         m = np.asarray(means, dtype=np.float64)
         if m.ndim == 1:
             m = m[:, None]
-        if w.ndim != 1 or m.ndim != 2 or w.shape[0] != m.shape[0]:
-            raise DomainError(
-                f"weights (K,) and means (K, d) required, got {w.shape} / {m.shape}"
-            )
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise DomainError("mixture weights must be finite and nonnegative")
+        if w.ndim != 1 or m.ndim != 2 or w.shape[0] != m.shape[0] or m.shape[1] == 0:
+            raise DomainError(f"weights (K,) and means (K, d >= 1) required, "
+                              f"got {w.shape} / {m.shape}")
+        _nonnegative_values(w, "mixture weights")
         if abs(float(w.sum()) - 1.0) > 1e-12:
             raise DomainError(f"mixture weights must sum to 1, got {w.sum()!r}")
         K, d = m.shape
@@ -232,6 +231,8 @@ class GaussianMixture:
                 raise DomainError(
                     f"covariances must be (K,), (K, d) or (K, d, d), got {c.shape}"
                 )
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(c))):
+            raise DomainError("mixture means and covariances must be finite")
         try:
             chol = np.linalg.cholesky(c)
         except np.linalg.LinAlgError as exc:
@@ -549,17 +550,12 @@ class Conditioning:
 
     def validate(self, y: int | np.ndarray) -> np.ndarray:
         arr = np.asarray(y)
-        real = arr.dtype.kind in "biuf"
-        if real and ((arr < 0).any() or (arr > self.null_id).any()):
+        if arr.dtype.kind in "biuf" and ((arr < 0).any() or (arr > self.null_id).any()):
             raise DomainError(
                 f"label out of range: valid ids are 0..{self.num_classes - 1} "
                 f"plus the null token {self.null_id}"
             )
-        if arr.dtype.kind not in "iu":  # not an integer dtype
-            if not real or (arr != np.floor(arr)).any():  # a string, fraction or NaN
-                raise DomainError("class labels must be whole numbers")
-            arr = arr.astype(np.int64)
-        return arr
+        return _class_ids(arr)
 
 
 def _real_class(conditioning: Conditioning, y) -> np.ndarray:

@@ -36,7 +36,6 @@ import functools
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -53,7 +52,7 @@ from .field import (
     _velocity_from_score,
 )
 from .schedule import InterpolantSchedule, _match_shape, _regular_window, schedule_from_config
-from .toybox import as_dataset, atomic_write_text, read_json
+from .toybox import _read_table, as_dataset, atomic_write_text, read_json
 
 __all__ = [
     "TIME_FEATURE_COUNT",
@@ -650,40 +649,28 @@ class LossProfile:
 
     def save(self, path: str) -> None:
         """Write the profile as plain text, atomically; byte-stable."""
-        lines = [f"# loss-profile bins={self.values.shape[0]} "
-                 f"t_lo={float(self.edges[0])!r} t_hi={float(self.edges[-1])!r}"]
-        for i, value in enumerate(self.values):
-            lines.append(f"{float(self.edges[i])!r} {float(self.edges[i + 1])!r} "
-                         f"{float(value)!r}")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        edges, values = self.edges.tolist(), self.values.tolist()
+        header = f"# loss-profile bins={len(values)} t_lo={edges[0]!r} t_hi={edges[-1]!r}"
+        rows = (f"{lo!r} {hi!r} {value!r}" for lo, hi, value in zip(edges, edges[1:], values))
+        atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
     @classmethod
     def load(cls, path: str) -> "LossProfile":
-        if not os.path.isfile(path):
-            raise ConfigError(f"loss profile not found: {path}")
-        edges = []
-        values = []
-        with open(path, "r", errors="replace") as handle:
-            header = handle.readline()
-            if not header.startswith("# loss-profile"):
-                raise ConfigError(f"{path}: not a loss-profile file")
-            fields = dict(item.split("=", 1) for item in header.split() if "=" in item)
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    lo, hi, value = (float(v) for v in line.split())
-                except ValueError:
-                    raise ConfigError(
-                        f"{path}: profile line needs three numbers: {line!r}") from None
-                if not edges:
-                    edges.append(lo)
-                elif lo != edges[-1]:
-                    raise ConfigError(f"{path}: profile row starts at {lo!r}, "
-                                      f"not where the row before ends ({edges[-1]!r})")
-                edges.append(hi)
-                values.append(value)
+        table = _read_table(path, "loss profile", "loss-profile", "not a loss-profile file")
+        fields = dict(next(table))
+        edges, values = [], []
+        for line, row in table:
+            try:
+                lo, hi, value = (float(v) for v in row)
+            except ValueError:
+                raise ConfigError(f"{path}: profile line needs three numbers: {line!r}") from None
+            if not edges:
+                edges.append(lo)
+            elif lo != edges[-1]:
+                raise ConfigError(f"{path}: profile row starts at {lo!r}, "
+                                  f"not where the row before ends ({edges[-1]!r})")
+            edges.append(hi)
+            values.append(value)
         if not values:
             raise ConfigError(f"{path}: empty loss profile")
         if fields.get("bins", str(len(values))) != str(len(values)):
@@ -799,8 +786,7 @@ def save_checkpoint(model: MLPField, path: str) -> None:
 def load_checkpoint(path: str) -> MLPField:
     """Rebuild a model from :func:`save_checkpoint` output, bit-exactly."""
     payload = read_json(path, "checkpoint")
-    if (not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT
-            or payload.get("version") != 1):
+    if payload.get("format") != CHECKPOINT_FORMAT or payload.get("version") != 1:
         raise ConfigError(f"{path}: unrecognized checkpoint format/version")
     try:
         arch = payload["architecture"]

@@ -457,7 +457,11 @@ class MetricReport:
             lines.append(f"{name} {text}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON object of :meth:`to_json`: the note, then every entry."""
         payload = {"note": self.NOTE}
         payload.update((name, self._plain(value)) for name, value in self.entries.items())
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

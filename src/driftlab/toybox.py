@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, _count, _rng
+from .errors import ConfigError, DomainError, _class_ids, _count, _rng
 from .field import GaussianMixture
 
 __all__ = [
@@ -169,9 +169,10 @@ class ToyDataset:
         if self.gmm is not None:
             return self.gmm.n_components
         if self.labels is not None:
-            if (self.labels < 0).any():
+            labels = _class_ids(self.labels)
+            if (labels < 0).any():
                 raise DomainError("class labels must be nonnegative ids")
-            return int(self.labels.max()) + 1
+            return int(labels.max()) + 1
         return None
 
     def resample(self, rng: np.random.Generator, count: int
@@ -223,67 +224,76 @@ def write_samples(path: str, samples: np.ndarray, seed: int,
     atomic_write_text(path, "\n".join([header, *rows]) + "\n")
 
 
+def _read_table(path: str, what: str, tag: str, malformed: str):
+    """Yield a text table's header, the ``[key, value]`` pairs of the tokens
+    after ``# <tag>`` on its first line, then ``(line, fields)`` for each
+    non-blank line, one at a time.  A missing file, a first line not so
+    started (``malformed``) or a token without ``=`` is a ConfigError.
+    Undecodable bytes become U+FFFD, which no number parses."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} not found: {path}")
+    start = f"# {tag}" if tag else "#"
+    with open(path, "r", errors="replace") as handle:
+        first = handle.readline().strip()
+        if not first.startswith(start):
+            raise ConfigError(f"{path}: {malformed}")
+        tokens = first[len(start):].split()
+        for token in tokens:
+            if "=" not in token:
+                raise ConfigError(f"{path}: malformed header token {token!r}")
+        yield [token.split("=", 1) for token in tokens]
+        for line in handle:
+            fields = line.split()
+            if fields:
+                yield line.strip(), fields
+
+
 def read_samples(path: str) -> tuple[np.ndarray, np.ndarray | None, dict]:
     """Read a tabular sample file.
 
     Returns ``(samples (n, d), labels (n,) or None, header metadata dict)``.
     """
-    if not os.path.isfile(path):
-        raise ConfigError(f"sample file not found: {path}")
-    # Undecodable bytes become U+FFFD, which the parsers below reject.
-    with open(path, "r", errors="replace") as handle:
-        first = handle.readline().strip()
-        if not first.startswith("#"):
-            raise ConfigError(f"{path}: missing '# d=... n=... seed=...' header")
-        meta: dict = {}
-        for token in first[1:].split():
-            if "=" not in token:
-                raise ConfigError(f"{path}: malformed header token {token!r}")
-            key, value = token.split("=", 1)
-            try:
-                meta[key] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: header value {token!r} is not an integer") from None
-        for key in ("d", "n", "seed"):
-            if key not in meta:
-                raise ConfigError(f"{path}: header lacks {key}=...")
-        if meta["d"] < 1:
-            raise ConfigError(f"{path}: header says d={meta['d']}, need d >= 1")
-        has_labels = meta.get("labels", 0) == 1
-        rows = []
-        labels = []
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            label = fields.pop() if has_labels else None
-            if len(fields) != meta["d"]:
-                raise ConfigError(
-                    f"{path}: row has {len(fields)} values, header says d={meta['d']}"
-                )
-            try:
-                rows.append([float(v) for v in fields])
-                if label is not None:
-                    labels.append(int(label))
-            except ValueError:
-                raise ConfigError(f"{path}: row is not numeric: {line!r}") from None
+    table = _read_table(path, "sample file", "", "missing '# d=... n=... seed=...' header")
+    meta = {}
+    for k, v in next(table):
+        try:
+            meta[k] = int(v)
+        except ValueError:
+            raise ConfigError(f"{path}: header value {k + '=' + v!r} is not an integer") from None
+    for key in ("d", "n", "seed"):
+        if key not in meta:
+            raise ConfigError(f"{path}: header lacks {key}=...")
+    if meta["d"] < 1:
+        raise ConfigError(f"{path}: header says d={meta['d']}, need d >= 1")
+    has_labels = meta.get("labels", 0) == 1
+    rows, labels = [], []
+    for line, fields in table:
+        label = fields.pop() if has_labels else None
+        if len(fields) != meta["d"]:
+            raise ConfigError(f"{path}: row has {len(fields)} values, header says d={meta['d']}")
+        try:
+            rows.append([float(v) for v in fields])
+            if label is not None:
+                labels.append(int(label))
+        except ValueError:
+            raise ConfigError(f"{path}: row is not numeric: {line!r}") from None
     samples = np.asarray(rows, dtype=np.float64).reshape(len(rows), meta["d"])
     if samples.shape[0] != meta["n"]:
-        raise ConfigError(
-            f"{path}: {samples.shape[0]} rows, header says n={meta['n']}"
-        )
+        raise ConfigError(f"{path}: {samples.shape[0]} rows, header says n={meta['n']}")
     return samples, (np.asarray(labels, dtype=np.int64) if has_labels else None), meta
 
 
-def read_json(path: str, what: str):
-    """The JSON value of a UTF-8 file.  A missing file, undecodable bytes or
-    invalid JSON is a :class:`ConfigError` naming ``what`` and the path."""
+def read_json(path: str, what: str) -> dict:
+    """The JSON object of a UTF-8 file.  A missing file, undecodable bytes,
+    invalid JSON or a value that is not an object is a :class:`ConfigError`
+    naming ``what`` and the path."""
     if not os.path.isfile(path):
         raise ConfigError(f"{what} not found: {path}")
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            payload = json.load(handle)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid JSON {what}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: {what} must be a JSON object")
+    return payload

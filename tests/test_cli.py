@@ -268,6 +268,20 @@ MALFORMED_FILES = {
     "row-bytes": ("samples", b"# d=1 n=1 seed=0\n\xff\xfe\n"),
     "profile-line": ("profile", b"# loss-profile bins=2 t_lo=0.0 t_hi=1.0\n"
                                 b"0.0 0.5 1.0\n0.5 1.0\n"),
+    "profile-as-samples": ("samples", b"# loss-profile bins=1 t_lo=0.0 t_hi=1.0\n0.0 1.0 2.0\n"),
+    "samples-as-profile": ("profile", b"# d=1 n=1 seed=0\n0.5\n"),
+    "profile-bytes": ("profile", b"# loss-profile bins=1 t_lo=0.0 t_hi=1.0\n0.0 1.0 \xff2.0\n"),
+    # A header token without '=' is refused in every table, not skipped.
+    "profile-header-token": ("profile", b"# loss-profile bins=1 window t_lo=0.0 t_hi=1.0\n"
+                                        b"0.0 1.0 2.0\n"),
+    "checkpoint-array": ("checkpoint", b"[1, 2]\n"),
+}
+#: The command that reads each kind of file.
+MALFORMED_FILE_READERS = {
+    "samples": ["eval", "--samples", "{path}", "--reference", "two-gauss-1d"],
+    "profile": ["sample", "--analytic", "two-gauss-1d", "--sampler", "em", "--w", "kl-eta:0.5",
+                "--profile", "{path}", "--steps", "5", "--n", "4"],
+    "checkpoint": ["sample", "--checkpoint", "{path}", "--steps", "5", "--n", "4"],
 }
 
 
@@ -276,11 +290,7 @@ def test_malformed_input_files_exit_with_usage_code(tmp_path, capsys, case):
     kind, content = MALFORMED_FILES[case]
     path = tmp_path / "bad.txt"
     path.write_bytes(content)
-    if kind == "samples":
-        argv = ["eval", "--samples", str(path), "--reference", "two-gauss-1d"]
-    else:
-        argv = ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
-                "--w", "kl-eta:0.5", "--profile", str(path), "--steps", "5", "--n", "4"]
+    argv = [arg.format(path=path) for arg in MALFORMED_FILE_READERS[kind]]
     assert main(argv) == 2
     assert str(path) in capsys.readouterr().err
 
@@ -322,6 +332,7 @@ BAD_CONFIGS = {
     "sweep-schedules-not-a-list": ("sweep", b'{"schedules": "linear"}', "'schedules'"),
     "sweep-unknown-sampler": ("sweep", b'{"samplers": ["rk4"]}', "'samplers'"),
     "sample-n-null": ("sample", b'{"n": null}', "'n'"),
+    "sample-not-an-object": ("sample", b'[{"n": 5}]', None),
 }
 
 
@@ -446,6 +457,13 @@ NEGATIVE_COUNTS = {
                            "'permutations'"),
     "sample-seed": (["sample", "--analytic", "two-gauss-1d", "--steps", "4", "--n", "2",
                      "--seed", "-1"], None, "'seed'"),
+    # Counts that must be at least 1: refused, not replaced or turned into error cells.
+    "eval-n-reference-zero": (["eval", "--samples", "{file}", "--reference", "two-gauss-1d",
+                               "--n-reference", "0"], None, "n_reference must"),
+    "sweep-n-zero": (["sweep", "--config", "{config}"],
+                     {"n": 0, "samplers": ["heun"], "steps": [4]}, "n must"),
+    "sweep-n-negative": (["sweep", "--config", "{config}", "--n", "-5"],
+                         {"samplers": ["heun"], "steps": [4]}, "n must"),
 }
 
 
@@ -592,6 +610,10 @@ def test_eval_error_paths(tmp_path, capsys):
     assert main(["eval", "--samples", samples, "--reference", "two-gauss-1d",
                  "--metrics", "energy,nope"]) == 2
     assert "nope" in capsys.readouterr().err
+    # a samples-file reference is used whole, so a draw count is refused, not ignored
+    assert main(["eval", "--samples", samples, "--reference", other,
+                 "--n-reference", "8"]) == 2
+    assert "--n-reference" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

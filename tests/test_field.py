@@ -163,6 +163,24 @@ def test_mixture_validation():
                         [[[1.0, 2.0], [2.0, 1.0]]])
 
 
+UNUSABLE_MIXTURES = {
+    "nan-mean": ([[np.nan]], None),
+    "inf-mean": ([[np.inf]], None),
+    "inf-variance": ([[0.0]], [np.inf]),
+    "nan-off-diagonal": ([[0.0, 0.0]], [[[1.0, np.nan], [0.0, 1.0]]]),
+    "zero-dimensions": (np.zeros((1, 0)), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_MIXTURES))
+def test_mixture_refuses_non_finite_or_dimensionless_parameters(case):
+    # Accepted, each would make every exact-field value NaN, or (d = 0) fail
+    # inside a sampler.
+    means, covariances = UNUSABLE_MIXTURES[case]
+    with pytest.raises(DomainError):
+        GaussianMixture([1.0], means, covariances)
+
+
 def test_mixture_covariance_forms_agree(rng):
     means = [[0.0, 0.0], [3.0, 1.0]]
     weights = [0.4, 0.6]

@@ -225,6 +225,27 @@ def test_dataset_refuses_no_samples_and_negative_labels():
         dataset.num_classes
 
 
+NOT_WHOLE_LABELS = {
+    "fractions": [0.5, 1.5],  # conditional training would truncate them
+    "nan": [0.0, np.nan],
+    "infinity": [0.0, np.inf],
+    "beyond-int64": [0.0, 1e20],  # the cast would wrap it to a negative id
+    "strings": ["a", "b"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_WHOLE_LABELS))
+def test_dataset_refuses_labels_that_are_not_whole_numbers(case):
+    # The rule of Conditioning.validate, checked when the class count is read.
+    dataset = ToyDataset(samples=np.zeros((2, 1)), labels=np.array(NOT_WHOLE_LABELS[case]))
+    with pytest.raises(DomainError, match="whole numbers"):
+        dataset.num_classes
+
+
+def test_dataset_counts_the_classes_of_whole_float_labels():
+    assert ToyDataset(samples=np.zeros((2, 1)), labels=np.array([0.0, 2.0])).num_classes == 3
+
+
 def test_dataset_from_mixture_resamples_fresh_draws():
     dataset = ToyDataset(gmm=get_preset("two-gauss-1d"))
     assert dataset.dimension == 1

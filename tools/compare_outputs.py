@@ -25,9 +25,11 @@ the exact score field at zeta 4, 0 and 1 and on the exact velocity field at
 zeta 4 and 0, sample the exact grid-9 field with the null-token label and
 its velocity with a class label, override the sampler's time window and
 sbdm-vp's beta rates, evaluate against a preset and against a samples file,
-tabulate ``info``, run a sweep with a ``kl-eta`` cell twice into one
-directory, so that the second run reuses its cells, and run a grid-9 sweep
-whose permutation tests take the 2-D split path.
+train on an unlabelled sample output and, class-conditional, on a labelled
+samples file the tool writes, tabulate ``info``, run a sweep with a
+``kl-eta`` cell twice into one directory, so that the second run reuses its
+cells, and run a grid-9 sweep whose permutation tests take the 2-D split
+path.
 Each command's exit code, standard output and standard error are kept as
 files beside its outputs and compared with them.
 
@@ -52,6 +54,8 @@ TRAIN_SMALL = ["--dataset", "two-gauss-1d", "--steps", "60", "--batch", "32",
 #: default windows.
 SCORE_MODELS = [("score-gvp", "score", "gvp"), ("weighted-vp", "weighted-score", "sbdm-vp"),
                 ("weighted-linear", "weighted-score", "linear")]
+#: The shape of the models trained on samples files.
+TRAIN_FILE = ["--steps", "60", "--batch", "32", "--profile-bins", "4", "--profile-draws", "50"]
 CHECKPOINT = "train/checkpoint.json"
 CONDITIONAL = "train-conditional/checkpoint.json"
 SAMPLE_FAST = ["--steps", "40", "--n", "256", "--seed", "5"]
@@ -154,6 +158,10 @@ COMMANDS = [
     ("eval-file", ["eval", "--samples", "sample-model-heun/samples.txt",
                    "--reference", "sample-exact-em-kl/samples.txt", "--metrics", "energy,ks",
                    "--permutations", "20", "--out", "eval-file"]),
+    ("train-file", ["train", "--dataset", "sample-model-heun/samples.txt", *TRAIN_FILE,
+                    "--seed", "9", "--out", "train-file"]),
+    ("train-labelled", ["train", "--dataset", "labelled.txt", "--conditional", *TRAIN_FILE,
+                        "--seed", "10", "--out", "train-labelled"]),
     ("info-kl", ["info", "--w", "kl", "--points", "11"]),
     ("info-gvp-kl", ["info", "--schedule", "gvp", "--w", "kl", "--points", "11"]),
     ("info-const", ["info", "--w", "const:0.5", "--points", "5"]),
@@ -188,12 +196,21 @@ SWEEP_CONFIGS = {
 }
 
 
+#: A labelled samples file, written into each work directory as it stands:
+#: three classes, with a tab, a blank line and padded rows for the reader.
+LABELLED_SAMPLES = ("# d=2 n=8 seed=5 labels=1\n"
+                    "-1.5 0.25 0\n-1.25 0.5 0\n0.75\t-1.0 1\n\n"
+                    "  1.0 -0.75 1  \n1.25 -1.5 1\n3.0 2.5 2\n2.75 2.0 2\n3.5 3.0 2\n")
+
+
 def run_commands(checkout: str, workdir: str) -> None:
     """Run every command with ``checkout``'s package, outputs under ``workdir``."""
     os.makedirs(workdir)
     for file_name, config in SWEEP_CONFIGS.items():
         with open(os.path.join(workdir, file_name), "w") as handle:
             json.dump(config, handle, sort_keys=True)
+    with open(os.path.join(workdir, "labelled.txt"), "w") as handle:
+        handle.write(LABELLED_SAMPLES)
     env = dict(os.environ)
     env.pop("DRIFTLAB_OUTPUT_ROOT", None)
     src = os.path.join(os.path.abspath(checkout), "src")
