@@ -449,7 +449,8 @@ def _cmd_eval(merged: dict) -> int:
 
 _SWEEP_OPTIONS = {
     **_OUT,
-    "dataset": ("two-gauss-1d", _text),
+    # A preset: the cells sample its exact field.
+    "dataset": ("two-gauss-1d", PRESET_NAMES),
     "prediction": ("score", _PREDICTIONS),
     "schedules": (["linear"], _list_of(SCHEDULE_NAMES)),
     "samplers": (["heun", "em"], _list_of(_SAMPLERS)),

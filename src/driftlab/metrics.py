@@ -85,26 +85,38 @@ def _mean_within_distance_1d(a: np.ndarray) -> float:
 _DISTANCE_BUDGET = 2**25
 #: Element budget of one block of permutation splits (pooled points × splits).
 _SPLIT_BUDGET = 2**22
+#: Pooled points per row block when a block of splits is scored in 2-D and up.
+_SPLIT_ROWS = 32
+#: Element budget of one block of 1-D splits (splits × pooled points): each
+#: of the block's few arrays stays at 128 KiB.  At 2**16 the test raised the
+#: peak RSS of a train/sample/eval run at 4,096 pooled points by about 1 MB.
+_COUNT_BUDGET = 2**14
 
 
-def _distance_block(rows: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``block[i, j] = |rows[i] - b[j]|``, with the squared differences summed
-    axis by axis, so no (rows, m, d) array is built."""
-    block = np.square(rows[:, :1] - b[:, 0])
+def _distance_block(rows: np.ndarray, b: np.ndarray, out: np.ndarray,
+                    work: np.ndarray) -> np.ndarray:
+    """Write ``|rows[i] - b[j]|`` into ``out``, with the squared differences
+    summed axis by axis in ``work`` (same shape), so no (rows, m, d) array is
+    built."""
+    np.subtract(rows[:, :1], b[:, 0], out=out)
+    np.square(out, out=out)
     for axis in range(1, rows.shape[1]):
-        step = rows[:, axis:axis + 1] - b[:, axis]
-        block += np.square(step, out=step)
-    return np.sqrt(block, out=block)
+        np.subtract(rows[:, axis:axis + 1], b[:, axis], out=work)
+        out += np.square(work, out=work)
+    return np.sqrt(out, out=out)
 
 
 def _distance_blocks(a: np.ndarray, b: np.ndarray):
     """Yield ``(lo, block)``: the distances of rows ``a[lo:lo + k]`` to all of
-    ``b``, with k set so that blocks stay within the element budget."""
+    ``b``, with k set so that blocks stay within the element budget.  Every
+    block is written into the same arrays."""
     n, d = a.shape
     m = b.shape[0]
-    chunk = max(1, int(_DISTANCE_BUDGET / max(1, m * d)))
+    chunk = min(n, max(1, int(_DISTANCE_BUDGET / max(1, m * d))))
+    out, work = np.empty((chunk, m)), np.empty((chunk, m))
     for lo in range(0, n, chunk):
-        yield lo, _distance_block(a[lo:lo + chunk], b)
+        k = min(chunk, n - lo)
+        yield lo, _distance_block(a[lo:lo + k], b, out[:k], work[:k])
 
 
 def _mean_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -115,13 +127,24 @@ def _mean_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
     return total / (a.shape[0] * b.shape[0])
 
 
-def _split_statistics(pooled: np.ndarray, n: int, orders: list) -> np.ndarray:
+def _add_rows(running: np.ndarray, rows: np.ndarray) -> None:
+    """``running`` plus the rows of ``rows``, added one row at a time.  Carried
+    from block to block, this is one sum down all the rows in order, whatever
+    the block size.  ``rows[0]`` is overwritten."""
+    rows[0] += running
+    np.add.reduce(rows, axis=0, out=running)
+
+
+def _split_statistics(pooled: np.ndarray, n: int, orders) -> np.ndarray:
     """Energy distance of every split ``pooled[order[:n]]`` against the rest.
 
     With z the 0/1 indicator of a split's first set, D the pooled distance
     matrix, r its row sums and T their total, the pair sums are
     ``S_AA = zᵀDz``, ``S_AB = zᵀr - S_AA`` and ``S_BB = T - 2 zᵀr + S_AA``,
-    so one pass over row blocks of D scores all splits at once.
+    so one pass over row blocks of D scores all splits at once.  The row
+    blocks (``_SPLIT_ROWS`` rows) go through arrays allocated once per call,
+    and every sum over rows runs in one sequence from the first row, so the
+    statistics do not depend on the block size.
 
     A BLAS product sums in an order that depends on its thread count, so D
     enters ``D @ Z`` as two slices on power-of-two grids, each coarse enough
@@ -129,10 +152,12 @@ def _split_statistics(pooled: np.ndarray, n: int, orders: list) -> np.ndarray:
     (error-free splitting after Ozaki et al.).  What the slices leave out is
     below ``diameter · len(pooled)² · 2^-103`` per distance.
     """
-    size = pooled.shape[0]
+    orders = np.asarray(orders)
+    size, width = pooled.shape[0], orders.shape[0]
     m = size - n
-    split = np.zeros((size, len(orders)))
-    split[np.stack(orders)[:, :n], np.arange(len(orders))[:, None]] = 1.0
+    # At least two columns: numpy sums a single column pairwise, not row by row.
+    split = np.zeros((size, max(width, 2)))
+    split[orders[:, :n], np.arange(width)[:, None]] = 1.0
     # Every distance is below 2^top and size < 2^bits.  A sum of `size`
     # entries of the coarse slice (each at most 2^top) or of the fine slice
     # (each at most coarse / 2) stays below 2^52 steps of its grid, so every
@@ -141,32 +166,73 @@ def _split_statistics(pooled: np.ndarray, n: int, orders: list) -> np.ndarray:
     top, bits = math.frexp(diameter)[1], math.frexp(size)[1]
     coarse = math.ldexp(1.0, top + bits - 52)
     fine = math.ldexp(coarse, bits - 53)
-    total = 0.0
-    z_r = np.zeros(len(orders))
-    s_aa = np.zeros(len(orders))
-    for lo, block in _distance_blocks(pooled, pooled):
-        z = split[lo:lo + block.shape[0]]
-        r = block.sum(axis=1)
-        total += float(r.sum())
-        z_r += np.sum(z * r[:, None], axis=0)
-        high = block / coarse
-        np.rint(high, out=high)
-        high *= coarse
-        block -= high
+    rows = min(_SPLIT_ROWS, size)
+    distances, high = np.empty((rows, size)), np.empty((rows, size))
+    products, low = np.empty((rows, split.shape[1])), np.empty((rows, split.shape[1]))
+    r = np.empty(size)
+    z_r = np.zeros(split.shape[1])
+    s_aa = np.zeros(split.shape[1])
+    for lo in range(0, size, rows):
+        k = min(rows, size - lo)
+        z = split[lo:lo + k]
+        block = _distance_block(pooled[lo:lo + k], pooled, distances[:k], high[:k])
+        np.sum(block, axis=1, out=r[lo:lo + k])
+        _add_rows(z_r, np.multiply(z, r[lo:lo + k, None], out=products[:k]))
+        coarse_part = np.divide(block, coarse, out=high[:k])
+        np.rint(coarse_part, out=coarse_part)
+        coarse_part *= coarse
+        block -= coarse_part
         block /= fine
         np.rint(block, out=block)
         block *= fine
-        product = high @ split
-        product += block @ split
-        s_aa += np.sum(z * product, axis=0)
+        product = np.matmul(coarse_part, split, out=products[:k])
+        product += np.matmul(block, split, out=low[:k])
+        _add_rows(s_aa, np.multiply(z, product, out=product))
+    total = float(r.sum())
     s_ab = z_r - s_aa
     s_bb = total - 2.0 * z_r + s_aa
-    return 2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m)
+    return (2.0 * s_ab / (n * m) - s_aa / (n * n) - s_bb / (m * m))[:width]
 
 
-def _sorted_split_statistics(pooled: np.ndarray, n: int, orders: list) -> np.ndarray:
-    """Energy distance of every split of 1-D ``pooled``, each on the sorted path."""
-    return np.array([_energy(pooled[order[:n]], pooled[order[n:]]) for order in orders])
+def _rank_sums(u: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """Sum of ``|x_i - x_j|`` over all ordered pairs of a set of ``total``
+    values holding ``counts[s, g]`` copies of ``u[g]`` (ascending), per row
+    s: ``2 Σ_g u_g c_g (2 C_<g + c_g - total)``, with ``C_<g`` the set's
+    values below u_g.  The integer weights are exact in float64."""
+    weight = np.cumsum(counts, axis=1, dtype=np.float64)
+    weight *= 2.0
+    weight -= counts
+    weight -= total
+    weight *= counts
+    weight *= u
+    return 2.0 * np.sum(weight, axis=1)
+
+
+def _value_groups(values: np.ndarray) -> tuple:
+    """Sort 1-D ``values`` once: ``(u, group, counts, pool)``, with u the
+    distinct values in ascending order, ``u[group[i]] == values[i]``, counts
+    the copies of each, and pool the pair sum of :func:`_rank_sums` over all
+    of ``values``."""
+    u = np.unique(values)
+    group = np.searchsorted(u, values)
+    counts = np.bincount(group, minlength=len(u))
+    return u, group, counts, _rank_sums(u, counts[None, :], values.shape[0])[0]
+
+
+def _grouped_split_statistics(groups: tuple, n: int, orders: np.ndarray) -> np.ndarray:
+    """Energy distance of every split ``values[order[:n]]`` against the rest,
+    scored from how many copies of each distinct value (see
+    :func:`_value_groups`) the split's first set holds.  Splits holding equal
+    multisets score the same bits; the cross sum follows from the pool's."""
+    u, group, counts, pool = groups
+    width, size = orders.shape
+    m = size - n
+    offsets = np.arange(0, width * len(u), len(u))[:, None]
+    first = np.bincount((group[orders[:, :n]] + offsets).ravel(), minlength=width * len(u))
+    first = first.reshape(width, len(u))
+    s_aa = _rank_sums(u, first, n)
+    s_bb = _rank_sums(u, np.subtract(counts, first, out=first), m)
+    return (pool - s_aa - s_bb) / (n * m) - s_aa / (n * n) - s_bb / (m * m)
 
 
 def _energy(aa: np.ndarray, bb: np.ndarray) -> float:
@@ -201,10 +267,14 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
     Returns ``(observed statistic, p-value)`` with the add-one rule
     ``p = (1 + #{permuted >= observed}) / (n_permutations + 1)``, so p is
     never exactly 0 and is uniform on its support under the null.
-    Splits are drawn and scored a block at a time.  One-dimensional inputs
-    score one split per block on the sorted path; in higher dimensions a
-    block's splits are scored together from one pass over the pooled
-    distances, equal to a per-split :func:`energy_distance` up to rounding.
+    Splits are drawn a block at a time, by one generator call that gives
+    the orders of as many ``rng.permutation`` calls, and each block is scored
+    in one pass.  In two or more dimensions the pass goes over the pooled
+    distances and equals a per-split :func:`energy_distance` up to rounding.
+    One-dimensional inputs are sorted once and each split is scored from its
+    count of each distinct value, against the unpermuted split scored the same
+    way, so a split that holds the same values as ``a`` counts as reaching the
+    observed statistic.
     """
     aa, bb = _sample_pair(a, b)
     count = _count("n_permutations", n_permutations)
@@ -212,15 +282,23 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
     observed = energy_distance(aa, bb)
     pooled = np.concatenate([aa, bb], axis=0)
     n, size = aa.shape[0], pooled.shape[0]
+    identity = np.arange(size)
     if pooled.shape[1] == 1:
-        width, score = 1, _sorted_split_statistics
+        # The block width bounds the (splits × pooled points) count matrix.
+        width, score = max(1, _COUNT_BUDGET // size), _grouped_split_statistics
+        data = _value_groups(pooled[:, 0])
+        threshold = score(data, n, identity[None, :])[0]
     else:
         # The block width bounds the (pooled points × splits) split matrix.
-        width, score = max(1, _SPLIT_BUDGET // size), _split_statistics
+        width, score, data = max(1, _SPLIT_BUDGET // size), _split_statistics, pooled
+        threshold = observed
+    blocks = np.empty((min(width, count), size), dtype=identity.dtype)
     exceed = 0
     for lo in range(0, count, width):
-        orders = [rng.permutation(size) for _ in range(min(width, count - lo))]
-        exceed += int(np.count_nonzero(score(pooled, n, orders) >= observed))
+        orders = blocks[:min(width, count - lo)]
+        orders[...] = identity
+        rng.permuted(orders, axis=1, out=orders)
+        exceed += int(np.count_nonzero(score(data, n, orders) >= threshold))
     p_value = (1.0 + exceed) / (count + 1.0)
     return observed, p_value
 

@@ -280,7 +280,11 @@ def read_samples(path: str) -> tuple[np.ndarray, np.ndarray | None, dict]:
     samples = np.asarray(rows, dtype=np.float64).reshape(len(rows), meta["d"])
     if samples.shape[0] != meta["n"]:
         raise ConfigError(f"{path}: {samples.shape[0]} rows, header says n={meta['n']}")
-    return samples, (np.asarray(labels, dtype=np.int64) if has_labels else None), meta
+    try:
+        label_ids = np.asarray(labels, dtype=np.int64) if has_labels else None
+    except OverflowError:
+        raise ConfigError(f"{path}: a label does not fit a 64-bit integer") from None
+    return samples, label_ids, meta
 
 
 def read_json(path: str, what: str) -> dict:

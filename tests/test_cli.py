@@ -275,6 +275,7 @@ MALFORMED_FILES = {
     "profile-header-token": ("profile", b"# loss-profile bins=1 window t_lo=0.0 t_hi=1.0\n"
                                         b"0.0 1.0 2.0\n"),
     "checkpoint-array": ("checkpoint", b"[1, 2]\n"),
+    "label-beyond-int64": ("samples", b"# d=1 n=1 seed=0 labels=1\n0.5 99999999999999999999\n"),
 }
 #: The command that reads each kind of file.
 MALFORMED_FILE_READERS = {
@@ -333,6 +334,7 @@ BAD_CONFIGS = {
     "sweep-unknown-sampler": ("sweep", b'{"samplers": ["rk4"]}', "'samplers'"),
     "sample-n-null": ("sample", b'{"n": null}', "'n'"),
     "sample-not-an-object": ("sample", b'[{"n": 5}]', None),
+    "sweep-dataset-not-a-preset": ("sweep", b'{"dataset": "two-gauss"}', "'dataset'"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +226,129 @@ def test_one_dimensional_permutation_pvalues_match_a_direct_loop(rng, n, m):
         assert p == (1 + np.count_nonzero(direct >= observed)) / (permutations + 1)
         p_values.add(p)
     assert len(p_values) > 2
+
+
+def _recording(monkeypatch, name):
+    """Replace ``metrics.<name>`` with a wrapper that keeps a copy of every
+    call's orders and the statistics it returned."""
+    calls = []
+    scorer = getattr(metrics, name)
+
+    def recording(data, n, orders):
+        calls.append((np.array(orders), scorer(data, n, orders)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(metrics, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("d, budget, name, widths", [
+    (1, ("_COUNT_BUDGET", 7 * 50), "_grouped_split_statistics", [7] * 5 + [5]),
+    (2, ("_SPLIT_BUDGET", 9 * 50), "_split_statistics", [9] * 4 + [4]),
+])
+def test_block_draws_equal_sequential_permutations(monkeypatch, rng, d, budget, name, widths):
+    monkeypatch.setattr(metrics, *budget)
+    calls = _recording(monkeypatch, name)
+    generators = []
+
+    def kept_rng(seed):
+        generators.append(np.random.default_rng(np.random.SeedSequence(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(metrics, "_rng", kept_rng)
+    a, b = rng.standard_normal((20, d)), rng.standard_normal((30, d))
+    energy_distance_permutation_test(a, b, n_permutations=40, seed=3)
+    if d == 1:  # first the unpermuted split, the threshold
+        assert np.array_equal(calls.pop(0)[0], np.arange(50)[None, :])
+    assert [len(orders) for orders, _ in calls] == widths
+    sequential = np.random.default_rng(np.random.SeedSequence(3))
+    expected = np.stack([sequential.permutation(50) for _ in range(40)])
+    assert np.array_equal(np.concatenate([orders for orders, _ in calls]), expected)
+    assert generators[0].random() == sequential.random()
+
+
+@pytest.mark.parametrize("width", [1, 2, 25])
+def test_split_statistics_do_not_depend_on_the_row_block(monkeypatch, rng, width):
+    pooled = rng.standard_normal((70, 3))
+    orders = [rng.permutation(70) for _ in range(width)]
+    results = []
+    for rows in (1, 3, metrics._SPLIT_ROWS):
+        monkeypatch.setattr(metrics, "_SPLIT_ROWS", rows)
+        results.append(metrics._split_statistics(pooled, 31, orders).tobytes())
+    assert len(set(results)) == 1
+    direct = np.array([energy_distance(pooled[order[:31]], pooled[order[31:]])
+                       for order in orders])
+    stats = np.frombuffer(results[0])
+    assert np.max(np.abs(stats - direct)) <= 1e-12 * _mean_pooled_distance(pooled)
+
+
+@pytest.mark.parametrize("n, m, budget", [
+    (40, 40, None),
+    (37, 55, 92 * 7),  # 7 splits per block: several blocks and a remainder
+    (300, 420, 720 * 13),  # 13 splits per block
+])
+def test_one_dimensional_permutation_statistics_match_a_direct_loop(
+        monkeypatch, rng, n, m, budget):
+    if budget is not None:
+        monkeypatch.setattr(metrics, "_COUNT_BUDGET", budget)
+    calls = _recording(monkeypatch, "_grouped_split_statistics")
+    permutations = 60
+    p_values = set()
+    for seed in range(5):
+        a = rng.standard_normal((n, 1))
+        b = rng.standard_normal((m, 1)) + 0.1 * seed
+        calls.clear()
+        observed, p = energy_distance_permutation_test(
+            a, b, n_permutations=permutations, seed=seed)
+        direct = _direct_permutation_statistics(a, b, permutations, seed)
+        scale = _mean_pooled_distance(np.concatenate([a, b], axis=0))
+        (_, unpermuted), *blocks = calls
+        stats = np.concatenate([block for _, block in blocks])
+        assert observed == energy_distance(a, b)
+        assert abs(unpermuted[0] - observed) <= 1e-12 * scale
+        assert np.max(np.abs(stats - direct)) <= 1e-12 * scale
+        assert p == (1 + np.count_nonzero(direct >= observed)) / (permutations + 1)
+        if budget is not None:
+            assert len(blocks) == -(-permutations // (budget // (n + m))) > 2
+            assert permutations % (budget // (n + m)) != 0
+        p_values.add(p)
+    assert len(p_values) > 2
+
+
+@pytest.mark.parametrize("values", [[1.5], [0.1], [-2.7], [0.1, -2.7]])
+def test_one_dimensional_permutation_test_on_equal_shares_gives_p_one(values):
+    # a and b hold each value in the same share, so the observed statistic
+    # is 0 and every split reaches it: a split that holds a's multiset must
+    # score the same bits, however its copies are labelled.
+    a = np.repeat(values, 20 // len(values))[:, None]
+    b = np.repeat(values, 30 // len(values))[:, None]
+    _, p = energy_distance_permutation_test(a, b, n_permutations=200, seed=4)
+    assert p == 1.0
+
+
+def test_one_dimensional_permutation_test_on_rounded_values_matches_a_direct_loop(rng):
+    permutations = 99
+    for seed in range(4):
+        a = np.round(rng.standard_normal((25, 1)), 1)
+        b = np.round(rng.standard_normal((35, 1)) + 0.1 * seed, 1)
+        observed, p = energy_distance_permutation_test(
+            a, b, n_permutations=permutations, seed=seed)
+        direct = _direct_permutation_statistics(a, b, permutations, seed)
+        assert p == (1 + np.count_nonzero(direct >= observed)) / (permutations + 1)
+
+
+def test_one_dimensional_permutation_test_memory_does_not_grow_with_permutations(rng):
+    a, b = rng.standard_normal((2048, 1)), rng.standard_normal((2048, 1))
+    peaks = []
+    for permutations in (200, 2000):
+        tracemalloc.start()
+        try:
+            energy_distance_permutation_test(a, b, n_permutations=permutations, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
+    assert peaks[0] <= 8 * 8 * metrics._COUNT_BUDGET  # eight float arrays of one block
 
 
 def test_one_pass_permutation_statistics_keep_their_precision_beside_a_far_point(rng):

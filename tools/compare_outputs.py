@@ -25,6 +25,8 @@ the exact score field at zeta 4, 0 and 1 and on the exact velocity field at
 zeta 4 and 0, sample the exact grid-9 field with the null-token label and
 its velocity with a class label, override the sampler's time window and
 sbdm-vp's beta rates, evaluate against a preset and against a samples file,
+run the 1-D permutation test on 600 exact-field samples over several blocks
+of splits and the 2-D one on the grid-9 samples over several row blocks,
 train on an unlabelled sample output and, class-conditional, on a labelled
 samples file the tool writes, tabulate ``info``, run a sweep with a
 ``kl-eta`` cell twice into one directory, so that the second run reuses its
@@ -158,6 +160,15 @@ COMMANDS = [
     ("eval-file", ["eval", "--samples", "sample-model-heun/samples.txt",
                    "--reference", "sample-exact-em-kl/samples.txt", "--metrics", "energy,ks",
                    "--permutations", "20", "--out", "eval-file"]),
+    ("sample-exact-600-heun", ["sample", "--analytic", "two-gauss-1d", *SAMPLE_ROWS_600,
+                               "--out", "sample-exact-600-heun"]),
+    # 1,200 pooled values: several blocks of 1-D splits and a remainder.
+    ("eval-600", ["eval", "--samples", "sample-exact-600-heun/samples.txt",
+                  "--reference", "two-gauss-1d", "--metrics", "energy",
+                  "--permutations", "70", "--out", "eval-600"]),
+    # 512 pooled points: 2-D splits scored over many row blocks.
+    ("eval-grid9", ["eval", "--samples", "sample-exact-null-label/samples.txt",
+                    "--reference", "grid-9", "--permutations", "30", "--out", "eval-grid9"]),
     ("train-file", ["train", "--dataset", "sample-model-heun/samples.txt", *TRAIN_FILE,
                     "--seed", "9", "--out", "train-file"]),
     ("train-labelled", ["train", "--dataset", "labelled.txt", "--conditional", *TRAIN_FILE,
