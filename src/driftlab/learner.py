@@ -685,7 +685,10 @@ class LossProfile:
         if window != (edges[0], edges[-1]):
             raise ConfigError(f"{path}: header window {window!r} is not the rows' "
                               f"({edges[0]!r}, {edges[-1]!r})")
-        return cls(np.asarray(edges), np.asarray(values))
+        try:
+            return cls(np.asarray(edges), np.asarray(values))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
 
 def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
@@ -791,7 +794,7 @@ def load_checkpoint(path: str) -> MLPField:
     try:
         arch = payload["architecture"]
         if (arch.get("time_features"), arch.get("class_embed_dim")) != _FIXED_INPUTS:
-            raise ConfigError(f"{path}: unsupported time features or class embedding width")
+            raise ConfigError("unsupported time features or class embedding width")
         return MLPField(
             dimension=arch["dimension"],
             schedule=schedule_from_config(arch["schedule"]),
@@ -802,5 +805,5 @@ def load_checkpoint(path: str) -> MLPField:
         )
     except KeyError as exc:
         raise ConfigError(f"{path}: malformed checkpoint: missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{path}: malformed checkpoint: {exc}") from None

@@ -62,27 +62,9 @@ def _sample_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return aa, bb
 
 
-def _mean_cross_distance_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean over all pairs of |a_i - b_j| in O((n+m) log(n+m))."""
-    a_sorted = np.sort(a)
-    prefix = np.concatenate([[0.0], np.cumsum(a_sorted)])
-    total = prefix[-1]
-    n = a_sorted.shape[0]
-    k = np.searchsorted(a_sorted, b, side="right")
-    sums = b * k - prefix[k] + (total - prefix[k]) - b * (n - k)
-    return float(np.sum(sums) / (n * b.shape[0]))
-
-
-def _mean_within_distance_1d(a: np.ndarray) -> float:
-    """Mean over ALL ordered pairs (diagonal included) of |a_i - a_j|."""
-    n = a.shape[0]
-    a_sorted = np.sort(a)
-    weights = 2.0 * np.arange(n) - (n - 1)
-    return float(2.0 * np.sum(a_sorted * weights) / (n * n))
-
-
-#: Element budget that sets the rows of one block of pairwise distances.
-_DISTANCE_BUDGET = 2**25
+#: Distances in one block of :func:`_mean_cross_distance`: its (rows, m)
+#: block and the spare array beside it take 512 KiB each.
+_DISTANCE_BUDGET = 2**16
 #: Element budget of one block of permutation splits (pooled points × splits).
 _SPLIT_BUDGET = 2**22
 #: Pooled points per row block when a block of splits is scored in 2-D and up.
@@ -93,36 +75,28 @@ _SPLIT_ROWS = 32
 _COUNT_BUDGET = 2**14
 
 
-def _distance_block(rows: np.ndarray, b: np.ndarray, out: np.ndarray,
-                    work: np.ndarray) -> np.ndarray:
-    """Write ``|rows[i] - b[j]|`` into ``out``, with the squared differences
-    summed axis by axis in ``work`` (same shape), so no (rows, m, d) array is
-    built."""
-    np.subtract(rows[:, :1], b[:, 0], out=out)
-    np.square(out, out=out)
-    for axis in range(1, rows.shape[1]):
-        np.subtract(rows[:, axis:axis + 1], b[:, axis], out=work)
-        out += np.square(work, out=work)
-    return np.sqrt(out, out=out)
-
-
-def _distance_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield ``(lo, block)``: the distances of rows ``a[lo:lo + k]`` to all of
-    ``b``, with k set so that blocks stay within the element budget.  Every
-    block is written into the same arrays."""
+def _distance_blocks(a: np.ndarray, b: np.ndarray, rows: int):
+    """Yield ``(lo, block, spare)`` for each run of ``rows`` rows of ``a``:
+    ``block[i, j] = |a[lo + i] - b[j]|`` and a free array of its shape.  The
+    squared differences are summed axis by axis, so no (rows, m, d) array is
+    built, and every block is written into the same two arrays."""
     n, d = a.shape
-    m = b.shape[0]
-    chunk = min(n, max(1, int(_DISTANCE_BUDGET / max(1, m * d))))
-    out, work = np.empty((chunk, m)), np.empty((chunk, m))
-    for lo in range(0, n, chunk):
-        k = min(chunk, n - lo)
-        yield lo, _distance_block(a[lo:lo + k], b, out[:k], work[:k])
+    rows = max(1, min(rows, n))
+    out, work = np.empty((rows, b.shape[0])), np.empty((rows, b.shape[0]))
+    for lo in range(0, n, rows):
+        block, spare, part = out[:n - lo], work[:n - lo], a[lo:lo + rows]
+        np.subtract(part[:, :1], b[:, 0], out=block)
+        np.square(block, out=block)
+        for axis in range(1, d):
+            np.subtract(part[:, axis:axis + 1], b[:, axis], out=spare)
+            block += np.square(spare, out=spare)
+        yield lo, np.sqrt(block, out=block), spare
 
 
 def _mean_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Mean pairwise Euclidean distance."""
     total = 0.0
-    for _, block in _distance_blocks(a, b):
+    for _, block, _ in _distance_blocks(a, b, _DISTANCE_BUDGET // b.shape[0]):
         total += float(block.sum())
     return total / (a.shape[0] * b.shape[0])
 
@@ -142,9 +116,10 @@ def _split_statistics(pooled: np.ndarray, n: int, orders) -> np.ndarray:
     matrix, r its row sums and T their total, the pair sums are
     ``S_AA = zᵀDz``, ``S_AB = zᵀr - S_AA`` and ``S_BB = T - 2 zᵀr + S_AA``,
     so one pass over row blocks of D scores all splits at once.  The row
-    blocks (``_SPLIT_ROWS`` rows) go through arrays allocated once per call,
-    and every sum over rows runs in one sequence from the first row, so the
-    statistics do not depend on the block size.
+    blocks (``_SPLIT_ROWS`` rows of :func:`_distance_blocks`) go through
+    arrays allocated once per call, and every sum over rows runs in one
+    sequence from the first row, so the statistics do not depend on the
+    block size.
 
     A BLAS product sums in an order that depends on its thread count, so D
     enters ``D @ Z`` as two slices on power-of-two grids, each coarse enough
@@ -167,18 +142,16 @@ def _split_statistics(pooled: np.ndarray, n: int, orders) -> np.ndarray:
     coarse = math.ldexp(1.0, top + bits - 52)
     fine = math.ldexp(coarse, bits - 53)
     rows = min(_SPLIT_ROWS, size)
-    distances, high = np.empty((rows, size)), np.empty((rows, size))
     products, low = np.empty((rows, split.shape[1])), np.empty((rows, split.shape[1]))
     r = np.empty(size)
     z_r = np.zeros(split.shape[1])
     s_aa = np.zeros(split.shape[1])
-    for lo in range(0, size, rows):
-        k = min(rows, size - lo)
+    for lo, block, coarse_part in _distance_blocks(pooled, pooled, rows):
+        k = block.shape[0]
         z = split[lo:lo + k]
-        block = _distance_block(pooled[lo:lo + k], pooled, distances[:k], high[:k])
         np.sum(block, axis=1, out=r[lo:lo + k])
         _add_rows(z_r, np.multiply(z, r[lo:lo + k, None], out=products[:k]))
-        coarse_part = np.divide(block, coarse, out=high[:k])
+        np.divide(block, coarse, out=coarse_part)
         np.rint(coarse_part, out=coarse_part)
         coarse_part *= coarse
         block -= coarse_part
@@ -213,36 +186,38 @@ def _value_groups(values: np.ndarray) -> tuple:
     distinct values in ascending order, ``u[group[i]] == values[i]``, counts
     the copies of each, and pool the pair sum of :func:`_rank_sums` over all
     of ``values``."""
-    u = np.unique(values)
-    group = np.searchsorted(u, values)
-    counts = np.bincount(group, minlength=len(u))
+    u, group, counts = np.unique(values, return_inverse=True, return_counts=True)
     return u, group, counts, _rank_sums(u, counts[None, :], values.shape[0])[0]
 
 
-def _grouped_split_statistics(groups: tuple, n: int, orders: np.ndarray) -> np.ndarray:
-    """Energy distance of every split ``values[order[:n]]`` against the rest,
-    scored from how many copies of each distinct value (see
-    :func:`_value_groups`) the split's first set holds.  Splits holding equal
-    multisets score the same bits; the cross sum follows from the pool's."""
+def _count_statistics(groups: tuple, n: int, first: np.ndarray) -> np.ndarray:
+    """Energy distance of every split of the values of ``groups`` (see
+    :func:`_value_groups`) whose first set of n holds ``first[s, g]`` copies
+    of ``u[g]``, which it overwrites.  Splits holding equal multisets score
+    the same bits; the cross sum follows from the pool's."""
     u, group, counts, pool = groups
-    width, size = orders.shape
-    m = size - n
-    offsets = np.arange(0, width * len(u), len(u))[:, None]
-    first = np.bincount((group[orders[:, :n]] + offsets).ravel(), minlength=width * len(u))
-    first = first.reshape(width, len(u))
+    m = group.shape[0] - n
     s_aa = _rank_sums(u, first, n)
     s_bb = _rank_sums(u, np.subtract(counts, first, out=first), m)
     return (pool - s_aa - s_bb) / (n * m) - s_aa / (n * n) - s_bb / (m * m)
 
 
+def _grouped_split_statistics(groups: tuple, n: int, orders: np.ndarray) -> np.ndarray:
+    """Energy distance of every split ``values[order[:n]]`` against the rest,
+    scored by :func:`_count_statistics` from the first set's value counts."""
+    u, group = groups[:2]
+    width = orders.shape[0]
+    offsets = np.arange(0, width * len(u), len(u))[:, None]
+    first = np.bincount((group[orders[:, :n]] + offsets).ravel(), minlength=width * len(u))
+    return _count_statistics(groups, n, first.reshape(width, len(u)))
+
+
 def _energy(aa: np.ndarray, bb: np.ndarray) -> float:
     """:func:`energy_distance` of a checked pair (see :func:`_sample_pair`)."""
     if aa.shape[1] == 1:
-        av = aa[:, 0]
-        bv = bb[:, 0]
-        return (2.0 * _mean_cross_distance_1d(av, bv)
-                - _mean_within_distance_1d(av)
-                - _mean_within_distance_1d(bv))
+        groups = _value_groups(np.concatenate([aa, bb])[:, 0])
+        first = np.bincount(groups[1][:aa.shape[0]], minlength=len(groups[0]))
+        return float(_count_statistics(groups, aa.shape[0], first[None, :])[0])
     return (2.0 * _mean_cross_distance(aa, bb)
             - _mean_cross_distance(aa, aa)
             - _mean_cross_distance(bb, bb))
@@ -254,7 +229,11 @@ def energy_distance(a: np.ndarray, b: np.ndarray) -> float:
     All three expectations are means over all pairs including the diagonal
     (V-statistic), which makes the value exactly 0 when the multisets are
     identical and nonnegative up to rounding in general.  One-dimensional
-    inputs take an O(n log n) sorted path.
+    inputs are sorted once and scored from the count of each distinct value
+    in a and in b, as the permutation test scores its splits, so a split
+    holding a's multiset scores the same bits.  In more dimensions the
+    distances are summed in row blocks of at most ``_DISTANCE_BUDGET``
+    values (or one row), so memory does not grow with the sample sizes.
     """
     return _energy(*_sample_pair(a, b))
 
@@ -272,9 +251,10 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
     in one pass.  In two or more dimensions the pass goes over the pooled
     distances and equals a per-split :func:`energy_distance` up to rounding.
     One-dimensional inputs are sorted once and each split is scored from its
-    count of each distinct value, against the unpermuted split scored the same
-    way, so a split that holds the same values as ``a`` counts as reaching the
-    observed statistic.
+    count of each distinct value, as :func:`energy_distance` scores the
+    unpermuted split, so every split equals its :func:`energy_distance` bit
+    for bit and one that holds the same values as ``a`` reaches the observed
+    statistic.
     """
     aa, bb = _sample_pair(a, b)
     count = _count("n_permutations", n_permutations)

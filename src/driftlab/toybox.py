@@ -280,6 +280,8 @@ def read_samples(path: str) -> tuple[np.ndarray, np.ndarray | None, dict]:
     samples = np.asarray(rows, dtype=np.float64).reshape(len(rows), meta["d"])
     if samples.shape[0] != meta["n"]:
         raise ConfigError(f"{path}: {samples.shape[0]} rows, header says n={meta['n']}")
+    if not np.all(np.isfinite(samples)):
+        raise ConfigError(f"{path}: samples must be finite")
     try:
         label_ids = np.asarray(labels, dtype=np.int64) if has_labels else None
     except OverflowError:

@@ -276,6 +276,12 @@ MALFORMED_FILES = {
                                         b"0.0 1.0 2.0\n"),
     "checkpoint-array": ("checkpoint", b"[1, 2]\n"),
     "label-beyond-int64": ("samples", b"# d=1 n=1 seed=0 labels=1\n0.5 99999999999999999999\n"),
+    "header-d-zero": ("samples", b"# d=0 n=1 seed=0\n0.5\n"),
+    "row-nan": ("samples", b"# d=1 n=2 seed=0\n0.5\nnan\n"),
+    "profile-negative-loss": ("profile", b"# loss-profile bins=1 t_lo=0.0 t_hi=1.0\n0.0 1.0 -2.0\n"),
+    "profile-nan-loss": ("profile", b"# loss-profile bins=1 t_lo=0.0 t_hi=1.0\n0.0 1.0 nan\n"),
+    "profile-bin-ends-below-start": ("profile", b"# loss-profile bins=2 t_lo=0.0 t_hi=0.3\n"
+                                                b"0.0 0.5 1.0\n0.5 0.3 1.0\n"),
 }
 #: The command that reads each kind of file.
 MALFORMED_FILE_READERS = {
@@ -304,6 +310,13 @@ BROKEN_CHECKPOINTS = {
     "unknown-prediction": lambda payload: payload["architecture"].update(prediction="noise"),
     "architecture-not-an-object": lambda payload: payload.update(architecture="mlp"),
     "non-numeric-parameters": lambda payload: payload.update(parameters=["a"]),
+    "schedule-extra-key": lambda payload: payload["architecture"]["schedule"].update(extra=1),
+    "unknown-schedule": lambda payload: payload["architecture"]["schedule"].update(kind="cosine"),
+    "beta-on-linear": lambda payload: payload["architecture"]["schedule"].update(beta=0.5),
+    "one-parameter-too-few": lambda payload: payload["parameters"].pop(),
+    "zero-width": lambda payload: payload["architecture"].update(widths=[0]),
+    "zero-classes": lambda payload: payload["architecture"].update(num_classes=0),
+    "dimension-a-bool": lambda payload: payload["architecture"].update(dimension=True),
 }
 
 
@@ -466,6 +479,8 @@ NEGATIVE_COUNTS = {
                      {"n": 0, "samplers": ["heun"], "steps": [4]}, "n must"),
     "sweep-n-negative": (["sweep", "--config", "{config}", "--n", "-5"],
                          {"samplers": ["heun"], "steps": [4]}, "n must"),
+    "info-beta-min-negative": (["info", "--schedule", "sbdm-vp", "--beta-min", "-1"], None,
+                               "beta_min"),
 }
 
 
@@ -657,6 +672,21 @@ def test_sweep_runs_cells_resumes_and_records_errors(tmp_path, capsys):
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     assert "(3 reused)" in capsys.readouterr().out
     assert read_bytes(out / "summary.txt") == summary_before
+
+
+def test_sweep_summary_carries_each_cell_p_value(tmp_path, capsys):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps({"samplers": ["heun", "em"], "steps": [4], "n": 16,
+                                  "permutations": 9}))
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = (out / "summary.txt").read_text().splitlines()
+    cells = sorted((json.loads(path.read_text()) for path in (out / "cells").iterdir()),
+                   key=lambda payload: payload["cell"])
+    assert len(summary) == len(cells) == 2
+    for line, payload in zip(summary, cells):
+        assert line.endswith(f" energy_p_value={payload['energy_p_value']!r}")
 
 
 def test_sweep_guided_cells_carry_the_guidance_tag(tmp_path, capsys):

@@ -104,6 +104,65 @@ def test_energy_distance_input_validation(rng):
         energy_distance(np.array([[np.nan]]), rng.standard_normal((10, 1)))
 
 
+def _one_dimensional_pools(rng):
+    """(a, b) pairs of 1-D samples: continuous, rounded to 0.1 (ties), and
+    all-equal pools, signed zeros among them."""
+    pools = []
+    for n, m in [(1, 1), (1, 6), (9, 14), (40, 33)]:
+        pools.append((rng.standard_normal(n), rng.standard_normal(m) + 0.3))
+        pools.append((np.round(rng.standard_normal(n), 1), np.round(rng.standard_normal(m), 1)))
+        pools.append((rng.choice([-0.0, 0.0], n), rng.choice([-0.0, 0.0], m)))
+        pools.append((np.full(n, 1.5), np.full(m, 1.5)))
+    return pools
+
+
+def test_one_dimensional_energy_distance_is_the_unpermuted_split_score(rng):
+    for a, b in _one_dimensional_pools(rng):
+        pooled = np.concatenate([a, b])
+        unpermuted = np.arange(pooled.shape[0])[None, :]
+        score = metrics._grouped_split_statistics(metrics._value_groups(pooled), a.shape[0],
+                                                  unpermuted)[0]
+        assert np.float64(energy_distance(a[:, None], b[:, None])).tobytes() == score.tobytes()
+
+
+def test_value_groups_match_unique_searchsorted_and_bincount(rng):
+    for a, b in _one_dimensional_pools(rng):
+        values = np.concatenate([a, b])
+        u, group, counts, _ = metrics._value_groups(values)
+        expected_u = np.unique(values)
+        expected_group = np.searchsorted(expected_u, values)
+        for got, expected in [(u, expected_u), (group, expected_group),
+                              (counts, np.bincount(expected_group, minlength=len(expected_u)))]:
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def _full_matrix_energy(a, b):
+    def mean_distance(x, y):
+        return float(np.mean(np.sqrt(np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2))))
+    return 2.0 * mean_distance(a, b) - mean_distance(a, a) - mean_distance(b, b)
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 53, None])  # one row, 3-4 rows, the default
+def test_energy_distance_in_distance_blocks_matches_the_full_matrix(monkeypatch, rng, budget):
+    if budget is not None:
+        monkeypatch.setattr(metrics, "_DISTANCE_BUDGET", budget)
+    for d in (2, 3):
+        a, b = rng.standard_normal((53, d)), rng.standard_normal((38, d)) + 0.2
+        scale = _mean_pooled_distance(np.concatenate([a, b]))
+        assert abs(energy_distance(a, b) - _full_matrix_energy(a, b)) <= 1e-12 * scale
+
+
+def test_energy_distance_memory_is_bounded_by_one_distance_block(rng):
+    a, b = rng.standard_normal((2000, 2)), rng.standard_normal((2000, 2))
+    tracemalloc.start()
+    try:
+        energy_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_permutation_test_pvalues_are_uniform_under_the_null(rng):
     p_values = []
     for _ in range(200):
@@ -313,6 +372,19 @@ def test_one_dimensional_permutation_statistics_match_a_direct_loop(
             assert permutations % (budget // (n + m)) != 0
         p_values.add(p)
     assert len(p_values) > 2
+
+
+def test_one_dimensional_permutation_statistics_equal_energy_distance_exactly(
+        monkeypatch, rng):
+    calls = _recording(monkeypatch, "_grouped_split_statistics")
+    for a, b in _one_dimensional_pools(rng):
+        calls.clear()
+        energy_distance_permutation_test(a, b, n_permutations=30, seed=2)
+        pooled = np.concatenate([a, b])
+        for orders, stats in calls:
+            direct = [energy_distance(pooled[order[:a.shape[0]]], pooled[order[a.shape[0]:]])
+                      for order in orders]
+            assert list(stats) == direct
 
 
 @pytest.mark.parametrize("values", [[1.5], [0.1], [-2.7], [0.1, -2.7]])

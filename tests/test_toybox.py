@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,29 @@ def test_dataset_refuses_no_samples_and_negative_labels():
     dataset = ToyDataset(samples=np.zeros((2, 1)), labels=np.array([0, -1]))
     with pytest.raises(DomainError):
         dataset.num_classes
+
+
+UNUSABLE_SAMPLE_ARRAYS = {
+    "one-d": (np.zeros(3), None, "(n, d)"),
+    "non-finite": (np.array([[0.0], [np.inf]]), None, "finite"),
+    "labels-too-short": (np.zeros((3, 1)), np.array([0, 1]), "one integer per sample"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_SAMPLE_ARRAYS))
+def test_dataset_refuses_unusable_sample_arrays(case):
+    samples, labels, message = UNUSABLE_SAMPLE_ARRAYS[case]
+    with pytest.raises(DomainError, match=re.escape(message)):
+        ToyDataset(samples=samples, labels=labels)
+
+
+@pytest.mark.parametrize("samples, labels", [(np.zeros(3), None),
+                                              (np.zeros((3, 1)), np.array([0, 1]))])
+def test_write_samples_refuses_a_flat_array_or_mismatched_labels(tmp_path, samples, labels):
+    path = tmp_path / "samples.txt"
+    with pytest.raises(DomainError):
+        write_samples(str(path), samples, seed=0, labels=labels)
+    assert not path.exists()
 
 
 NOT_WHOLE_LABELS = {

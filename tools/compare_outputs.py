@@ -27,6 +27,8 @@ its velocity with a class label, override the sampler's time window and
 sbdm-vp's beta rates, evaluate against a preset and against a samples file,
 run the 1-D permutation test on 600 exact-field samples over several blocks
 of splits and the 2-D one on the grid-9 samples over several row blocks,
+score 700 exact grid-9 samples against 700 draws (an energy distance over
+several blocks of pairwise distances),
 train on an unlabelled sample output and, class-conditional, on a labelled
 samples file the tool writes, tabulate ``info``, run a sweep with a
 ``kl-eta`` cell twice into one directory, so that the second run reuses its
@@ -169,6 +171,12 @@ COMMANDS = [
     # 512 pooled points: 2-D splits scored over many row blocks.
     ("eval-grid9", ["eval", "--samples", "sample-exact-null-label/samples.txt",
                     "--reference", "grid-9", "--permutations", "30", "--out", "eval-grid9"]),
+    ("sample-grid9-700-heun", ["sample", "--analytic", "grid-9", "--steps", "20",
+                               "--n", "700", "--seed", "8", "--out", "sample-grid9-700-heun"]),
+    # 700 x 700 a-b distances: the energy distance sums several distance blocks.
+    ("eval-grid9-700", ["eval", "--samples", "sample-grid9-700-heun/samples.txt",
+                        "--reference", "grid-9", "--permutations", "10",
+                        "--out", "eval-grid9-700"]),
     ("train-file", ["train", "--dataset", "sample-model-heun/samples.txt", *TRAIN_FILE,
                     "--seed", "9", "--out", "train-file"]),
     ("train-labelled", ["train", "--dataset", "labelled.txt", "--conditional", *TRAIN_FILE,
