@@ -145,7 +145,12 @@ def score_from_velocity(schedule: InterpolantSchedule, v_value: np.ndarray,
     Refused where ``sigma(t) = 0``.
     """
     vv, xx, was_vector = _pair(v_value, x, t)
-    coef = schedule.coefficients(t)
+    out = _score_from_velocity(schedule.coefficients(t), vv, xx)
+    return out[0] if was_vector else out
+
+
+def _score_from_velocity(coef: Coefficients, vv: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """:func:`score_from_velocity` on (n, d) batches at the times of ``coef``."""
     sig = coef.sigma
     if (sig == 0.0).any():
         raise SingularityError(
@@ -156,9 +161,8 @@ def score_from_velocity(schedule: InterpolantSchedule, v_value: np.ndarray,
         raise SingularityError(
             "score_from_velocity: conversion denominator vanished"
         )
-    out = (_per_sample(coef.alpha) * vv - _per_sample(coef.alpha_dot) * xx) \
+    return (_per_sample(coef.alpha) * vv - _per_sample(coef.alpha_dot) * xx) \
         / _per_sample(sig * denom)
-    return out[0] if was_vector else out
 
 
 def velocity_from_score(schedule: InterpolantSchedule, s_value: np.ndarray,
@@ -671,7 +675,8 @@ def guided_field(model: FieldModel, zeta: float, x: np.ndarray, t,
     the two is linear in the field value, so mixing commutes with it).
     ``zeta = 1`` returns the conditional evaluation itself and ``zeta = 0``
     the unconditional one — each a single model call, bitwise identical to
-    calling the model directly.
+    calling the model directly.  A sampler checks its run's label once and
+    calls :func:`_guided` at each step.
 
     At each time ``t`` the guided score is the score of the tempered density
     proportional to ``p_t(x) * p_t(y|x)**zeta``.  Guided *sampling* does not
@@ -684,7 +689,11 @@ def guided_field(model: FieldModel, zeta: float, x: np.ndarray, t,
     if model.conditioning is None:
         raise UnconditionalModelError("guided evaluation requires a class-conditional model")
     zeta = _real("zeta", zeta, 0.0, error=DomainError)
-    labels = _real_class(model.conditioning, y)
+    return _guided(model, zeta, x, t, _real_class(model.conditioning, y))
+
+
+def _guided(model: FieldModel, zeta: float, x: np.ndarray, t, labels: np.ndarray) -> np.ndarray:
+    """:func:`guided_field` at a checked ``zeta`` and :func:`_real_class` ``labels``."""
     if zeta == 1.0:
         return model.evaluate(x, t, labels)
     if zeta == 0.0:

@@ -254,12 +254,13 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
     count of each distinct value, as :func:`energy_distance` scores the
     unpermuted split, so every split equals its :func:`energy_distance` bit
     for bit and one that holds the same values as ``a`` reaches the observed
-    statistic.
+    statistic.  The pair is checked once and the observed statistic scored
+    once: in one dimension by the scorer's first call, on the unpermuted
+    split, and in more by :func:`energy_distance`'s pass.
     """
     aa, bb = _sample_pair(a, b)
     count = _count("n_permutations", n_permutations)
     rng = _rng(seed)
-    observed = energy_distance(aa, bb)
     pooled = np.concatenate([aa, bb], axis=0)
     n, size = aa.shape[0], pooled.shape[0]
     identity = np.arange(size)
@@ -267,18 +268,18 @@ def energy_distance_permutation_test(a: np.ndarray, b: np.ndarray,
         # The block width bounds the (splits × pooled points) count matrix.
         width, score = max(1, _COUNT_BUDGET // size), _grouped_split_statistics
         data = _value_groups(pooled[:, 0])
-        threshold = score(data, n, identity[None, :])[0]
+        observed = float(score(data, n, identity[None, :])[0])
     else:
         # The block width bounds the (pooled points × splits) split matrix.
         width, score, data = max(1, _SPLIT_BUDGET // size), _split_statistics, pooled
-        threshold = observed
+        observed = _energy(aa, bb)
     blocks = np.empty((min(width, count), size), dtype=identity.dtype)
     exceed = 0
     for lo in range(0, count, width):
         orders = blocks[:min(width, count - lo)]
         orders[...] = identity
         rng.permuted(orders, axis=1, out=orders)
-        exceed += int(np.count_nonzero(score(data, n, orders) >= threshold))
+        exceed += int(np.count_nonzero(score(data, n, orders) >= observed))
     p_value = (1.0 + exceed) / (count + 1.0)
     return observed, p_value
 

@@ -45,13 +45,8 @@ import numpy as np
 
 from .errors import (ConfigError, DomainError, NonFiniteError, _count, _nonnegative_values,
                      _real)
-from .field import (
-    FieldModel,
-    Prediction,
-    guided_field,
-    score_from_velocity,
-    velocity_from_score,
-)
+from .field import (FieldModel, Prediction, _guided, _real_class, _score_from_velocity,
+                    _velocity_from_score)
 from .schedule import DiffusionCoefficient, InterpolantSchedule, _regular_window, make_schedule
 
 __all__ = [
@@ -160,7 +155,9 @@ class _CountingField:
     and Euler-Maruyama at each grid time's ``w``.
 
     One "evaluation" is one batched model call; guidance with zeta outside
-    {0, 1} spends two per call (conditional + null).
+    {0, 1} spends two per call (conditional + null).  Each input is checked
+    once: a guided run's label here, the points and time by the model call,
+    whose (n, d) rows the conversion reuses.
     """
 
     def __init__(self, model: FieldModel, spec: SamplerSpec, y) -> None:
@@ -169,6 +166,7 @@ class _CountingField:
                 raise ConfigError("guided sampling requires a class label to guide toward")
             if model.conditioning is None:
                 raise ConfigError("guided sampling requires a conditional model")
+            y = _real_class(model.conditioning, y)
         self.model = model
         self.schedule = model.schedule
         self.zeta = spec.guidance_zeta
@@ -180,15 +178,15 @@ class _CountingField:
         the velocity alone, with no score conversion."""
         if self.zeta is not None:
             self.calls += 1 if self.zeta in (0.0, 1.0) else 2
-            value = guided_field(self.model, self.zeta, x, t, self.y)
+            value = _guided(self.model, self.zeta, x, t, self.y)
         else:
             self.calls += 1
             value = self.model.evaluate(x, t, self.y)
         if self.model.prediction is Prediction.VELOCITY:
             if w == 0.0:
                 return value
-            return value - 0.5 * w * score_from_velocity(self.schedule, value, x, t)
-        velocity = velocity_from_score(self.schedule, value, x, t)
+            return value - 0.5 * w * _score_from_velocity(self.schedule.coefficients(t), value, x)
+        velocity = _velocity_from_score(self.schedule.coefficients(t), value, x)
         return velocity if w == 0.0 else velocity - 0.5 * w * value
 
 

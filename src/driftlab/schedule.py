@@ -205,37 +205,26 @@ class Coefficients:
     their derivatives, lambda, w_kl and the conversion denominator.
 
     Made by :meth:`InterpolantSchedule.coefficients`, and the only caller of
-    the schedule's raw closed forms.  alpha, sigma and their derivatives are
-    computed on first read and then kept in a slot of this object; lambda,
-    w_kl and the conversion denominator are computed from them on each read,
-    and a singular one is refused under its own name.  A caller thus
-    validates ``t`` once and computes only what it reads: the mixture field
-    reads alpha and sigma alone, so at ``t = 0`` it never starts sbdm-vp's
-    singular ``sigma_dot``.  An instance belongs to the call that made it;
+    the schedule's raw closed forms.  alpha and sigma, which every reader
+    reads, are computed when it is made, and their derivatives on first read
+    and then kept in a slot; lambda, w_kl and the conversion denominator are
+    computed from them on each read, a singular one refused under its own
+    name.  A caller thus validates ``t`` once: the mixture field reads alpha
+    and sigma alone, so at ``t = 0`` it never starts sbdm-vp's singular
+    ``sigma_dot``.  An instance belongs to the call that made it;
     the schedule itself keeps nothing.  Values are float64 arrays of the
     shape of ``t``, or numpy float64 scalars for a 0-d ``t`` (indexed out
     with ``[()]``), so that the arithmetic among them takes numpy's scalar
     path and not the ufunc machinery; the bits are the same.
     """
 
-    __slots__ = ("schedule", "t", "_alpha", "_sigma", "_alpha_dot", "_sigma_dot")
+    __slots__ = ("schedule", "t", "alpha", "sigma", "_alpha_dot", "_sigma_dot")
 
     def __init__(self, schedule: InterpolantSchedule, t: np.ndarray) -> None:
         self.schedule = schedule
         self.t = t
-        self._alpha = self._sigma = self._alpha_dot = self._sigma_dot = None
-
-    @property
-    def alpha(self) -> np.ndarray:
-        if self._alpha is None:
-            self._alpha = self.schedule._alpha(self.t)[()]
-        return self._alpha
-
-    @property
-    def sigma(self) -> np.ndarray:
-        if self._sigma is None:
-            self._sigma = self.schedule._sigma(self.t)[()]
-        return self._sigma
+        self.alpha, self.sigma = schedule._alpha(t)[()], schedule._sigma(t)[()]
+        self._alpha_dot = self._sigma_dot = None
 
     @property
     def alpha_dot(self) -> np.ndarray:

@@ -78,3 +78,17 @@ def tracemalloc_peak(fn, *args, **kwargs) -> int:
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.<name>`` for the test; each call appends its positional
+    arguments to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls

@@ -7,7 +7,8 @@ through ``errors._window``: two real numbers with 0 <= lo < hi <= 1.  Loss
 values and the values of a diffusion coefficient w go through
 ``errors._nonnegative_values``: finite real numbers >= 0.  Real numbers go
 through ``errors._real``: a finite number in the argument's range passes as a
-float, and bools, strings, None, NaN and infinities are refused.  Class labels
+float, and bools, strings, None, NaN, infinities and integers beyond the float
+range are refused.  Class labels
 are whole numbers: an integral float is the label, a fraction is refused.
 """
 
@@ -292,7 +293,7 @@ def test_w_values_refuse_non_numbers(w):
 
 
 REFUSED_REALS = [True, "0.5", None, float("nan"), float("inf"), float("-inf"),
-                 "out of range"]
+                 10**400, "out of range"]
 
 
 @pytest.mark.parametrize("entry,value", [

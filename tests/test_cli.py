@@ -315,6 +315,7 @@ BROKEN_CHECKPOINTS = {
     "beta-on-linear": lambda payload: payload["architecture"]["schedule"].update(beta=0.5),
     "one-parameter-too-few": lambda payload: payload["parameters"].pop(),
     "zero-width": lambda payload: payload["architecture"].update(widths=[0]),
+    "no-hidden-layer": lambda payload: payload["architecture"].update(widths=[]),
     "zero-classes": lambda payload: payload["architecture"].update(num_classes=0),
     "dimension-a-bool": lambda payload: payload["architecture"].update(dimension=True),
 }
@@ -348,6 +349,8 @@ BAD_CONFIGS = {
     "sample-n-null": ("sample", b'{"n": null}', "'n'"),
     "sample-not-an-object": ("sample", b'[{"n": 5}]', None),
     "sweep-dataset-not-a-preset": ("sweep", b'{"dataset": "two-gauss"}', "'dataset'"),
+    "train-dataset-not-a-string": ("train", b'{"dataset": 3}', "'dataset'"),
+    "train-lr-bool": ("train", b'{"lr": true}', "'lr'"),
 }
 
 

@@ -11,6 +11,7 @@ from driftlab import (
     Conditioning,
     DomainError,
     GaussianMixture,
+    InterpolantSchedule,
     MLPField,
     Prediction,
     SingularityError,
@@ -109,6 +110,31 @@ def test_conversion_refusals(linear, gvp, vp):
     velocity_from_score(vp, value, x, 1.0)
 
 
+class _EqualWeightsSchedule(InterpolantSchedule):
+    """alpha = sigma = 1 - t/2: in no registry, and its conversion
+    denominator alpha_dot*sigma - alpha*sigma_dot is 0 at every t."""
+
+    name = "equal-weights"
+
+    def _alpha(self, t):
+        return 1.0 - 0.5 * t
+
+    def _sigma(self, t):
+        return 1.0 - 0.5 * t
+
+    def _alpha_dot(self, t, alpha, sigma):
+        return np.full_like(t, -0.5)
+
+    def _sigma_dot(self, t, alpha, sigma):
+        return np.full_like(t, -0.5)
+
+
+def test_score_from_velocity_refuses_a_vanishing_denominator():
+    # sigma(0.5) = 0.75, so only the denominator refuses.
+    with pytest.raises(SingularityError, match="denominator vanished"):
+        score_from_velocity(_EqualWeightsSchedule(), np.array([[0.5]]), np.array([[1.0]]), 0.5)
+
+
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
@@ -179,6 +205,12 @@ def test_mixture_refuses_non_finite_or_dimensionless_parameters(case):
     means, covariances = UNUSABLE_MIXTURES[case]
     with pytest.raises(DomainError):
         GaussianMixture([1.0], means, covariances)
+
+
+def test_mixture_refuses_covariances_of_another_shape():
+    # Neither (K,), (K, d) nor (K, d, d).
+    with pytest.raises(DomainError, match="covariances must be"):
+        GaussianMixture([1.0], [[0.0, 0.0]], np.ones((1, 3)))
 
 
 def test_mixture_covariance_forms_agree(rng):
@@ -639,6 +671,12 @@ def test_field_shape_contract(two_gauss, linear):
     assert vector.shape == (1,)
     batch = model.evaluate(np.array([[0.5], [1.0]]), 0.4)
     assert batch.shape == (2, 1)
+
+
+def test_field_calls_refuse_points_of_three_axes(two_gauss, linear):
+    model = AnalyticMixtureField(two_gauss, linear)
+    with pytest.raises(DomainError, match=r"points must have shape \(d,\) or \(n, d\)"):
+        model.evaluate(np.zeros((2, 1, 1)), 0.4)
 
 
 def test_conditioning_validation():

@@ -233,6 +233,13 @@ def test_mlp_matches_manual_reference(linear, rng, num_classes):
                               _reference_backward(model, activations, labels, g))
 
 
+def test_backward_takes_a_one_point_gradient_as_one_row(linear, rng):
+    model = MLPField(2, linear, num_classes=3, seed=4)
+    _, cache = model.forward_with_cache(rng.standard_normal(2), 0.4, 1)
+    g = rng.standard_normal(2)
+    assert _bitwise_equal(model.backward(cache, g), model.backward(cache, g[None, :]))
+
+
 def _block_rows(model) -> int:
     return _EVAL_BLOCK_VALUES // max(model._layer_dims)
 

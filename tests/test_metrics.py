@@ -37,7 +37,7 @@ from driftlab import (
 from driftlab import metrics
 from driftlab.metrics import DEFAULT_PATH_GRID
 
-from helpers import ks_statistic_uniform
+from helpers import count_calls, ks_statistic_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +233,8 @@ def _direct_permutation_statistics(a, b, n_permutations, seed):
 @pytest.mark.parametrize("d, n, m, budgets", [
     (2, 48, 48, None),
     (3, 41, 67, None),
-    (2, 53, 38, (700, 400)),  # 3 rows per distance block, 4 splits per block
-    (3, 45, 30, (1000, 500)),  # 4 rows per distance block, 6 splits per block
+    (2, 53, 38, (700, 400)),  # 18 rows per a-b distance block, 4 splits per block
+    (3, 45, 30, (1000, 500)),  # 33 rows per a-b distance block, 6 splits per block
 ])
 def test_one_pass_permutation_statistics_match_a_direct_loop(
         monkeypatch, rng, d, n, m, budgets):
@@ -267,7 +267,7 @@ def test_one_pass_permutation_statistics_match_a_direct_loop(
         if budgets is not None:
             width = budgets[1] // (n + m)
             assert len(recorded) == -(-permutations // width) > 1
-            assert budgets[0] // ((n + m) * d) < n + m  # several row blocks
+            assert budgets[0] // m < n  # the direct loop's a-b pass: several row blocks
     assert len(p_values) > 2
 
 
@@ -285,6 +285,16 @@ def test_one_dimensional_permutation_pvalues_match_a_direct_loop(rng, n, m):
         assert p == (1 + np.count_nonzero(direct >= observed)) / (permutations + 1)
         p_values.add(p)
     assert len(p_values) > 2
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_permutation_test_checks_and_scores_its_pair_once(monkeypatch, rng, d):
+    pairs = count_calls(monkeypatch, metrics, "_sample_pair")
+    groups = count_calls(monkeypatch, metrics, "_value_groups")
+    a, b = rng.standard_normal((30, d)), rng.standard_normal((45, d)) + 0.2
+    observed, _ = energy_distance_permutation_test(a, b, n_permutations=25, seed=4)
+    assert (len(pairs), len(groups)) == (1, 1 if d == 1 else 0)
+    assert observed == energy_distance(a, b)
 
 
 def _recording(monkeypatch, name):

@@ -41,7 +41,7 @@ from driftlab.schedule import (
     ZeroCoefficient,
 )
 
-from helpers import log_slope, relative_error, tracemalloc_peak
+from helpers import count_calls, log_slope, relative_error, tracemalloc_peak
 
 
 @pytest.fixture
@@ -222,6 +222,40 @@ def test_guided_sampling_requires_label_and_conditioning(two_gauss, linear,
                                          conditional=False)
     with pytest.raises(ConfigError):
         heun_sample(unconditional, spec, 4, y=0)
+
+
+def test_each_drift_call_checks_its_inputs_once(two_gauss, linear, monkeypatch):
+    # One points/time check per model evaluation, one label check per
+    # conditional evaluation and no zeta check: the conversion reuses the
+    # rows the model call accepted, the spec checked zeta and the run the label.
+    points = count_calls(monkeypatch, driftlab.field, "_points")
+    labels = count_calls(monkeypatch, driftlab.field.Conditioning, "validate")
+    reals = count_calls(monkeypatch, driftlab.field, "_real")
+    x = np.linspace(-2.0, 2.0, 12)[:, None]
+    for prediction in Prediction:
+        model = AnalyticMixtureField(two_gauss, linear, prediction, conditional=True)
+        for zeta, evaluations in ((None, 1), (4.0, 2)):
+            spec = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=4,
+                               guidance_zeta=zeta)
+            drift = sampler._CountingField(model, spec, 1)
+            for w in (0.0, 0.5):
+                for calls in (points, labels, reals):
+                    calls.clear()
+                drift.drift(x, 0.5, w)
+                assert (len(points), len(labels), len(reals)) == (evaluations, 1, 0), (
+                    prediction, zeta, w)
+
+
+def test_a_guided_run_checks_its_label_once(score_model, linear, monkeypatch):
+    checks = count_calls(monkeypatch, driftlab.field, "_real_class")
+    checks_here = count_calls(monkeypatch, sampler, "_real_class")
+    heun = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=6, guidance_zeta=4.0)
+    em = SamplerSpec(kind="em", t_start=0.999, t_end=0.04, steps=6, last_step_to=0.0,
+                     diffusion=SigmaCoefficient(linear), guidance_zeta=4.0)
+    for run, spec in ((heun_sample, heun), (euler_maruyama_sample, em)):
+        before = len(checks) + len(checks_here)
+        run(score_model, spec, 10, y=1, chunk_size=4)  # three chunks
+        assert len(checks) + len(checks_here) == before + 1
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,14 @@ def test_schedule_config_round_trip(all_schedules):
         schedule_from_config({"beta_min": 1.0})
 
 
+def test_equal_schedules_hash_equal(all_schedules):
+    for schedule in all_schedules:
+        assert hash(schedule_from_config(schedule.to_config())) == hash(schedule)
+    assert hash(make_schedule("sbdm-vp", beta_min=0.3, beta_max=7.0)) \
+        != hash(make_schedule("sbdm-vp"))
+    assert len({make_schedule("gvp"), make_schedule("gvp"), make_schedule("linear")}) == 2
+
+
 def test_scalar_and_array_shapes(all_schedules):
     for schedule in all_schedules:
         assert isinstance(schedule.alpha(0.5), float)

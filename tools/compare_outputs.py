@@ -16,9 +16,9 @@ widths, batch 256), a class-conditional one at batch 300 (two
 weight-gradient blocks) and one whose profile evaluates 600 draws per bin
 (two evaluation blocks and a remainder), sample the first (with ``kl``
 among others), the batch-300 one, the 600-draw one at n = 600, the
-class-conditional one (with guidance, and with a label at n = 600), the
-score models in their default windows and the exact field with both
-samplers and several diffusion coefficients (``kl-eta`` with the trained
+class-conditional one (guided with heun and with em, and with a label at
+n = 600), the score models in their default windows and the exact field
+with both samplers and several diffusion coefficients (``kl-eta`` with the trained
 profile among them), run em at ``w = 0`` on the first model and on the
 exact field, on the exact velocity field (a score conversion) and guided on
 the exact score field at zeta 4, 0 and 1 and on the exact velocity field at
@@ -134,6 +134,9 @@ COMMANDS = [
                             "--t-end", "0", *SAMPLE_FAST, "--out", "sample-window-heun"]),
     ("sample-guided-heun", ["sample", "--checkpoint", CONDITIONAL, "--zeta", "2",
                             "--label", "1", *SAMPLE_FAST, "--out", "sample-guided-heun"]),
+    ("sample-guided-em", ["sample", "--checkpoint", CONDITIONAL, "--sampler", "em",
+                          "--w", "sigma", "--zeta", "2", "--label", "1", *SAMPLE_FAST,
+                          "--out", "sample-guided-em"]),
     ("sample-model-em-zero", ["sample", "--checkpoint", CHECKPOINT, "--sampler", "em",
                               "--w", "zero", *SAMPLE_FAST, "--out", "sample-model-em-zero"]),
     ("sample-exact-em-zero", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
