@@ -28,6 +28,17 @@ order, a block of steps at a time, into one reused buffer, so a chunk holds
 O(chunk x (block*d + one generator)) of noise state however many steps the
 run takes.  Seeds must be nonnegative.
 
+Because each trajectory depends only on its own index, a large exact-field
+run is split across the host's cores: trajectories 0..n-1 form one
+contiguous group per worker, the parent samples the first group and forked
+child processes the others, and each child sends its samples back through a
+pipe.  The bits equal those of the serial loop, and so does a failure: the
+error raised is the one of the earliest serial chunk, then the smallest
+step.  A run forks only when the model is an :class:`AnalyticMixtureField`,
+the platform reports its CPU affinity, no other Python thread is alive and
+every worker gets at least ``_STEPS_PER_WORKER`` trajectory steps; a learned
+model's BLAS products already use every core.
+
 Function-evaluation (NFE) accounting per trajectory: Heun spends exactly
 ``2N`` model evaluations (no fused final correction), Euler-Maruyama spends
 ``N`` plus one for the final noiseless step; guidance with ``zeta`` outside
@@ -38,15 +49,19 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import (ConfigError, DomainError, NonFiniteError, _count, _nonnegative_values,
                      _real)
-from .field import (FieldModel, Prediction, _guided, _real_class, _score_from_velocity,
-                    _velocity_from_score)
+from .field import (AnalyticMixtureField, FieldModel, Prediction, _guided, _real_class,
+                    _score_from_velocity, _velocity_from_score)
 from .schedule import DiffusionCoefficient, InterpolantSchedule, _regular_window, make_schedule
 
 __all__ = [
@@ -172,6 +187,9 @@ class _CountingField:
         self.zeta = spec.guidance_zeta
         self.y = y
         self.calls = 0
+        #: The grid step being taken, which orders the failures of ranges
+        #: sampled apart.
+        self.step = 0
 
     def drift(self, x: np.ndarray, t: float, w: float = 0.0) -> np.ndarray:
         """``v - w/2 * s`` at ``(x, t)`` from one model call; ``w = 0`` is
@@ -378,6 +396,98 @@ def _check_finite(x: np.ndarray, step: int) -> None:
         raise NonFiniteError("sampler state became non-finite", step=step)
 
 
+class _Failure(NamedTuple):
+    """The error of a range of trajectories sampled apart from the others."""
+
+    #: (serial chunk, step, first trajectory): the serial loop raises the
+    #: error of its earliest failing chunk, at that chunk's smallest step.
+    order: tuple[int, int, int]
+    error: Exception
+
+
+#: Trajectory steps (trajectories x grid steps) that each worker process
+#: must get before a run forks.  A bare fork, pipe and wait took 3.9 ms on a
+#: 2-core host, and a grid-9 Heun run of 128 trajectories x 50 steps took
+#: 14.4 ms serially against 22.1 ms forked.
+_STEPS_PER_WORKER = 2 ** 16
+
+
+def _workers(model: FieldModel, n_samples: int, steps: int) -> int:
+    """The number of processes a run samples in: one per usable core, as
+    many as give each ``_STEPS_PER_WORKER`` trajectory steps, at most one per
+    trajectory.  One unless the model is the exact field (a learned model's
+    BLAS products already use every core; a forked MLP Heun run of 2,048
+    trajectories x 100 steps took 3.6 s against 1.2 s serially), the
+    platform reports its CPU affinity and no other Python thread is alive
+    (a fork copies only the calling thread)."""
+    if not (isinstance(model, AnalyticMixtureField) and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_samples * steps // _STEPS_PER_WORKER,
+                      n_samples))
+
+
+def _groups(n_samples: int, chunk: int, workers: int) -> list[list[tuple[int, int]]]:
+    """Trajectories 0..n-1 as ``workers`` contiguous groups of near-equal
+    size, each cut at the multiples of ``chunk`` into ``(lo, hi)`` ranges, so
+    that every range lies within one serial chunk."""
+    groups = []
+    for g in range(workers):
+        lo, hi = n_samples * g // workers, n_samples * (g + 1) // workers
+        cuts = [lo, *range((lo // chunk + 1) * chunk, hi, chunk), hi]
+        groups.append(list(zip(cuts[:-1], cuts[1:])))
+    return groups
+
+
+def _forked(run, groups: list) -> list:
+    """``[run(group) for group in groups]``, with ``groups[0]`` run here and
+    every other group in a forked child that sends its result, pickled,
+    through a pipe.  A child that exits without a result has its group run
+    here instead.  Every child is reaped; one still running when an
+    exception leaves is killed first."""
+    children = []  # (pid, pipe) of each child not yet reaped, in group order
+    try:
+        for group in groups[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _serve(run, group, read, write)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+        results = [run(groups[0])]
+        for group in groups[1:]:
+            pid, pipe = children[0]
+            payload = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            ok = payload and os.waitstatus_to_exitcode(status) == 0
+            results.append(pickle.loads(payload) if ok else run(group))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
+def _serve(run, group, read: int, write: int) -> None:
+    """In a forked child: write ``run(group)`` to the pipe and exit, with
+    status 0 only when the whole result was written.  Never returns."""
+    try:
+        os.close(read)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(pickle.dumps(run(group), pickle.HIGHEST_PROTOCOL))
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
 def _integrate(model: FieldModel, spec: SamplerSpec, n_samples: int,
                y, chunk_size: int | None, step, final_step=None,
                noise_rows: int = 1) -> SamplerResult:
@@ -388,7 +498,9 @@ def _integrate(model: FieldModel, spec: SamplerSpec, n_samples: int,
     chunk's :class:`_NoiseStream` of ``noise_rows`` rows; row 0 is the
     initial state.  NFE is the run's model-call count per chunk, which is
     the same for every chunk.  ``chunk_size`` is ``None`` (DEFAULT_CHUNK) or
-    a positive integer; anything else is a :class:`ConfigError`.
+    a positive integer; anything else is a :class:`ConfigError`.  With more
+    than one worker (:func:`_workers`) the chunks of each group run in its
+    own process, with the serial loop's bits and its error.
     """
     n_samples = _count("n_samples", n_samples, error=DomainError)
     if chunk_size is None:
@@ -400,18 +512,45 @@ def _integrate(model: FieldModel, spec: SamplerSpec, n_samples: int,
         raise ConfigError(f"chunk_size must be None or a positive integer, got {chunk_size!r}")
     dim = model.dimension
     field = _CountingField(model, spec, y)
-    outputs = []
-    for lo in range(0, n_samples, chunk):
-        noise = _NoiseStream(spec.seed, lo, min(lo + chunk, n_samples), noise_rows, dim)
+
+    def trajectories(lo: int, hi: int) -> np.ndarray:
+        """Samples of trajectories lo..hi-1; ``field.step`` follows the step."""
+        noise = _NoiseStream(spec.seed, lo, hi, noise_rows, dim)
         x = noise.row(0).copy()  # the buffer is refilled under it
         for i in range(spec.steps):
+            field.step = i
             x = step(field, x, i, noise)
             _check_finite(x, i)
         if final_step is not None:
+            field.step = spec.steps
             x = final_step(field, x)
             _check_finite(x, spec.steps)
-        outputs.append(x)
-    return SamplerResult(np.concatenate(outputs, axis=0), field.calls // len(outputs))
+        return x
+
+    workers = _workers(model, n_samples, spec.steps)
+    if workers == 1:
+        outputs = [trajectories(lo, min(lo + chunk, n_samples))
+                   for lo in range(0, n_samples, chunk)]
+        return SamplerResult(np.concatenate(outputs, axis=0), field.calls // len(outputs))
+
+    def run(group: list[tuple[int, int]]) -> SamplerResult | _Failure:
+        """The result of a group's ranges, run in order, or the failure of
+        the first range that fails."""
+        calls, outputs = field.calls, []
+        for lo, hi in group:
+            try:
+                outputs.append(trajectories(lo, hi))
+            except Exception as error:
+                return _Failure((lo // chunk, field.step, lo), error)
+        return SamplerResult(np.concatenate(outputs, axis=0),
+                             (field.calls - calls) // len(group))
+
+    results = _forked(run, _groups(n_samples, chunk, workers))
+    failures = [result for result in results if isinstance(result, _Failure)]
+    if failures:
+        raise min(failures, key=lambda failure: failure.order).error
+    return SamplerResult(np.concatenate([result.samples for result in results], axis=0),
+                         results[0].nfe)
 
 
 def _require_kind(spec: SamplerSpec, kind: SamplerKind, entry: str) -> None:

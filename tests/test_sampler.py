@@ -2,6 +2,7 @@
 
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -25,6 +26,7 @@ from driftlab import (
     euler_maruyama_sample,
     get_preset,
     heun_sample,
+    make_schedule,
     mode_occupancy,
     time_grid,
     velocity_from_score,
@@ -394,6 +396,207 @@ def test_batch_extension_is_prefix_stable(score_model, linear):
     small = euler_maruyama_sample(score_model, em_spec, 16)
     large = euler_maruyama_sample(score_model, em_spec, 48)
     assert np.array_equal(large.samples[:16], small.samples)
+
+
+# ---------------------------------------------------------------------------
+# Worker processes: the bits, NFE and errors of the serial loop
+# ---------------------------------------------------------------------------
+
+
+def _set_workers(monkeypatch, workers):
+    monkeypatch.setattr(sampler, "_workers", lambda model, n_samples, steps: workers)
+
+
+def _forbid_fork(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork was called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _worker_runs(linear):
+    """(sample, model, spec, n_samples, y, chunk_size) covering both samplers,
+    EM with and without its final step, guidance, score and velocity fields,
+    1-D and 2-D, and runs above DEFAULT_CHUNK."""
+    two_gauss, grid = get_preset("two-gauss-1d"), get_preset("grid-9")
+    score_1d = AnalyticMixtureField(two_gauss, linear, Prediction.SCORE, conditional=True)
+    velocity_1d = AnalyticMixtureField(two_gauss, linear, Prediction.VELOCITY)
+    score_2d = AnalyticMixtureField(grid, linear, Prediction.SCORE, conditional=True)
+    velocity_2d = AnalyticMixtureField(grid, linear, Prediction.VELOCITY, conditional=True)
+    sigma = SigmaCoefficient(linear)
+
+    def heun(zeta=None):
+        return SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=5,
+                           guidance_zeta=zeta, seed=8)
+
+    def em(last_step_to, zeta=None):
+        return SamplerSpec(kind="em", t_start=0.999, t_end=0.04, steps=5, diffusion=sigma,
+                           last_step_to=last_step_to, guidance_zeta=zeta, seed=8)
+
+    return [
+        (heun_sample, score_1d, heun(), 31, None, None),
+        (heun_sample, velocity_2d, heun(), 29, None, None),
+        (euler_maruyama_sample, velocity_2d, em(0.0), 29, None, None),
+        (euler_maruyama_sample, velocity_1d, em(None), 17, None, None),
+        (euler_maruyama_sample, score_2d, em(0.0, zeta=4.0), 23, 0, None),
+        (heun_sample, velocity_2d, heun(zeta=4.0), 22, 3, None),
+        (heun_sample, score_1d, heun(), sampler.DEFAULT_CHUNK + 5, None, None),
+        (euler_maruyama_sample, score_1d, em(0.0), 61, None, 7),
+    ]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_processes_give_the_serial_bits(linear, monkeypatch, workers):
+    forks = count_calls(monkeypatch, os, "fork")
+    for sample, model, spec, n, y, chunk_size in _worker_runs(linear):
+        _set_workers(monkeypatch, 1)
+        serial = sample(model, spec, n, y=y, chunk_size=chunk_size)
+        _set_workers(monkeypatch, workers)
+        forks.clear()
+        forked = sample(model, spec, n, y=y, chunk_size=chunk_size)
+        assert len(forks) == workers - 1
+        assert forked.samples.tobytes() == serial.samples.tobytes(), (spec, n)
+        assert forked.samples.shape == serial.samples.shape
+        assert forked.nfe == serial.nfe
+
+
+def test_groups_cover_the_run_in_ranges_within_serial_chunks():
+    for n, chunk, workers in ((29, 4096, 2), (4101, 4096, 2), (40, 16, 3), (5, 1, 5)):
+        groups = sampler._groups(n, chunk, workers)
+        ranges = [pair for group in groups for pair in group]
+        assert len(groups) == workers
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == n
+        assert all(lo < hi and lo // chunk == (hi - 1) // chunk for lo, hi in ranges)
+        sizes = [group[-1][1] - group[0][0] for group in groups]
+        assert max(sizes) - min(sizes) <= 1
+
+
+def test_worker_count_follows_the_cores_the_work_and_the_model(linear, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    exact = AnalyticMixtureField(get_preset("grid-9"), linear, Prediction.SCORE)
+    learned = MLPField(1, linear, widths=(8,), seed=3)
+    work = sampler._STEPS_PER_WORKER
+    assert sampler._workers(exact, 2048, 250) == 3
+    assert sampler._workers(exact, 2 * work, 1) == 2
+    assert sampler._workers(exact, 2, work) == 2
+    assert sampler._workers(exact, 128, 50) == 1
+    assert sampler._workers(learned, 2048, 250) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert sampler._workers(exact, 2048, 250) == 1
+
+
+def test_learned_small_and_threaded_runs_never_fork(linear, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _forbid_fork(monkeypatch)
+    exact = AnalyticMixtureField(get_preset("two-gauss-1d"), linear, Prediction.SCORE)
+    learned = MLPField(1, linear, widths=(8,), seed=3)
+    spec = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=64, seed=1)
+    n = 2 * sampler._STEPS_PER_WORKER // spec.steps
+    assert sampler._workers(exact, n, spec.steps) == 2  # would fork on its own
+    heun_sample(learned, spec, n)
+    small = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=50, seed=1)
+    heun_sample(exact, small, 128)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        heun_sample(exact, spec, n)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+
+
+class _Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt."""
+
+
+def _blow_up_run(fail_at: dict, n_samples: int, chunk_size=None):
+    """An exact-field run whose step leaves trajectory ``i`` in place until
+    step ``fail_at[i]``, where it becomes NaN; trajectories are told apart by
+    their initial states."""
+    model = AnalyticMixtureField(get_preset("two-gauss-1d"), make_schedule("linear"),
+                                 Prediction.SCORE)
+    spec = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=8, seed=3)
+    initial = _chunk_noise(3, 0, n_samples, 1, 1)[:, 0, 0]
+    fails = {value: fail_at.get(index, math.inf) for index, value in enumerate(initial)}
+
+    def step(field, x, i, noise):
+        field.drift(x, 0.5)
+        failed = np.array([fails[value] <= i for value in x[:, 0]])
+        return np.where(failed[:, None], np.nan, x)
+
+    return sampler._integrate(model, spec, n_samples, None, chunk_size, step)
+
+
+@pytest.mark.parametrize("fail_at, chunk_size, step", [
+    ({30: 4, 35: 2}, None, 2),  # in the second group only
+    ({3: 5}, None, 5),  # in the first group, which the parent runs
+    ({7: 6, 33: 2}, None, 2),  # both groups, one serial chunk: the smallest step
+    ({18: 6, 25: 3, 36: 1}, 16, 3),  # the earliest failing chunk, then its smallest step
+    ({5: 6, 36: 1}, 16, 6),
+])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_failures_raise_the_serial_error(monkeypatch, fail_at, chunk_size, step,
+                                                workers):
+    _set_workers(monkeypatch, 1)
+    with pytest.raises(NonFiniteError) as serial:
+        _blow_up_run(fail_at, 40, chunk_size)
+    _set_workers(monkeypatch, workers)
+    with pytest.raises(NonFiniteError) as forked:
+        _blow_up_run(fail_at, 40, chunk_size)
+    assert type(forked.value) is NonFiniteError
+    assert (str(forked.value), forked.value.step) == (str(serial.value), serial.value.step)
+    assert serial.value.step == step
+
+
+def test_every_error_survives_a_pickle_round_trip():
+    # A worker's error reaches the parent pickled.
+    classes = [value for value in vars(driftlab.errors).values()
+               if isinstance(value, type) and issubclass(value, driftlab.errors.DriftlabError)]
+    assert len(classes) == 7
+    errors = [cls("went wrong") for cls in classes]
+    errors += [NonFiniteError("blew up", step=3), NonFiniteError("blew up", t_bin=2),
+               NonFiniteError("blew up", step=0, t_bin=5)]
+    for error in errors:
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert getattr(copy, "step", None) == getattr(error, "step", None)
+        assert getattr(copy, "t_bin", None) == getattr(error, "t_bin", None)
+
+
+def test_a_worker_that_dies_has_its_ranges_run_by_the_parent(linear, monkeypatch):
+    model = AnalyticMixtureField(get_preset("grid-9"), linear, Prediction.SCORE)
+    spec = SamplerSpec(kind="em", t_start=0.999, t_end=0.04, steps=6,
+                       diffusion=SigmaCoefficient(linear), last_step_to=0.0, seed=2)
+    serial = euler_maruyama_sample(model, spec, 50, chunk_size=9)
+    _set_workers(monkeypatch, 3)
+    monkeypatch.setattr(sampler, "_serve", lambda *args: os._exit(1))
+    forks = count_calls(monkeypatch, os, "fork")
+    forked = euler_maruyama_sample(model, spec, 50, chunk_size=9)
+    assert len(forks) == 2
+    assert forked.samples.tobytes() == serial.samples.tobytes()
+    assert forked.nfe == serial.nfe
+
+
+def test_an_interrupted_run_kills_and_reaps_its_workers(monkeypatch):
+    parent = os.getpid()
+    model = AnalyticMixtureField(get_preset("two-gauss-1d"), make_schedule("linear"),
+                                 Prediction.SCORE)
+    spec = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=4, seed=3)
+
+    def step(field, x, i, noise):
+        if os.getpid() == parent:
+            raise _Interrupt
+        threading.Event().wait(30)  # a worker still running when the parent stops
+        return x
+
+    _set_workers(monkeypatch, 3)
+    with pytest.raises(_Interrupt):
+        sampler._integrate(model, spec, 30, None, None, step)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_em_samples_do_not_depend_on_the_noise_block_width(score_model, linear,

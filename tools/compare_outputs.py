@@ -24,7 +24,10 @@ exact field, on the exact velocity field (a score conversion) and guided on
 the exact score field at zeta 4, 0 and 1 and on the exact velocity field at
 zeta 4 and 0, sample the exact grid-9 field with the null-token label and
 its velocity with a class label, override the sampler's time window and
-sbdm-vp's beta rates, evaluate against a preset and against a samples file,
+sbdm-vp's beta rates, sample the exact field in runs large enough to fork
+worker processes (grid-9 em plain and guided at zeta 4, grid-9 velocity
+heun, and a 1-D em run of 4,100 trajectories across the default chunk),
+evaluate against a preset and against a samples file,
 run the 1-D permutation test on 600 exact-field samples over several blocks
 of splits and the 2-D one on the grid-9 samples over several row blocks,
 score 700 exact grid-9 samples against 700 draws (an energy distance over
@@ -65,6 +68,8 @@ CONDITIONAL = "train-conditional/checkpoint.json"
 SAMPLE_FAST = ["--steps", "40", "--n", "256", "--seed", "5"]
 #: Two 256-row evaluation blocks and a remainder of 88 rows per model call.
 SAMPLE_ROWS_600 = ["--steps", "20", "--n", "600", "--seed", "7"]
+#: Over 2**17 trajectory steps: an exact-field run forks two workers or more.
+SAMPLE_FORKED = ["--steps", "100", "--n", "2048", "--seed", "5"]
 
 #: (name, argv): run in order; later commands read earlier outputs.
 COMMANDS = [
@@ -160,6 +165,21 @@ COMMANDS = [
                                                    "--label", "0", *SAMPLE_FAST, "--out",
                                                    f"sample-exact-guided-velocity-em-z{zeta}"])
       for zeta in ("4", "0")),
+    # Runs large enough to sample in worker processes on a host of 2 cores or
+    # more; the last crosses DEFAULT_CHUNK into uneven ranges.
+    ("sample-exact-forked-em", ["sample", "--analytic", "grid-9", "--prediction", "score",
+                                "--sampler", "em", "--w", "sigma", *SAMPLE_FORKED,
+                                "--out", "sample-exact-forked-em"]),
+    ("sample-exact-forked-guided-em", ["sample", "--analytic", "grid-9", "--prediction",
+                                       "score", "--sampler", "em", "--w", "sigma",
+                                       "--zeta", "4", "--label", "0", *SAMPLE_FORKED,
+                                       "--out", "sample-exact-forked-guided-em"]),
+    ("sample-exact-forked-velocity-heun", ["sample", "--analytic", "grid-9", "--prediction",
+                                           "velocity", *SAMPLE_FORKED,
+                                           "--out", "sample-exact-forked-velocity-heun"]),
+    ("sample-exact-4100-em", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                              "--w", "sigma", "--steps", "40", "--n", "4100", "--seed", "5",
+                              "--out", "sample-exact-4100-em"]),
     ("eval", ["eval", "--samples", "sample-model-em-kl-eta/samples.txt",
               "--reference", "two-gauss-1d", "--permutations", "20", "--out", "eval"]),
     ("eval-file", ["eval", "--samples", "sample-model-heun/samples.txt",
