@@ -523,14 +523,14 @@ def gmm_conditional_score(gmm: GaussianMixture, schedule: InterpolantSchedule,
                           x: np.ndarray, t, component: int) -> np.ndarray:
     """Exact score of a single component's time-t marginal (class = component)."""
     model = AnalyticMixtureField(gmm, schedule, Prediction.SCORE, conditional=True)
-    return model.evaluate(x, t, _real_class(model.conditioning, component))
+    return model._real_class_evaluate(x, t, _real_class(model.conditioning, component))
 
 
 def gmm_conditional_velocity(gmm: GaussianMixture, schedule: InterpolantSchedule,
                              x: np.ndarray, t, component: int) -> np.ndarray:
     """Exact velocity of a single component's time-t marginal."""
     model = AnalyticMixtureField(gmm, schedule, Prediction.VELOCITY, conditional=True)
-    return model.evaluate(x, t, _real_class(model.conditioning, component))
+    return model._real_class_evaluate(x, t, _real_class(model.conditioning, component))
 
 
 # ---------------------------------------------------------------------------
@@ -604,19 +604,25 @@ class FieldModel:
         """
         raise NotImplementedError
 
-    def _inputs(self, x: np.ndarray, t, y):
+    def _real_class_evaluate(self, x: np.ndarray, t, labels: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate` at ids that :func:`_real_class` returned, which a
+        model with its own entry does not check again."""
+        return self.evaluate(x, t, labels)
+
+    def _inputs(self, x: np.ndarray, t, y, checked: bool = False):
         """The one check of a field call: ``(rows, was_vector, t, labels)``.
 
         ``rows`` is ``x`` as (n, d) float64, ``was_vector`` whether it came
         as one (d,) point, ``t`` as given (a scalar or (n,)), and ``labels``
         ``None`` (no label, or the null token), one class id, or (n,) ids.
+        ``checked`` labels are :meth:`Conditioning.validate`'s already.
         """
         xx, was_vector = _points(x, t, self.dimension)
         if y is None:
             return xx, was_vector, t, None
         if self.conditioning is None:
             raise UnconditionalModelError("labels were passed to an unconditional model")
-        labels = self.conditioning.validate(y)
+        labels = y if checked else self.conditioning.validate(y)
         if labels.ndim == 0:
             k = int(labels)
             return xx, was_vector, t, None if k == self.conditioning.null_id else k
@@ -650,7 +656,14 @@ class AnalyticMixtureField(FieldModel):
         return _velocity_from_score(parts["coef"], score, x)
 
     def evaluate(self, x: np.ndarray, t, y=None) -> np.ndarray:
-        xx, was_vector, t, labels = self._inputs(x, t, y)
+        return self._dispatch(*self._inputs(x, t, y))
+
+    def _real_class_evaluate(self, x: np.ndarray, t, labels: np.ndarray) -> np.ndarray:
+        return self._dispatch(*self._inputs(x, t, labels, checked=True))
+
+    def _dispatch(self, xx: np.ndarray, was_vector: bool, t, labels) -> np.ndarray:
+        """The field at checked inputs (see :meth:`FieldModel._inputs`), one
+        component set per distinct label."""
         if not isinstance(labels, np.ndarray):  # None or one class id
             out = self._single(xx, t, labels)
         else:
@@ -689,15 +702,18 @@ def guided_field(model: FieldModel, zeta: float, x: np.ndarray, t,
     if model.conditioning is None:
         raise UnconditionalModelError("guided evaluation requires a class-conditional model")
     zeta = _real("zeta", zeta, 0.0, error=DomainError)
-    return _guided(model, zeta, x, t, _real_class(model.conditioning, y))
+    return _guided(model, zeta, x, t, _real_class(model.conditioning, y), checked=True)
 
 
-def _guided(model: FieldModel, zeta: float, x: np.ndarray, t, labels: np.ndarray) -> np.ndarray:
-    """:func:`guided_field` at a checked ``zeta`` and :func:`_real_class` ``labels``."""
+def _guided(model: FieldModel, zeta: float, x: np.ndarray, t, labels: np.ndarray,
+            checked: bool = False) -> np.ndarray:
+    """:func:`guided_field` at a checked ``zeta`` and :func:`_real_class`
+    ``labels``, which the model call checks again unless ``checked``."""
+    evaluate = model._real_class_evaluate if checked else model.evaluate
     if zeta == 1.0:
-        return model.evaluate(x, t, labels)
+        return evaluate(x, t, labels)
     if zeta == 0.0:
         return model.evaluate(x, t)
-    conditional = model.evaluate(x, t, labels)
+    conditional = evaluate(x, t, labels)
     unconditional = model.evaluate(x, t)
     return zeta * conditional + (1.0 - zeta) * unconditional

@@ -41,6 +41,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _fork
 from .errors import (ConfigError, DomainError, NonFiniteError, _count, _nonnegative_values,
                      _real, _rng, _window)
 from .field import (
@@ -99,6 +100,9 @@ _EVAL_BLOCK_VALUES = 32768
 #: 1 and 2 threads; products over at most 512 rows agreed at every shape
 #: tried.  A batch of at most one block keeps its one product.
 _GRAD_BLOCK_ROWS = 256
+#: Evaluated rows (bins x draws per bin) that each worker process must get
+#: before :func:`estimate_loss_profile` forks.
+_PROFILE_ROWS_PER_WORKER = 2 ** 14
 
 
 def time_features(t: float | np.ndarray, count: int = TIME_FEATURE_COUNT,
@@ -214,6 +218,11 @@ class MLPField(FieldModel):
     def n_parameters(self) -> int:
         return self.parameters.shape[0]
 
+    @property
+    def _block_rows(self) -> int:
+        """Rows per block of :meth:`evaluate` (``_EVAL_BLOCK_VALUES``)."""
+        return max(1, _EVAL_BLOCK_VALUES // max(self._layer_dims))
+
     # -- forward / backward ------------------------------------------------------
 
     def _network_inputs(self, x: np.ndarray, t, y):
@@ -262,7 +271,7 @@ class MLPField(FieldModel):
         """
         xx, was_vector, t_arr, labels = self._network_inputs(x, t, y)
         n = xx.shape[0]
-        rows = min(n, max(1, _EVAL_BLOCK_VALUES // max(self._layer_dims)))
+        rows = min(n, self._block_rows)
         out = self._forward(xx, t_arr, labels,
                             [np.empty((rows, width)) for width in self._layer_dims[:-1]],
                             np.empty((n, self.dimension)))
@@ -705,6 +714,12 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
     were trained.  Batches are drawn as in training, from the stream
     ``SeedSequence(seed, spawn_key=(2,))``, which is the stream :func:`train`
     gives its profile.
+
+    An MLP's bins are split into contiguous groups across the host's cores
+    when each worker gets ``_PROFILE_ROWS_PER_WORKER`` rows (see
+    :mod:`driftlab._fork`); each group replays the stream's draws for the
+    bins before it, so the values have the serial bits, and a non-finite
+    value names the earliest bin.
     """
     bins = _count("bins", bins)
     draws_per_bin = _count("draws_per_bin", draws_per_bin)
@@ -713,29 +728,46 @@ def estimate_loss_profile(model: FieldModel, data, *, bins: int = 50,
     dataset = as_dataset(data)
     if model.conditioning is not None:  # its batches draw labels
         _class_count(dataset)
-    rng = _rng(seed, 2)
+    seed = _count("seed", seed, minimum=0)
     schedule = model.schedule
     if model.prediction is Prediction.SCORE:
         hi = min(hi, 1.0 - 1e-5)
         lo = max(lo, _regular_window(schedule, ("lambda_weight",))[0])
     _window(lo, hi)  # the clipping may empty it
     edges = np.linspace(lo, hi, bins + 1)
-    values = np.empty(bins)
-    for b in range(bins):
-        x_star, eps, t, y = _draw_batch(model, dataset, rng, draws_per_bin,
-                                        edges[b], edges[b + 1], label_dropout)
-        coef = schedule.coefficients(t)
-        x_t = _interpolant_state(coef, x_star, eps)
-        out = model.evaluate(x_t, t, y)
-        if model.prediction is Prediction.SCORE:
-            out = _velocity_from_score(coef, out, x_t)
-        target = _interpolant_velocity(coef, x_star, eps)
-        residual = out - target
-        value = float(np.sum(residual * residual) / draws_per_bin)
-        if not math.isfinite(value):
-            raise NonFiniteError("loss profile became non-finite", t_bin=b)
-        values[b] = value
-    return LossProfile(edges, values)
+
+    def group_values(first: int, stop: int) -> np.ndarray:
+        """The values of bins first..stop-1, drawn after replaying the
+        stream's draws for the bins before them."""
+        rng = _rng(seed, 2)
+        values = np.empty(stop - first)
+        for b in range(stop):
+            x_star, eps, t, y = _draw_batch(model, dataset, rng, draws_per_bin,
+                                            edges[b], edges[b + 1], label_dropout)
+            if b < first:
+                continue
+            coef = schedule.coefficients(t)
+            x_t = _interpolant_state(coef, x_star, eps)
+            out = model.evaluate(x_t, t, y)
+            if model.prediction is Prediction.SCORE:
+                out = _velocity_from_score(coef, out, x_t)
+            target = _interpolant_velocity(coef, x_star, eps)
+            residual = out - target
+            value = float(np.sum(residual * residual) / draws_per_bin)
+            if not math.isfinite(value):
+                raise NonFiniteError("loss profile became non-finite", t_bin=b)
+            values[b - first] = value
+        return values
+
+    workers = (_fork.workers(bins * draws_per_bin, _PROFILE_ROWS_PER_WORKER, bins, blas=True)
+               if isinstance(model, MLPField) else 1)
+    cuts = [bins * g // workers for g in range(workers + 1)]
+    results = _fork.run([functools.partial(group_values, first, stop)
+                         for first, stop in zip(cuts[:-1], cuts[1:])])
+    for result in results:  # contiguous groups: the first failure is the earliest bin's
+        if isinstance(result, Exception):
+            raise result
+    return LossProfile(edges, np.concatenate(results))
 
 
 # ---------------------------------------------------------------------------

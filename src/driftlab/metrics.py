@@ -184,9 +184,10 @@ def _rank_sums(u: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
 def _value_groups(values: np.ndarray) -> tuple:
     """Sort 1-D ``values`` once: ``(u, group, counts, pool)``, with u the
     distinct values in ascending order, ``u[group[i]] == values[i]``, counts
-    the copies of each, and pool the pair sum of :func:`_rank_sums` over all
-    of ``values``."""
+    the copies of each (both int32, half the size of numpy's int64), and pool
+    the pair sum of :func:`_rank_sums` over all of ``values``."""
     u, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    group, counts = group.astype(np.int32), counts.astype(np.int32)
     return u, group, counts, _rank_sums(u, counts[None, :], values.shape[0])[0]
 
 

@@ -28,16 +28,19 @@ order, a block of steps at a time, into one reused buffer, so a chunk holds
 O(chunk x (block*d + one generator)) of noise state however many steps the
 run takes.  Seeds must be nonnegative.
 
-Because each trajectory depends only on its own index, a large exact-field
-run is split across the host's cores: trajectories 0..n-1 form one
-contiguous group per worker, the parent samples the first group and forked
-child processes the others, and each child sends its samples back through a
+Because each trajectory depends only on its own index, a large run is split
+across the host's cores: trajectories 0..n-1 form one contiguous group per
+worker, the parent samples the first group and forked child processes the
+others (``_fork.run``), and each child sends its samples back through a
 pipe.  The bits equal those of the serial loop, and so does a failure: the
 error raised is the one of the earliest serial chunk, then the smallest
-step.  A run forks only when the model is an :class:`AnalyticMixtureField`,
-the platform reports its CPU affinity, no other Python thread is alive and
-every worker gets at least ``_STEPS_PER_WORKER`` trajectory steps; a learned
-model's BLAS products already use every core.
+step.  A run forks only when the model is the exact field or an MLP, the
+platform reports its CPU affinity, no other Python thread is alive and every
+worker gets enough trajectory steps (:func:`_workers`).  For the length of
+the run every process computes on one OpenBLAS thread; where that count
+cannot be set, an MLP run stays serial.  An MLP's groups start only where
+the serial chunk's ``evaluate`` blocks start, so that every block multiplies
+the rows it multiplies serially; the exact field may be cut anywhere.
 
 Function-evaluation (NFE) accounting per trajectory: Heun spends exactly
 ``2N`` model evaluations (no fused final correction), Euler-Maruyama spends
@@ -49,19 +52,17 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import _fork
 from .errors import (ConfigError, DomainError, NonFiniteError, _count, _nonnegative_values,
                      _real)
 from .field import (AnalyticMixtureField, FieldModel, Prediction, _guided, _real_class,
                     _score_from_velocity, _velocity_from_score)
+from .learner import MLPField
 from .schedule import DiffusionCoefficient, InterpolantSchedule, _regular_window, make_schedule
 
 __all__ = [
@@ -406,86 +407,50 @@ class _Failure(NamedTuple):
 
 
 #: Trajectory steps (trajectories x grid steps) that each worker process
-#: must get before a run forks.  A bare fork, pipe and wait took 3.9 ms on a
-#: 2-core host, and a grid-9 Heun run of 128 trajectories x 50 steps took
-#: 14.4 ms serially against 22.1 ms forked.
+#: must get before an exact-field run forks.  A bare fork, pipe and wait took
+#: 3.9 ms on a 2-core host, and a grid-9 Heun run of 128 trajectories x 50
+#: steps took 14.4 ms serially against 22.1 ms forked.
 _STEPS_PER_WORKER = 2 ** 16
+#: The same for an MLP run.  A trajectory step of the default network costs
+#: about ten of the exact grid-9 field's: on a 2-core host a Heun run of 512
+#: trajectories x 32 steps took 100 ms serially against 53 ms forked, and one
+#: of an 8-wide network 4.5 ms either way.
+_MLP_STEPS_PER_WORKER = 2 ** 14
 
 
 def _workers(model: FieldModel, n_samples: int, steps: int) -> int:
-    """The number of processes a run samples in: one per usable core, as
-    many as give each ``_STEPS_PER_WORKER`` trajectory steps, at most one per
-    trajectory.  One unless the model is the exact field (a learned model's
-    BLAS products already use every core; a forked MLP Heun run of 2,048
-    trajectories x 100 steps took 3.6 s against 1.2 s serially), the
-    platform reports its CPU affinity and no other Python thread is alive
-    (a fork copies only the calling thread)."""
-    if not (isinstance(model, AnalyticMixtureField) and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_samples * steps // _STEPS_PER_WORKER,
-                      n_samples))
+    """The number of processes a run samples in (:func:`_fork.workers`): one
+    per usable core, as many as give each ``_STEPS_PER_WORKER`` trajectory
+    steps (``_MLP_STEPS_PER_WORKER`` for an MLP), at most one per trajectory.
+    One unless the model is the exact field or an MLP, and for an MLP, whose
+    products are BLAS's, unless OpenBLAS can be set to one thread."""
+    if isinstance(model, AnalyticMixtureField):
+        return _fork.workers(n_samples * steps, _STEPS_PER_WORKER, n_samples, blas=False)
+    if isinstance(model, MLPField):
+        return _fork.workers(n_samples * steps, _MLP_STEPS_PER_WORKER, n_samples, blas=True)
+    return 1
 
 
-def _groups(n_samples: int, chunk: int, workers: int) -> list[list[tuple[int, int]]]:
-    """Trajectories 0..n-1 as ``workers`` contiguous groups of near-equal
-    size, each cut at the multiples of ``chunk`` into ``(lo, hi)`` ranges, so
-    that every range lies within one serial chunk."""
+def _groups(n_samples: int, chunk: int, workers: int,
+            rows: int = 1) -> list[list[tuple[int, int]]]:
+    """Trajectories 0..n-1 as at most ``workers`` contiguous groups of
+    near-equal size, each cut at the multiples of ``chunk`` into ``(lo, hi)``
+    ranges, so that every range lies within one serial chunk.  Groups start
+    only at multiples of ``rows`` counted from a serial chunk's start (an
+    MLP's ``evaluate`` blocks); a group that would be empty is left out."""
+    def cut(at: int) -> int:  # the nearest allowed start
+        start = at - at % chunk
+        down = at - (at - start) % rows
+        up = min(down + rows, start + chunk, n_samples)
+        return down if at - down <= up - at else up
+
+    bounds = [cut(n_samples * g // workers) for g in range(workers)] + [n_samples]
     groups = []
-    for g in range(workers):
-        lo, hi = n_samples * g // workers, n_samples * (g + 1) // workers
-        cuts = [lo, *range((lo // chunk + 1) * chunk, hi, chunk), hi]
-        groups.append(list(zip(cuts[:-1], cuts[1:])))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo < hi:
+            cuts = [lo, *range((lo // chunk + 1) * chunk, hi, chunk), hi]
+            groups.append(list(zip(cuts[:-1], cuts[1:])))
     return groups
-
-
-def _forked(run, groups: list) -> list:
-    """``[run(group) for group in groups]``, with ``groups[0]`` run here and
-    every other group in a forked child that sends its result, pickled,
-    through a pipe.  A child that exits without a result has its group run
-    here instead.  Every child is reaped; one still running when an
-    exception leaves is killed first."""
-    children = []  # (pid, pipe) of each child not yet reaped, in group order
-    try:
-        for group in groups[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _serve(run, group, read, write)
-            os.close(write)
-            children.append((pid, os.fdopen(read, "rb")))
-        results = [run(groups[0])]
-        for group in groups[1:]:
-            pid, pipe = children[0]
-            payload = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            ok = payload and os.waitstatus_to_exitcode(status) == 0
-            results.append(pickle.loads(payload) if ok else run(group))
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return results
-
-
-def _serve(run, group, read: int, write: int) -> None:
-    """In a forked child: write ``run(group)`` to the pipe and exit, with
-    status 0 only when the whole result was written.  Never returns."""
-    try:
-        os.close(read)
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(pickle.dumps(run(group), pickle.HIGHEST_PROTOCOL))
-        os._exit(0)
-    finally:
-        os._exit(1)
 
 
 def _integrate(model: FieldModel, spec: SamplerSpec, n_samples: int,
@@ -500,7 +465,7 @@ def _integrate(model: FieldModel, spec: SamplerSpec, n_samples: int,
     the same for every chunk.  ``chunk_size`` is ``None`` (DEFAULT_CHUNK) or
     a positive integer; anything else is a :class:`ConfigError`.  With more
     than one worker (:func:`_workers`) the chunks of each group run in its
-    own process, with the serial loop's bits and its error.
+    own process (:func:`_groups`), with the serial loop's bits and its error.
     """
     n_samples = _count("n_samples", n_samples, error=DomainError)
     if chunk_size is None:
@@ -545,7 +510,9 @@ def _integrate(model: FieldModel, spec: SamplerSpec, n_samples: int,
         return SamplerResult(np.concatenate(outputs, axis=0),
                              (field.calls - calls) // len(group))
 
-    results = _forked(run, _groups(n_samples, chunk, workers))
+    rows = model._block_rows if isinstance(model, MLPField) else 1
+    results = _fork.run([functools.partial(run, group)
+                         for group in _groups(n_samples, chunk, workers, rows)])
     failures = [result for result in results if isinstance(result, _Failure)]
     if failures:
         raise min(failures, key=lambda failure: failure.order).error

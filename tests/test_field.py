@@ -32,8 +32,8 @@ from driftlab import (
     velocity_from_score,
 )
 
-from driftlab.field import _pairwise_sum
-from helpers import gradient_fd, relative_error
+from driftlab.field import Conditioning, _pairwise_sum
+from helpers import count_calls, gradient_fd, relative_error
 
 TIME_FORMS = {"float": float, "np.float64": np.float64}
 
@@ -649,6 +649,25 @@ def test_guided_field_validation(grid9, two_gauss, linear, rng):
     with pytest.raises(DomainError):  # the null token is not a real class
         guided_field(conditional, 2.0, x, 0.4,
                      y=conditional.conditioning.null_id)
+
+
+def test_conditional_wrappers_and_guided_field_check_a_label_once(grid9, linear, rng,
+                                                                 monkeypatch):
+    labels = count_calls(monkeypatch, Conditioning, "validate")
+    x = rng.normal(size=(4, 2))
+    for wrapper in (gmm_conditional_score, gmm_conditional_velocity):
+        labels.clear()
+        wrapper(grid9, linear, x, 0.4, 2)
+        assert len(labels) == 1, wrapper
+    for prediction in Prediction:
+        model = AnalyticMixtureField(grid9, linear, prediction, conditional=True)
+        for zeta in (0.0, 1.0, 2.5):
+            for y in (3, np.array([0, 8, 3, 3])):
+                labels.clear()
+                guided_field(model, zeta, x, 0.4, y)
+                assert len(labels) == 1, (prediction, zeta, y)
+        with pytest.raises(DomainError, match="labels must be scalar or shape"):
+            guided_field(model, 2.5, x, 0.4, np.array([1, 2]))
 
 
 def test_analytic_field_label_dispatch(grid9, linear, rng):

@@ -38,10 +38,11 @@ from driftlab import (
     train,
     velocity_from_score,
 )
+from driftlab import _fork
 from driftlab.learner import _EVAL_BLOCK_VALUES
 from driftlab.toybox import as_dataset
 
-from helpers import relative_error, tracemalloc_peak
+from helpers import count_calls, relative_error, tracemalloc_peak
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +841,86 @@ def test_non_finite_loss_profile_reports_the_bin(linear):
     with pytest.raises(NonFiniteError, match=r"\(t_bin=2\)$") as excinfo:
         estimate_loss_profile(model, get_preset("two-gauss-1d"), bins=4, draws_per_bin=16)
     assert (excinfo.value.t_bin, excinfo.value.step) == (2, None)
+
+
+def _profile_workers(monkeypatch, workers):
+    monkeypatch.setattr(_fork, "workers", lambda *args, **kwargs: workers)
+
+
+def _moved(model):
+    """``model`` moved off its initialization, so every product carries bits."""
+    model.parameters += 0.05 * np.random.default_rng(4).standard_normal(model.n_parameters)
+    return model
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forked_loss_profile_has_the_serial_bits(linear, monkeypatch, workers):
+    forks = count_calls(monkeypatch, os, "fork")
+    runs = [  # (model, data, label dropout): 600 draws are two blocks and a remainder
+        (_moved(MLPField(1, linear, seed=3)), get_preset("two-gauss-1d"), 0.0),
+        (_moved(MLPField(1, linear, Prediction.SCORE, seed=4)), get_preset("two-gauss-1d"), 0.0),
+        (_moved(MLPField(2, linear, num_classes=9, seed=5)), get_preset("grid-9"), 0.3),
+    ]
+    for model, data, dropout in runs:
+        _profile_workers(monkeypatch, 1)
+        serial = estimate_loss_profile(model, data, bins=7, draws_per_bin=600, seed=5,
+                                       label_dropout=dropout)
+        _profile_workers(monkeypatch, workers)
+        forks.clear()
+        forked = estimate_loss_profile(model, data, bins=7, draws_per_bin=600, seed=5,
+                                       label_dropout=dropout)
+        assert len(forks) == workers - 1
+        assert forked.values.tobytes() == serial.values.tobytes()
+        assert forked.edges.tobytes() == serial.edges.tobytes()
+
+
+class _NaNInWindows(MLPField):
+    """A small MLP whose value is NaN at the times inside any of ``windows``."""
+
+    def __init__(self, schedule, windows):
+        super().__init__(1, schedule, widths=(8,), seed=3)
+        self.windows = windows
+
+    def evaluate(self, x, t, y=None):
+        out = super().evaluate(x, t, y)
+        for lo, hi in self.windows:
+            out[(t >= lo) & (t < hi)] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("windows, t_bin", [
+    ([(0.71, 0.79)], 7),  # in the last group only
+    ([(0.21, 0.29), (0.71, 0.79)], 2),  # the first group and the last
+    ([(0.41, 0.49), (0.81, 0.89)], 4),  # two workers' groups
+])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_forked_non_finite_profile_names_the_earliest_bin(linear, monkeypatch, windows,
+                                                           t_bin, workers):
+    model = _NaNInWindows(linear, windows)
+    errors = []
+    for count in (1, workers):
+        _profile_workers(monkeypatch, count)
+        with pytest.raises(NonFiniteError) as excinfo:
+            estimate_loss_profile(model, get_preset("two-gauss-1d"), bins=10, draws_per_bin=50)
+        errors.append(excinfo.value)
+    serial, forked = errors
+    assert type(forked) is NonFiniteError
+    assert (str(forked), forked.t_bin) == (str(serial), serial.t_bin)
+    assert serial.t_bin == t_bin
+
+
+def test_the_default_loss_profile_forks(linear, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(_fork, "_blas_threads", lambda: _fork._Threads(lambda: 2, lambda n: None))
+    forks = count_calls(monkeypatch, os, "fork")
+    model = MLPField(1, linear, widths=(8,), seed=3)
+    estimate_loss_profile(model, get_preset("two-gauss-1d"))  # train's 50 x 2,000
+    assert len(forks) == 1
+    estimate_loss_profile(model, get_preset("two-gauss-1d"), bins=8, draws_per_bin=2000)
+    assert len(forks) == 1
+    monkeypatch.setattr(_fork, "_blas_threads", lambda: None)
+    estimate_loss_profile(model, get_preset("two-gauss-1d"))
+    assert len(forks) == 1
 
 
 def test_default_time_window_clips_only_singular_endpoints(all_schedules):

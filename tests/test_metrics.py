@@ -130,9 +130,10 @@ def test_value_groups_match_unique_searchsorted_and_bincount(rng):
         values = np.concatenate([a, b])
         u, group, counts, _ = metrics._value_groups(values)
         expected_u = np.unique(values)
-        expected_group = np.searchsorted(expected_u, values)
+        expected_group = np.searchsorted(expected_u, values).astype(np.int32)
+        expected_counts = np.bincount(expected_group, minlength=len(expected_u)).astype(np.int32)
         for got, expected in [(u, expected_u), (group, expected_group),
-                              (counts, np.bincount(expected_group, minlength=len(expected_u)))]:
+                              (counts, expected_counts)]:
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 

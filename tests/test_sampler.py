@@ -32,7 +32,7 @@ from driftlab import (
     velocity_from_score,
 )
 import driftlab
-from driftlab import sampler
+from driftlab import _fork, sampler
 from driftlab.field import FieldModel, gmm_marginal_score
 from driftlab.sampler import _chunk_noise, _stream_states
 from driftlab.schedule import (
@@ -407,6 +407,25 @@ def _set_workers(monkeypatch, workers):
     monkeypatch.setattr(sampler, "_workers", lambda model, n_samples, steps: workers)
 
 
+class _FakeThreads:
+    """Stands in for OpenBLAS's thread-count functions and records each count set."""
+
+    def __init__(self, count=4):
+        self.count, self.counts = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+        self.counts.append(count)
+
+
+def _pin_blas(monkeypatch, threads):
+    """Make ``threads`` (or None: no settable OpenBLAS) what the fork helper finds."""
+    monkeypatch.setattr(_fork, "_blas_threads", lambda: threads)
+
+
 def _forbid_fork(monkeypatch):
     def fork():
         raise AssertionError("os.fork was called")
@@ -460,6 +479,156 @@ def test_worker_processes_give_the_serial_bits(linear, monkeypatch, workers):
         assert forked.nfe == serial.nfe
 
 
+def _mlp(dimension, linear, prediction=Prediction.VELOCITY, num_classes=None):
+    """A default-width MLP (256-row `evaluate` blocks) moved off its
+    initialization, so that every product of every layer carries bits."""
+    model = MLPField(dimension, linear, prediction, num_classes=num_classes, seed=3)
+    model.parameters += 0.05 * np.random.default_rng(4).standard_normal(model.n_parameters)
+    return model
+
+
+def _mlp_worker_runs(linear):
+    """(sample, model, spec, n_samples, y, chunk_size) covering MLP runs of
+    both samplers, EM with and without its final step, a labelled and two
+    guided runs, score and velocity networks, n off the 256-row block grid and
+    chunks below n, one of them below a block."""
+    velocity, score = _mlp(1, linear), _mlp(1, linear, Prediction.SCORE)
+    conditional = _mlp(2, linear, num_classes=3)
+    sigma = SigmaCoefficient(linear)
+
+    def heun(zeta=None):
+        return SamplerSpec(kind="heun", t_start=0.999, t_end=0.01, steps=3,
+                           guidance_zeta=zeta, seed=8)
+
+    def em(last_step_to, zeta=None):
+        return SamplerSpec(kind="em", t_start=0.999, t_end=0.04, steps=3, diffusion=sigma,
+                           last_step_to=last_step_to, guidance_zeta=zeta, seed=8)
+
+    return [
+        (heun_sample, velocity, heun(), 777, None, None),
+        (heun_sample, score, heun(), 1001, None, 300),
+        (euler_maruyama_sample, velocity, em(0.0), 1001, None, None),
+        (euler_maruyama_sample, score, em(None), 777, None, 100),
+        (heun_sample, conditional, heun(), 777, 2, None),
+        (heun_sample, conditional, heun(zeta=4.0), 1001, 1, None),
+        (euler_maruyama_sample, conditional, em(0.0, zeta=4.0), 1001, 0, 600),
+    ]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_mlp_worker_processes_give_the_serial_bits(linear, monkeypatch, workers):
+    forks = count_calls(monkeypatch, os, "fork")
+    for sample, model, spec, n, y, chunk_size in _mlp_worker_runs(linear):
+        _set_workers(monkeypatch, 1)
+        serial = sample(model, spec, n, y=y, chunk_size=chunk_size)
+        _set_workers(monkeypatch, workers)
+        forks.clear()
+        forked = sample(model, spec, n, y=y, chunk_size=chunk_size)
+        assert len(forks) == workers - 1
+        assert forked.samples.tobytes() == serial.samples.tobytes(), (spec, n, chunk_size)
+        assert forked.samples.shape == serial.samples.shape
+        assert forked.nfe == serial.nfe
+
+
+def test_mlp_groups_start_where_the_serial_evaluate_blocks_start():
+    for n, chunk, workers, rows in ((777, 4096, 3, 256), (1001, 300, 3, 256),
+                                    (777, 100, 2, 256), (5000, 4096, 3, 992)):
+        groups = sampler._groups(n, chunk, workers, rows)
+        ranges = [pair for group in groups for pair in group]
+        assert len(groups) == workers
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == n
+        assert all(lo < hi and lo // chunk == (hi - 1) // chunk for lo, hi in ranges)
+        assert all(group[0][0] % chunk % rows == 0 for group in groups)
+    # Nearest allowed starts: 256 and 512 for 259 and 518; a start that
+    # would leave a group empty drops it.
+    assert sampler._groups(777, 4096, 3, 256) == [[(0, 256)], [(256, 512)], [(512, 777)]]
+    assert sampler._groups(300, 4096, 3, 256) == [[(0, 256)], [(256, 300)]]
+    assert sampler._groups(200, 4096, 2, 256) == [[(0, 200)]]
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS set to 3 threads for the test, and restored after."""
+    threads = _fork._blas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS has no settable thread count here")
+    before = threads.get()
+    threads.set(3)
+    yield threads
+    threads.set(before)
+
+
+def test_a_forked_run_computes_on_one_blas_thread_and_restores_the_count(blas_threads,
+                                                                        monkeypatch):
+    model = AnalyticMixtureField(get_preset("two-gauss-1d"), make_schedule("linear"),
+                                 Prediction.SCORE)
+    spec = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=3, seed=3)
+
+    def step(field, x, i, noise):  # every trajectory reads its process's count
+        return np.full_like(x, blas_threads.get())
+
+    _set_workers(monkeypatch, 2)
+    result = sampler._integrate(model, spec, 30, None, None, step)
+    assert np.all(result.samples == 1.0)
+    assert blas_threads.get() == 3
+    with pytest.raises(NonFiniteError):  # in the worker's group only
+        _blow_up_run({30: 2}, 40)
+    assert blas_threads.get() == 3
+    monkeypatch.setattr(_fork, "_serve", lambda *args: os._exit(1))
+    forks = count_calls(monkeypatch, os, "fork")
+    result = sampler._integrate(model, spec, 30, None, None, step)
+    assert len(forks) == 1
+    assert np.all(result.samples == 1.0)  # the dead worker's group, run here
+    assert blas_threads.get() == 3
+
+
+def test_mlp_runs_fork_when_blas_threads_can_be_set(linear, monkeypatch):
+    # Beside the runs that never fork: with a settable OpenBLAS the same
+    # learned run forks once and sets one thread for the run, and a small
+    # run or one while another thread is alive still never forks.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = _FakeThreads()
+    _pin_blas(monkeypatch, threads)
+    forks = count_calls(monkeypatch, os, "fork")
+    learned = MLPField(1, linear, widths=(8,), seed=3)
+    spec = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=64, seed=1)
+    n = 2 * sampler._STEPS_PER_WORKER // spec.steps
+    assert sampler._workers(learned, n, spec.steps) == 2
+    forked = heun_sample(learned, spec, n)
+    assert len(forks) == 1
+    assert threads.counts == [1, 4]
+    small = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=50, seed=1)
+    heun_sample(learned, small, 128)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        threaded = heun_sample(learned, spec, n)
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert len(forks) == 1
+    assert threaded.samples.tobytes() == forked.samples.tobytes()
+
+
+def test_without_settable_blas_threads_only_exact_field_runs_fork(linear, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _pin_blas(monkeypatch, None)
+    forks = count_calls(monkeypatch, os, "fork")
+    learned = MLPField(1, linear, widths=(8,), seed=3)
+    exact = AnalyticMixtureField(get_preset("two-gauss-1d"), linear, Prediction.SCORE)
+    spec = SamplerSpec(kind="heun", t_start=0.999, t_end=0.0, steps=64, seed=1)
+    n = 2 * sampler._STEPS_PER_WORKER // spec.steps
+    assert sampler._workers(learned, n, spec.steps) == 1
+    heun_sample(learned, spec, n)
+    assert forks == []
+    forked = heun_sample(exact, spec, n)
+    assert len(forks) == 1
+    _set_workers(monkeypatch, 1)
+    assert forked.samples.tobytes() == heun_sample(exact, spec, n).samples.tobytes()
+
+
 def test_groups_cover_the_run_in_ranges_within_serial_chunks():
     for n, chunk, workers in ((29, 4096, 2), (4101, 4096, 2), (40, 16, 3), (5, 1, 5)):
         groups = sampler._groups(n, chunk, workers)
@@ -481,13 +650,19 @@ def test_worker_count_follows_the_cores_the_work_and_the_model(linear, monkeypat
     assert sampler._workers(exact, 2 * work, 1) == 2
     assert sampler._workers(exact, 2, work) == 2
     assert sampler._workers(exact, 128, 50) == 1
+    _pin_blas(monkeypatch, None)
     assert sampler._workers(learned, 2048, 250) == 1
+    assert sampler._workers(exact, 2048, 250) == 3
+    _pin_blas(monkeypatch, _FakeThreads())
+    assert sampler._workers(learned, 2048, 250) == 3
+    assert sampler._workers(learned, 128, 50) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     assert sampler._workers(exact, 2048, 250) == 1
 
 
 def test_learned_small_and_threaded_runs_never_fork(linear, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _pin_blas(monkeypatch, None)
     _forbid_fork(monkeypatch)
     exact = AnalyticMixtureField(get_preset("two-gauss-1d"), linear, Prediction.SCORE)
     learned = MLPField(1, linear, widths=(8,), seed=3)
@@ -572,7 +747,7 @@ def test_a_worker_that_dies_has_its_ranges_run_by_the_parent(linear, monkeypatch
                        diffusion=SigmaCoefficient(linear), last_step_to=0.0, seed=2)
     serial = euler_maruyama_sample(model, spec, 50, chunk_size=9)
     _set_workers(monkeypatch, 3)
-    monkeypatch.setattr(sampler, "_serve", lambda *args: os._exit(1))
+    monkeypatch.setattr(_fork, "_serve", lambda *args: os._exit(1))
     forks = count_calls(monkeypatch, os, "fork")
     forked = euler_maruyama_sample(model, spec, 50, chunk_size=9)
     assert len(forks) == 2

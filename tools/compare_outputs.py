@@ -12,7 +12,7 @@ so the outputs of equal code are equal byte for byte.  The commands train a
 small velocity model, a second one at a set learning rate, a
 class-conditional one, a score model on gvp and weighted-score models on
 sbdm-vp and linear, a velocity model at the benchmark's shape (default
-widths, batch 256), a class-conditional one at batch 300 (two
+widths, batch 256, the default loss profile), a class-conditional one at batch 300 (two
 weight-gradient blocks) and one whose profile evaluates 600 draws per bin
 (two evaluation blocks and a remainder), sample the first (with ``kl``
 among others), the batch-300 one, the 600-draw one at n = 600, the
@@ -27,6 +27,9 @@ its velocity with a class label, override the sampler's time window and
 sbdm-vp's beta rates, sample the exact field in runs large enough to fork
 worker processes (grid-9 em plain and guided at zeta 4, grid-9 velocity
 heun, and a 1-D em run of 4,100 trajectories across the default chunk),
+sample learned models in runs large enough to fork (the benchmark-shape
+model with heun at n = 2,048 and the class-conditional one guided with em
+at n = 1,001),
 evaluate against a preset and against a samples file,
 run the 1-D permutation test on 600 exact-field samples over several blocks
 of splits and the 2-D one on the grid-9 samples over several row blocks,
@@ -68,7 +71,7 @@ CONDITIONAL = "train-conditional/checkpoint.json"
 SAMPLE_FAST = ["--steps", "40", "--n", "256", "--seed", "5"]
 #: Two 256-row evaluation blocks and a remainder of 88 rows per model call.
 SAMPLE_ROWS_600 = ["--steps", "20", "--n", "600", "--seed", "7"]
-#: Over 2**17 trajectory steps: an exact-field run forks two workers or more.
+#: Over 2**17 trajectory steps: an exact-field or MLP run forks two workers or more.
 SAMPLE_FORKED = ["--steps", "100", "--n", "2048", "--seed", "5"]
 
 #: (name, argv): run in order; later commands read earlier outputs.
@@ -83,9 +86,10 @@ COMMANDS = [
                            "--label-dropout", "0.3", "--steps", "200", "--batch", "128",
                            "--profile-bins", "4", "--profile-draws", "100", "--seed", "4",
                            "--out", "train-conditional"]),
+    # The default profile (50 bins x 2,000 draws) is split across worker processes.
     ("train-bench", ["train", "--dataset", "two-gauss-1d", "--objective", "velocity",
-                     "--steps", "100", "--batch", "256", "--profile-bins", "8",
-                     "--profile-draws", "200", "--seed", "12", "--out", "train-bench"]),
+                     "--steps", "100", "--batch", "256", "--seed", "12",
+                     "--out", "train-bench"]),
     ("train-conditional-300", ["train", "--dataset", "grid-9", "--conditional",
                                "--steps", "60", "--batch", "300", "--profile-bins", "4",
                                "--profile-draws", "100", "--seed", "13",
@@ -180,6 +184,15 @@ COMMANDS = [
     ("sample-exact-4100-em", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
                               "--w", "sigma", "--steps", "40", "--n", "4100", "--seed", "5",
                               "--out", "sample-exact-4100-em"]),
+    # Learned-model runs large enough to sample in worker processes: the
+    # benchmark's shape, and a guided em run off the 256-row block grid.
+    ("sample-bench-forked-heun", ["sample", "--checkpoint", "train-bench/checkpoint.json",
+                                  *SAMPLE_FORKED, "--out", "sample-bench-forked-heun"]),
+    ("sample-conditional-forked-guided-em", ["sample", "--checkpoint", CONDITIONAL,
+                                             "--sampler", "em", "--w", "sigma", "--zeta", "2",
+                                             "--label", "1", "--steps", "100", "--n", "1001",
+                                             "--seed", "7", "--out",
+                                             "sample-conditional-forked-guided-em"]),
     ("eval", ["eval", "--samples", "sample-model-em-kl-eta/samples.txt",
               "--reference", "two-gauss-1d", "--permutations", "20", "--out", "eval"]),
     ("eval-file", ["eval", "--samples", "sample-model-heun/samples.txt",
