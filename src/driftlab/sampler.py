@@ -28,13 +28,14 @@ order, a block of steps at a time, into one reused buffer, so a chunk holds
 O(chunk x (block*d + one generator)) of noise state however many steps the
 run takes.  Seeds must be nonnegative.
 
-Because each trajectory depends only on its own index, a large run is split
-across the host's cores: trajectories 0..n-1 form one contiguous group per
-worker, the parent samples the first group and forked child processes the
-others (``_fork.run``), and each child sends its samples back through a
-pipe.  The bits equal those of the serial loop, and so does a failure: the
-error raised is the one of the earliest serial chunk, then the smallest
-step.  A run forks only when the model is the exact field or an MLP, the
+Both integrators are module-level steps (:func:`_heun_step`,
+:func:`_drift_step`) that one loop, :func:`_integrate`, runs over contiguous
+groups of trajectories; a serial run is one group.  Each trajectory depends
+only on its own index, so a large run has one group per core: the parent
+samples the first and forked children the others (``_fork.run``), each
+piping its samples back.  The bits equal those of one group, and so does a
+failure: the error of the earliest serial chunk, then the smallest step.
+A run forks only when the model is the exact field or an MLP, the
 platform reports its CPU affinity, no other Python thread is alive and every
 worker gets enough trajectory steps (:func:`_workers`).  For the length of
 the run every process computes on one OpenBLAS thread; where that count
@@ -50,6 +51,7 @@ Function-evaluation (NFE) accounting per trajectory: Heun spends exactly
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -75,8 +77,6 @@ __all__ = [
     "euler_maruyama_sample",
     "DEFAULT_CHUNK",
 ]
-
-import enum
 
 
 class SamplerKind(str, enum.Enum):
@@ -188,8 +188,8 @@ class _CountingField:
         self.zeta = spec.guidance_zeta
         self.y = y
         self.calls = 0
-        #: The grid step being taken, which orders the failures of ranges
-        #: sampled apart.
+        #: The grid step being taken, which orders the failures of the
+        #: run's groups.
         self.step = 0
 
     def drift(self, x: np.ndarray, t: float, w: float = 0.0) -> np.ndarray:
@@ -398,7 +398,7 @@ def _check_finite(x: np.ndarray, step: int) -> None:
 
 
 class _Failure(NamedTuple):
-    """The error of a range of trajectories sampled apart from the others."""
+    """The error of the first failing range of trajectories in a group."""
 
     #: (serial chunk, step, first trajectory): the serial loop raises the
     #: error of its earliest failing chunk, at that chunk's smallest step.
@@ -453,19 +453,35 @@ def _groups(n_samples: int, chunk: int, workers: int,
     return groups
 
 
+def _heun_step(field: _CountingField, x: np.ndarray, t, t_next, h,
+               w=0.0, w_next=0.0) -> np.ndarray:
+    """One explicit trapezoidal (Heun) step of size ``h`` from ``t`` to
+    ``t_next``: an Euler predictor, then the mean of the drift at both ends
+    (``w`` at ``t``, ``w_next`` at ``t_next``).  Two drift calls."""
+    slope = field.drift(x, t, w)
+    slope_next = field.drift(x + h * slope, t_next, w_next)
+    return x + 0.5 * h * (slope + slope_next)
+
+
+def _drift_step(field: _CountingField, x: np.ndarray, t, h, w=0.0) -> np.ndarray:
+    """One Euler step ``x + h * drift(x, t, w)``: Euler-Maruyama's step
+    before its noise is added, and its final noiseless step."""
+    return x + h * field.drift(x, t, w)
+
+
 def _integrate(model: FieldModel, spec: SamplerSpec, n_samples: int,
                y, chunk_size: int | None, step, final_step=None,
                noise_rows: int = 1) -> SamplerResult:
-    """The loop both integrators share.
+    """The one loop both integrators run.
 
     Runs ``x <- step(field, x, i, noise)`` for every grid step, then
     ``final_step(field, x)`` when given, chunk by chunk.  ``noise`` is the
     chunk's :class:`_NoiseStream` of ``noise_rows`` rows; row 0 is the
-    initial state.  NFE is the run's model-call count per chunk, which is
-    the same for every chunk.  ``chunk_size`` is ``None`` (DEFAULT_CHUNK) or
-    a positive integer; anything else is a :class:`ConfigError`.  With more
-    than one worker (:func:`_workers`) the chunks of each group run in its
-    own process (:func:`_groups`), with the serial loop's bits and its error.
+    initial state.  NFE is the run's model-call count per chunk, the same
+    for every chunk.  ``chunk_size`` is ``None`` (DEFAULT_CHUNK) or a
+    positive integer, else a :class:`ConfigError`.  The chunks form one
+    group per worker (:func:`_workers`, :func:`_groups`) for
+    :func:`_fork.run`: a serial run is one group, run in this process.
     """
     n_samples = _count("n_samples", n_samples, error=DomainError)
     if chunk_size is None:
@@ -475,49 +491,60 @@ def _integrate(model: FieldModel, spec: SamplerSpec, n_samples: int,
         chunk = int(chunk_size)
     else:
         raise ConfigError(f"chunk_size must be None or a positive integer, got {chunk_size!r}")
-    dim = model.dimension
     field = _CountingField(model, spec, y)
 
-    def trajectories(lo: int, hi: int) -> np.ndarray:
-        """Samples of trajectories lo..hi-1; ``field.step`` follows the step."""
-        noise = _NoiseStream(spec.seed, lo, hi, noise_rows, dim)
-        x = noise.row(0).copy()  # the buffer is refilled under it
-        for i in range(spec.steps):
-            field.step = i
-            x = step(field, x, i, noise)
-            _check_finite(x, i)
-        if final_step is not None:
-            field.step = spec.steps
-            x = final_step(field, x)
-            _check_finite(x, spec.steps)
-        return x
-
-    workers = _workers(model, n_samples, spec.steps)
-    if workers == 1:
-        outputs = [trajectories(lo, min(lo + chunk, n_samples))
-                   for lo in range(0, n_samples, chunk)]
-        return SamplerResult(np.concatenate(outputs, axis=0), field.calls // len(outputs))
-
-    def run(group: list[tuple[int, int]]) -> SamplerResult | _Failure:
-        """The result of a group's ranges, run in order, or the failure of
-        the first range that fails."""
+    def run(group: list[tuple[int, int]]) -> tuple[list[np.ndarray], int] | _Failure:
+        """The samples of a group's ranges, run in order, and its NFE, or the
+        failure of the first range that fails; ``field.step`` follows the step."""
         calls, outputs = field.calls, []
-        for lo, hi in group:
-            try:
-                outputs.append(trajectories(lo, hi))
-            except Exception as error:
-                return _Failure((lo // chunk, field.step, lo), error)
-        return SamplerResult(np.concatenate(outputs, axis=0),
-                             (field.calls - calls) // len(group))
+        try:
+            for lo, hi in group:
+                noise = _NoiseStream(spec.seed, lo, hi, noise_rows, model.dimension)
+                x = noise.row(0).copy()  # the buffer is refilled under it
+                for i in range(spec.steps):
+                    field.step = i
+                    x = step(field, x, i, noise)
+                    _check_finite(x, i)
+                if final_step is not None:
+                    field.step = spec.steps
+                    x = final_step(field, x)
+                    _check_finite(x, spec.steps)
+                outputs.append(x)
+            return outputs, (field.calls - calls) // len(group)
+        except Exception as error:
+            return _Failure((lo // chunk, field.step, lo), error)
 
     rows = model._block_rows if isinstance(model, MLPField) else 1
-    results = _fork.run([functools.partial(run, group)
-                         for group in _groups(n_samples, chunk, workers, rows)])
+    groups = _groups(n_samples, chunk, _workers(model, n_samples, spec.steps), rows)
+    results = _fork.run([functools.partial(run, group) for group in groups])
     failures = [result for result in results if isinstance(result, _Failure)]
     if failures:
         raise min(failures, key=lambda failure: failure.order).error
-    return SamplerResult(np.concatenate([result.samples for result in results], axis=0),
-                         results[0].nfe)
+    return SamplerResult(np.concatenate([x for outputs, _ in results for x in outputs]),
+                         results[0][1])
+
+
+def _grid_steps(spec: SamplerSpec) -> tuple:
+    """``(step, final_step, noise_rows)`` of ``spec``'s run for :func:`_integrate`.
+    Euler-Maruyama's grid ``w`` (at ``t_end`` only for a final step that moves
+    the state) is computed and checked once, before any model call."""
+    grid = time_grid(spec)
+    dt = (spec.t_end - spec.t_start) / spec.steps
+    if spec.kind is SamplerKind.HEUN_ODE:
+        return (lambda field, x, i, noise:
+                _heun_step(field, x, float(grid[i]), float(grid[i + 1]), dt)), None, 1
+    final = spec.last_step_to is not None and spec.last_step_to != spec.t_end
+    w = np.asarray(spec.diffusion(grid if final else grid[:-1]), dtype=np.float64)
+    scale = (np.sqrt(_nonnegative_values(w[:spec.steps], "diffusion coefficient"))
+             * math.sqrt(abs(dt)))
+
+    def step(field: _CountingField, x: np.ndarray, i: int, noise: _NoiseStream) -> np.ndarray:
+        return _drift_step(field, x, float(grid[i]), dt, float(w[i])) + scale[i] * noise.row(i + 1)
+
+    def final_step(field: _CountingField, x: np.ndarray) -> np.ndarray:
+        return _drift_step(field, x, float(grid[-1]), spec.last_step_to - spec.t_end, float(w[-1]))
+
+    return step, final_step if final else None, spec.steps + 1
 
 
 def _require_kind(spec: SamplerSpec, kind: SamplerKind, entry: str) -> None:
@@ -537,16 +564,7 @@ def heun_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
     ``alpha(t) > 0``.
     """
     _require_kind(spec, SamplerKind.HEUN_ODE, "heun_sample")
-    grid = time_grid(spec)
-    dt = (spec.t_end - spec.t_start) / spec.steps
-
-    def step(field: _CountingField, x: np.ndarray, i: int, noise) -> np.ndarray:
-        slope_here = field.drift(x, float(grid[i]))
-        predicted = x + dt * slope_here
-        slope_next = field.drift(predicted, float(grid[i + 1]))
-        return x + 0.5 * dt * (slope_here + slope_next)
-
-    return _integrate(model, spec, n_samples, y, chunk_size, step)
+    return _integrate(model, spec, n_samples, y, chunk_size, *_grid_steps(spec))
 
 
 def euler_maruyama_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
@@ -561,22 +579,4 @@ def euler_maruyama_sample(model: FieldModel, spec: SamplerSpec, n_samples: int,
     ``last_step_to`` when configured.
     """
     _require_kind(spec, SamplerKind.EULER_MARUYAMA_SDE, "euler_maruyama_sample")
-    grid = time_grid(spec)
-    dt = (spec.t_end - spec.t_start) / spec.steps
-    final = spec.last_step_to is not None and spec.last_step_to != spec.t_end
-    # Evaluate w on the grid once (t_end only when the final step needs it);
-    # singularities surface here, before any trajectory work is done.
-    w_values = np.asarray(spec.diffusion(grid if final else grid[:-1]), dtype=np.float64)
-    stepped = _nonnegative_values(w_values[:spec.steps], "diffusion coefficient")
-    noise_scale = np.sqrt(stepped) * math.sqrt(abs(dt))
-
-    def step(field: _CountingField, x: np.ndarray, i: int, noise: _NoiseStream) -> np.ndarray:
-        drift = field.drift(x, float(grid[i]), float(w_values[i]))
-        return x + dt * drift + noise_scale[i] * noise.row(i + 1)
-
-    def final_step(field: _CountingField, x: np.ndarray) -> np.ndarray:
-        drift = field.drift(x, float(grid[spec.steps]), float(w_values[spec.steps]))
-        return x + (spec.last_step_to - spec.t_end) * drift
-
-    return _integrate(model, spec, n_samples, y, chunk_size, step,
-                      final_step if final else None, noise_rows=spec.steps + 1)
+    return _integrate(model, spec, n_samples, y, chunk_size, *_grid_steps(spec))

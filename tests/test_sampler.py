@@ -335,6 +335,51 @@ def test_em_matches_manual_reference(score_model, linear, two_gauss):
         assert np.array_equal(result.samples[i], x[0])
 
 
+class _AffineVelocity(FieldModel):
+    """Velocity field ``v(x, t) = a * x + b`` in two dimensions, for any t."""
+
+    prediction = Prediction.VELOCITY
+    conditioning = None
+    dimension = 2
+
+    def __init__(self, schedule, a, b):
+        self.schedule, self.a, self.b = schedule, a, np.asarray(b, dtype=np.float64)
+
+    def evaluate(self, x, t, y=None):
+        return self.a * np.atleast_2d(x) + self.b
+
+
+def test_em_final_step_reaches_last_step_to_on_a_constant_drift(linear):
+    # At w = 0 and constant drift c every step is x + h * c, so the state
+    # at last_step_to = 0 is x0 + c * (0 - t_start) whatever the grid.  A
+    # final step 10 % short of t_end -> 0 misses it by 0.1 * t_end * |c|.
+    c = np.array([0.25, -0.5])
+    model = _AffineVelocity(linear, 0.0, c)
+    spec = SamplerSpec(kind="em", t_start=0.9, t_end=0.3, steps=7,
+                       diffusion=ConstantCoefficient(0.0), last_step_to=0.0, seed=4)
+    result = euler_maruyama_sample(model, spec, 5)
+    x0 = _chunk_noise(4, 0, 5, 1, 2)[:, 0]
+    assert result.nfe == spec.steps + 1
+    assert np.max(np.abs(result.samples - (x0 + c * (0.0 - 0.9)))) < 1e-12
+
+
+def test_heun_steps_by_the_closed_form_factor_on_an_affine_drift(linear):
+    # On v = a*x + b one Heun step is exactly x + h * (a*x + b) * (1 + a*h/2):
+    # the Euler predictor's slope is (a*x + b) * (1 + a*h), averaged with the
+    # slope at x.  Dropping the average (x + h * v), the predictor (both
+    # slopes at x) or the step size h changes every step by O(h**2) or more.
+    a, b = -1.5, np.array([0.5, -0.25])
+    model = _AffineVelocity(linear, a, b)
+    spec = SamplerSpec(kind="heun", t_start=0.95, t_end=0.05, steps=9, seed=6)
+    result = heun_sample(model, spec, 5)
+    h = (0.05 - 0.95) / 9
+    x = _chunk_noise(6, 0, 5, 1, 2)[:, 0]
+    for _ in range(9):
+        x = x + h * (a * x + b) * (1 + a * h / 2)
+    assert result.nfe == 2 * spec.steps
+    assert np.max(np.abs(result.samples - x)) < 1e-12
+
+
 def test_em_zero_coefficient_is_euler_ode(score_model, linear, two_gauss):
     spec = SamplerSpec(kind="em", t_start=0.99, t_end=0.2, steps=6,
                        diffusion=ZeroCoefficient(), seed=5)

@@ -23,7 +23,8 @@ profile among them), run em at ``w = 0`` on the first model and on the
 exact field, on the exact velocity field (a score conversion) and guided on
 the exact score field at zeta 4, 0 and 1 and on the exact velocity field at
 zeta 4 and 0, sample the exact grid-9 field with the null-token label and
-its velocity with a class label, override the sampler's time window and
+its velocity with a class label, override the sampler's time window (an em window among them whose
+``--last-step-to`` equals ``--t-end``, so no final step is taken) and
 sbdm-vp's beta rates, sample the exact field in runs large enough to fork
 worker processes (grid-9 em plain and guided at zeta 4, grid-9 velocity
 heun, and a 1-D em run of 4,100 trajectories across the default chunk),
@@ -139,6 +140,11 @@ COMMANDS = [
                           "--w", "const:0.5", "--t-start", "0.95", "--t-end", "0.05",
                           "--last-step-to", "0.01", *SAMPLE_FAST,
                           "--out", "sample-window-em"]),
+    # last_step_to at t_end: em takes no final noiseless step.
+    ("sample-window-em-no-final", ["sample", "--analytic", "two-gauss-1d", "--sampler", "em",
+                                   "--w", "sigma", "--t-start", "0.95", "--t-end", "0.05",
+                                   "--last-step-to", "0.05", *SAMPLE_FAST,
+                                   "--out", "sample-window-em-no-final"]),
     ("sample-window-heun", ["sample", "--checkpoint", CHECKPOINT, "--t-start", "0.9",
                             "--t-end", "0", *SAMPLE_FAST, "--out", "sample-window-heun"]),
     ("sample-guided-heun", ["sample", "--checkpoint", CONDITIONAL, "--zeta", "2",
